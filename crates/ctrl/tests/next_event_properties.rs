@@ -81,11 +81,10 @@ fn drive_reference(
     done
 }
 
-/// Skip drive: the same wake/flush protocol `drive_sequential` and the
-/// shard workers use — wake from `next_event` (falling back to `now + 1`
-/// when it declines), reset to `now` on every accepted enqueue, pending
-/// skips flushed through `account_skipped_ticks` before every tick and
-/// every enqueue.
+/// Skip drive: the same wake/flush protocol `drive_sequential` uses —
+/// wake from `next_event` (falling back to `now + 1` when it declines),
+/// reset to `now` on every accepted enqueue, pending skips flushed
+/// through `account_skipped_ticks` before every tick and every enqueue.
 fn drive_skip(
     c: &mut MemoryController,
     arrivals: &[(Cycle, MemRequest)],

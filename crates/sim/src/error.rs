@@ -18,14 +18,6 @@ pub enum SimError {
     /// was constructed. One [`ConfigError`] per rejecting component, each
     /// carrying the full list of diagnostics for that component.
     InvalidConfig { errors: Vec<ConfigError> },
-    /// The channel-sharded drive's watchdog declared a worker stalled and
-    /// tore the run down. Carries a snapshot of the dispatcher state at
-    /// the moment the deadline expired. [`crate::simulator::try_run`]
-    /// converts this into a sequential retry; only
-    /// [`crate::simulator::try_run_once`] surfaces it. Boxed: the
-    /// snapshot is large and the happy path should not pay for it in the
-    /// `Result`'s size.
-    ShardStall(Box<ShardDiagnostics>),
     /// The run panicked (an internal invariant tripped). Captured only by
     /// the harness entry points that isolate slots
     /// (`run_many_checked`, `SweepRunner`); `try_run` lets panics unwind.
@@ -55,6 +47,20 @@ pub enum CancelKind {
     Shutdown,
 }
 
+impl SimError {
+    /// Whether a fresh attempt at the same run could succeed. The one
+    /// retry classifier shared by [`crate::sweep::SweepRunner`] and the
+    /// sweep service: an invalid config fails the same way every time,
+    /// and a cancelled run's token stays tripped, so neither is retried;
+    /// a panic or an artifact I/O failure may be transient.
+    pub fn is_retryable(&self) -> bool {
+        match self {
+            SimError::InvalidConfig { .. } | SimError::Cancelled { .. } => false,
+            SimError::Panic { .. } | SimError::Artifact { .. } => true,
+        }
+    }
+}
+
 impl CancelKind {
     pub fn label(&self) -> &'static str {
         match self {
@@ -75,7 +81,6 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
-            SimError::ShardStall(d) => write!(f, "sharded drive stalled: {d}"),
             SimError::Panic { message } => write!(f, "simulation panicked: {message}"),
             SimError::Artifact { path, message } => {
                 write!(f, "artifact {path}: {message}")
@@ -93,100 +98,9 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Dispatcher state captured by the coordinator when its progress watchdog
-/// expires: enough to see *which* worker wedged and *what* it was (not)
-/// doing, without attaching a debugger to a hung process.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardDiagnostics {
-    /// Worker threads the drive was launched with.
-    pub workers: usize,
-    /// Index of the worker whose slot seal the coordinator timed out on.
-    pub stalled_worker: usize,
-    /// The slot count the coordinator was waiting for that worker to reach.
-    pub waiting_for_slot: u64,
-    /// The configured deadline that expired, in milliseconds.
-    pub timeout_ms: u64,
-    /// Coordinator-published mailbox watermark (cycles) at capture time.
-    pub watermark: u64,
-    /// The coordinator's current stride slot.
-    pub cur_slot: u64,
-    /// Last quantum sealed by each worker (`u64::MAX` = finished).
-    pub worker_done: Vec<u64>,
-    /// Queued-but-unreplayed ops per channel mailbox; `None` when the
-    /// mailbox lock was held at capture time (itself a diagnostic: the
-    /// lock holder is the likely culprit).
-    pub mailbox_depths: Vec<Option<usize>>,
-    /// Completions published but not yet drained, per worker.
-    pub completion_backlogs: Vec<u64>,
-    /// The coordinator's occupancy mirror, per channel: requests it
-    /// believes are in flight.
-    pub occupancy: Vec<usize>,
-}
-
-impl fmt::Display for ShardDiagnostics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "worker {}/{} made no progress toward slot {} within {} ms \
-             (watermark {}, coordinator slot {}; per-worker sealed slots {:?}; \
-             mailbox depths {:?}; completion backlogs {:?}; occupancy mirror {:?})",
-            self.stalled_worker,
-            self.workers,
-            self.waiting_for_slot,
-            self.timeout_ms,
-            self.watermark,
-            self.cur_slot,
-            self.worker_done,
-            self.mailbox_depths,
-            self.completion_backlogs,
-            self.occupancy,
-        )
-    }
-}
-
-/// Panic payload the coordinator throws out of the shard scope when the
-/// watchdog fires; `drive_sharded` downcasts it back into a typed error.
-/// Public only so the payload type is nameable across modules.
-#[doc(hidden)]
-pub struct ShardStallPanic(pub ShardDiagnostics);
-
-/// Panic payload the sharded coordinator throws when it observes a
-/// tripped [`crate::simulator::CancelToken`]: the scope tears down via
-/// the same abort-flag/unwind/join protocol as the watchdog, and
-/// `drive_sharded` downcasts this back into
-/// [`SimError::Cancelled`]-shaped data.
-#[doc(hidden)]
-pub struct CancelPanic {
-    pub kind: CancelKind,
-    pub at_cycle: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn diag() -> ShardDiagnostics {
-        ShardDiagnostics {
-            workers: 2,
-            stalled_worker: 1,
-            waiting_for_slot: 7,
-            timeout_ms: 250,
-            watermark: 1024,
-            cur_slot: 6,
-            worker_done: vec![9, 6],
-            mailbox_depths: vec![Some(3), None],
-            completion_backlogs: vec![0, 12],
-            occupancy: vec![1, 4],
-        }
-    }
-
-    #[test]
-    fn display_names_the_stalled_worker() {
-        let shown = SimError::ShardStall(Box::new(diag())).to_string();
-        assert!(shown.contains("worker 1/2"));
-        assert!(shown.contains("slot 7"));
-        assert!(shown.contains("250 ms"));
-    }
 
     #[test]
     fn invalid_config_display_carries_component_diagnostics() {
@@ -199,5 +113,25 @@ mod tests {
         let shown = err.to_string();
         assert!(shown.contains("MemConfig invalid:"));
         assert!(shown.contains("queue_size"));
+    }
+
+    #[test]
+    fn only_panics_and_artifact_failures_are_retryable() {
+        let invalid = SimError::InvalidConfig { errors: vec![] };
+        let cancelled = SimError::Cancelled {
+            kind: CancelKind::Requested,
+            at_cycle: 0,
+        };
+        let panic = SimError::Panic {
+            message: "boom".into(),
+        };
+        let artifact = SimError::Artifact {
+            path: "x.json".into(),
+            message: "disk full".into(),
+        };
+        assert!(!invalid.is_retryable());
+        assert!(!cancelled.is_retryable());
+        assert!(panic.is_retryable());
+        assert!(artifact.is_retryable());
     }
 }

@@ -7,7 +7,8 @@
 //! (`microbank-workloads`).
 //!
 //! * [`simulator`] — [`simulator::SimConfig`] → [`simulator::SimResult`]:
-//!   one run of the whole system, plus a parallel sweep runner.
+//!   one single-threaded run of the whole system, plus a parallel runner
+//!   that spreads independent runs over the available cores.
 //! * [`experiment`] — one driver per paper figure (Fig. 8–14 and the §I
 //!   headline numbers), returning structured rows for the harness
 //!   binaries in `microbank-bench`.
@@ -25,11 +26,10 @@ pub mod error;
 pub mod experiment;
 pub mod report;
 pub mod service;
-pub mod shard;
 pub mod simulator;
 pub mod sweep;
 
-pub use error::{CancelKind, ShardDiagnostics, SimError};
+pub use error::{CancelKind, SimError};
 pub use experiment::{
     base_cfg, headline, interface_study, interleave_policy_study, organization_comparison,
     predictor_study, representative_study, ubank_grid, GridResult, InterfaceRow, InterleaveRow,
@@ -38,8 +38,8 @@ pub use experiment::{
 pub use report::{summarize, summary_columns, Table};
 pub use service::{JobState, ServiceConfig, SweepService};
 pub use simulator::{
-    run, run_many, run_many_checked, try_run, try_run_once, CancelToken, DriveMode, QosReport,
-    SequentialReason, SimConfig, SimResult, TenantMetrics,
+    run, run_many, run_many_checked, try_run, CancelToken, QosReport, SimConfig, SimResult,
+    TenantMetrics,
 };
 pub use sweep::{SlotRecord, SlotStatus, SweepRunner, SweepSlot};
 

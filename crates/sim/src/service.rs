@@ -17,15 +17,15 @@
 //! * **Deadlines and cancellation**: each job carries a
 //!   [`CancelToken`]; `DELETE /jobs/{id}` trips it as `Requested`, the
 //!   monitor thread trips it as `Deadline` past the job's wall-clock
-//!   budget, and both drive loops poll it every
+//!   budget, and the drive polls it every
 //!   [`crate::simulator::CANCEL_CHECK_CYCLES`] simulated cycles.
 //!   Cancellation is sound under time-skip: it only shortens runs whose
 //!   state is discarded whole.
-//! * **Error-class-aware retry**: deterministic `InvalidConfig` is
-//!   never retried (it is rejected at admission anyway), `Cancelled` is
-//!   never retried, `ShardStall` is already rescued sequentially inside
-//!   [`try_run`], and `Panic`/`Artifact` retry with exponential backoff
-//!   plus deterministic jitter up to a per-slot attempt cap.
+//! * **Error-class-aware retry** ([`SimError::is_retryable`]):
+//!   deterministic `InvalidConfig` is never retried (it is rejected at
+//!   admission anyway), `Cancelled` is never retried, and
+//!   `Panic`/`Artifact` retry with exponential backoff plus
+//!   deterministic jitter up to a per-slot attempt cap.
 //! * **Admission control**: a bounded queue answers 429 with
 //!   `Retry-After` when full, and 503 once draining.
 //! * **Graceful drain**: shutdown stops admission, waits a grace period
@@ -474,7 +474,6 @@ const SLOT_KEYS: &[&str] = &[
     "warmup_cycles",
     "measure_cycles",
     "seed",
-    "threads",
     "quick",
 ];
 
@@ -580,12 +579,6 @@ fn parse_slot(index: usize, v: &JsonValue) -> Result<SlotSpec, Vec<String>> {
                 Some(n) => *field = n,
                 None => errs.push(format!("{key}: expected a non-negative integer")),
             }
-        }
-    }
-    if let Some(t) = obj.get("threads") {
-        match as_uint(t) {
-            Some(n) => cfg.threads = Some(n as usize),
-            None => errs.push("threads: expected a non-negative integer".to_string()),
         }
     }
     if let Some(id) = obj.get("id") {
@@ -1279,18 +1272,6 @@ fn worker_loop(inner: &Arc<ServiceInner>) {
     }
 }
 
-/// Classify an error for the retry policy: deterministic failures never
-/// retry; transient classes retry with backoff.
-fn retryable(e: &SimError) -> bool {
-    match e {
-        SimError::InvalidConfig { .. } | SimError::Cancelled { .. } => false,
-        // `try_run` already rescues stalls sequentially; if one still
-        // surfaces, a fresh attempt is the right recovery, as are panic
-        // and artifact-I/O classes.
-        SimError::ShardStall(_) | SimError::Panic { .. } | SimError::Artifact { .. } => true,
-    }
-}
-
 /// Deterministic backoff jitter: FNV-1a over the slot identity and
 /// attempt number, folded into [0, base). No RNG state, reproducible in
 /// tests.
@@ -1366,7 +1347,7 @@ fn execute_slot(inner: &Arc<ServiceInner>, j: usize, s: usize) {
             });
         match result {
             Ok(r) => break Ok(r),
-            Err(e) if retryable(&e) && attempts < inner.cfg.max_slot_attempts => {
+            Err(e) if e.is_retryable() && attempts < inner.cfg.max_slot_attempts => {
                 let base = inner.cfg.backoff_base_ms << (attempts - 1).min(8);
                 let delay = base + jitter_ms(&job_id, &slot_id, attempts, base.max(1));
                 event::emit(

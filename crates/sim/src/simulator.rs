@@ -1,7 +1,7 @@
 //! The full-system simulator: CMP ⇄ memory controllers ⇄ μbank DRAM,
 //! with energy integration and the metrics every figure reports.
 
-use crate::error::{CancelKind, ShardDiagnostics, SimError};
+use crate::error::{CancelKind, SimError};
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, ReqKind};
 use microbank_core::stats::DramStats;
@@ -20,8 +20,8 @@ use microbank_energy::power::{MemoryEnergy, PowerIntegrator};
 use microbank_faults::{FaultConfig, FaultSummary};
 use microbank_telemetry::span::SpanRow;
 use microbank_telemetry::{
-    event, mcycles_per_sec, CmdRecord, HeatCounters, Level, MetricKind, MetricsRegistry,
-    SpanTracer, TelemetryConfig, Timeline,
+    mcycles_per_sec, CmdRecord, HeatCounters, MetricKind, MetricsRegistry, SpanTracer,
+    TelemetryConfig, Timeline,
 };
 use microbank_workloads::suite::{build_sources, Workload};
 use serde::Serialize;
@@ -59,56 +59,34 @@ pub struct SimConfig {
     /// epoch columns). `None` (the default) keeps runs bit-identical to a
     /// build without the subsystem — the same Option pattern as `faults`.
     pub qos: Option<QosConfig>,
-    /// Worker threads for channel-sharded execution (see [`crate::shard`]).
-    /// `None` defers to the `MICROBANK_THREADS` environment variable, then
-    /// to 1. Any value ≤ 1 runs the classic single-threaded loop. Results
-    /// are bit-identical for every thread count — sharding only changes
-    /// wall-clock time.
-    pub threads: Option<usize>,
-    /// Progress deadline for the sharded drive's coordinator: if a worker
-    /// seals no new slot within this many wall-clock milliseconds while
-    /// the coordinator is waiting on it, the run is torn down and
-    /// reported as [`crate::error::SimError::ShardStall`] (and retried
-    /// sequentially by [`try_run`]). `0` disables the watchdog. The
-    /// default is deliberately generous — a healthy worker seals slots in
-    /// microseconds, so only a genuine deadlock or livelock can spend a
-    /// minute sealing nothing.
-    pub watchdog_timeout_ms: u64,
-    /// Fine-grained harness span tracing: the sequential drive times its
-    /// controller ticks, sharded workers time their spin-waits and
-    /// mailbox seals, and the coordinator its drain waits — all exported
-    /// on [`RunProfile::spans`]. Off (the default), a run only records
+    /// Fine-grained harness span tracing: the drive times its controller
+    /// ticks against the rest of the loop, exported on
+    /// [`RunProfile::spans`]. Off (the default), a run only records
     /// the coarse setup/drive/artifact phases. Spans observe wall time
     /// but never feed back into the simulated machine, so results are
     /// bit-identical with tracing on or off.
     pub spans: bool,
-    /// Event-driven time skipping: when on (the default), the sequential
-    /// drive advances `now` in jumps to the earliest component wake time
+    /// Event-driven time skipping: when on (the default), the drive
+    /// advances `now` in jumps to the earliest component wake time
     /// (controller `next_event` horizons, CPU/NoC horizon, pending fill
     /// deliveries) instead of ticking through provably-quiet cycles, and
-    /// both drive loops sleep controllers on their busy-horizon instead of
-    /// only when fully idle. `None` defers to the `MICROBANK_NO_SKIP`
-    /// environment variable (set non-`0` to force the per-cycle reference
-    /// path). Results are bit-identical either way — skipping only changes
+    /// sleeps controllers on their busy-horizon instead of only when
+    /// fully idle. `None` defers to the `MICROBANK_NO_SKIP` environment
+    /// variable (set non-`0` to force the per-cycle reference path). Results are bit-identical either way — skipping only changes
     /// wall-clock time (DESIGN §5f).
     pub time_skip: Option<bool>,
-    /// Cooperative cancellation: when set, both drive loops poll the
-    /// token every [`CANCEL_CHECK_CYCLES`] simulated cycles and abandon
-    /// the run with [`SimError::Cancelled`] once it trips. Sound under
+    /// Cooperative cancellation: when set, the drive polls the token
+    /// every [`CANCEL_CHECK_CYCLES`] simulated cycles and abandons the
+    /// run with [`SimError::Cancelled`] once it trips. Sound under
     /// the event-driven time-skip core: cancellation only ever shortens a
     /// run whose state is then discarded whole — it can never alter a
     /// result that is reported (DESIGN.md §5i). `None` (the default)
     /// keeps the hot path to a single branch, and the field is masked
-    /// out of sweep/service fingerprints like `threads`.
+    /// out of sweep/service fingerprints like `spans`.
     pub cancel: Option<CancelToken>,
-    /// Test hook: make shard worker 0 stop sealing slots at this stride
-    /// slot, simulating a wedged worker so the watchdog path can be
-    /// exercised deterministically. Never set outside tests.
-    #[doc(hidden)]
-    pub test_stall_shard: Option<u64>,
 }
 
-/// How often (simulated cycles) the drive loops poll an armed
+/// How often (simulated cycles) the drive polls an armed
 /// [`CancelToken`]. Epoch-boundary scale: coarse enough to stay off the
 /// hot path, fine enough that a cancelled or deadline-expired job stops
 /// within milliseconds of wall time.
@@ -190,12 +168,9 @@ impl SimConfig {
             telemetry: None,
             faults: None,
             qos: None,
-            threads: None,
-            watchdog_timeout_ms: 60_000,
             spans: false,
             time_skip: None,
             cancel: None,
-            test_stall_shard: None,
         }
     }
 
@@ -247,16 +222,10 @@ impl SimConfig {
         }
     }
 
-    /// Pin the worker-thread count for this run (overrides the
-    /// `MICROBANK_THREADS` environment variable).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Set the sharded drive's progress deadline (0 disables it).
-    pub fn with_watchdog_timeout_ms(mut self, ms: u64) -> Self {
-        self.watchdog_timeout_ms = ms;
+    /// Kept only for the `perfbench` benchmark crate, its sole caller:
+    /// runs are single-threaded, so this returns `self` unchanged.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -292,17 +261,11 @@ impl SimConfig {
         })
     }
 
-    /// Resolved worker-thread count: the explicit `threads` field, else the
-    /// `MICROBANK_THREADS` environment variable, else 1 (sequential).
+    /// Kept only for the `perfbench` benchmark crate (see
+    /// [`SimConfig::with_threads`]): every run uses one thread.
+    #[doc(hidden)]
     pub fn effective_threads(&self) -> usize {
-        self.threads
-            .or_else(|| {
-                std::env::var("MICROBANK_THREADS")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-                    .filter(|&n: &usize| n > 0)
-            })
-            .unwrap_or(1)
+        1
     }
 
     /// Top of the validation ladder: check this run end to end —
@@ -374,8 +337,7 @@ impl SimConfig {
 /// handful of `Instant::now` calls — so harness slowdowns show up in
 /// result artifacts, not just simulated slowdowns. With
 /// [`SimConfig::spans`] the span tree additionally carries the measured
-/// coordinator/worker (sharded) or controller-tick (sequential)
-/// breakdown.
+/// controller-tick vs CPU/NoC breakdown.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct RunProfile {
     pub setup_secs: f64,
@@ -423,30 +385,6 @@ impl TelemetryReport {
         }
         acc
     }
-}
-
-/// Why a run executed on the classic single-threaded loop instead of the
-/// channel-sharded drive. Surfaced on [`SimResult::drive`] so a harness
-/// (or a confused user) can see *why* a run that asked for threads did
-/// not shard, without reverse-engineering the dispatch rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum SequentialReason {
-    /// Effective thread count ≤ 1 (the default).
-    SingleThread,
-    /// The sharded drive's correctness precondition
-    /// `noc_latency ≥ ctrl_stride` does not hold for this config, so the
-    /// dispatcher refused to shard it.
-    NocBelowStride,
-    /// A sharded attempt stalled and the watchdog tore it down; this
-    /// result came from the automatic slow-but-correct sequential retry.
-    WatchdogRetry,
-}
-
-/// Which drive loop produced a [`SimResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum DriveMode {
-    Sequential { reason: SequentialReason },
-    Sharded { workers: usize },
 }
 
 /// Per-tenant outcome of a QoS-armed run (measurement window unless noted).
@@ -516,8 +454,6 @@ pub struct SimResult {
     /// Per-tenant QoS accounting; `None` when the QoS subsystem is
     /// disabled.
     pub qos: Option<QosReport>,
-    /// Which drive loop executed this run, and — when sequential — why.
-    pub drive: DriveMode,
 }
 
 impl SimResult {
@@ -740,7 +676,7 @@ impl SimResult {
 /// out of order (they keep their id across retries), so `base` advances
 /// only past slots whose request has *completed* — an empty slot may still
 /// be claimed later.
-pub(crate) struct EnqueueSlab {
+struct EnqueueSlab {
     base: u64,
     slots: std::collections::VecDeque<Cycle>,
 }
@@ -752,14 +688,14 @@ const SLOT_EMPTY: Cycle = Cycle::MAX;
 const SLOT_CONSUMED: Cycle = Cycle::MAX - 1;
 
 impl EnqueueSlab {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         EnqueueSlab {
             base: 0,
             slots: std::collections::VecDeque::new(),
         }
     }
 
-    pub(crate) fn insert(&mut self, id: u64, at: Cycle) {
+    fn insert(&mut self, id: u64, at: Cycle) {
         debug_assert!(at < SLOT_CONSUMED);
         if self.slots.is_empty() {
             self.base = id;
@@ -775,7 +711,7 @@ impl EnqueueSlab {
     }
 
     /// Consume `id`'s recorded cycle (None if never inserted).
-    pub(crate) fn remove(&mut self, id: u64) -> Option<Cycle> {
+    fn remove(&mut self, id: u64) -> Option<Cycle> {
         let idx = id.checked_sub(self.base)? as usize;
         let slot = self.slots.get_mut(idx)?;
         let out = (*slot < SLOT_CONSUMED).then_some(*slot);
@@ -789,9 +725,9 @@ impl EnqueueSlab {
 }
 
 #[derive(PartialEq, Eq)]
-pub(crate) struct Delivery {
-    pub(crate) at: Cycle,
-    pub(crate) id: u64,
+struct Delivery {
+    at: Cycle,
+    id: u64,
 }
 
 impl Ord for Delivery {
@@ -816,7 +752,7 @@ impl PartialOrd for Delivery {
 /// [`SimError`]. Harnesses that want to match on the failure should call
 /// [`try_run`] directly.
 pub fn run(cfg: &SimConfig) -> SimResult {
-    match try_run_full(cfg) {
+    match run_attempt(cfg) {
         Ok((result, _)) => result,
         Err(e) => panic!("{e}"),
     }
@@ -830,80 +766,20 @@ pub fn run_instrumented(cfg: &SimConfig) -> (SimResult, TelemetryReport) {
     if cfg.telemetry.is_none() {
         cfg.telemetry = Some(TelemetryConfig::default());
     }
-    match try_run_full(&cfg) {
+    match run_attempt(&cfg) {
         Ok((result, report)) => (result, report.expect("telemetry was enabled")),
         Err(e) => panic!("{e}"),
     }
 }
 
-/// The canonical fallible entry point: validate `cfg`, then run it. If
-/// the sharded drive's watchdog declares a worker stalled, the stall is
-/// reported to stderr and the run is retried once on the sequential loop
-/// (`SimResult::drive` reports `WatchdogRetry`), so a sharding bug
-/// degrades to slow-but-correct instead of a hung or dead process.
+/// The canonical fallible entry point: validate `cfg`, then run it. A
+/// tripped [`CancelToken`] ends the run with [`SimError::Cancelled`].
 pub fn try_run(cfg: &SimConfig) -> Result<SimResult, SimError> {
-    try_run_full(cfg).map(|(result, _)| result)
-}
-
-/// Like [`try_run`], but without the sequential retry: a watchdog-detected
-/// stall surfaces as [`SimError::ShardStall`] with the captured
-/// dispatcher diagnostics. Use when the caller wants to *see* stalls
-/// (tests, bisection harnesses) rather than survive them.
-pub fn try_run_once(cfg: &SimConfig) -> Result<SimResult, SimError> {
-    cfg.validate()?;
-    run_attempt(cfg, None)
-        .map(|(result, _)| result)
-        .map_err(RunAbort::into_sim_error)
-}
-
-/// Why one drive attempt was abandoned before completing its window.
-/// Internal to the dispatch/retry logic: `try_run_full` converts stalls
-/// into a sequential retry and cancellations into
-/// [`SimError::Cancelled`].
-pub(crate) enum RunAbort {
-    /// The sharded coordinator's watchdog declared a worker stalled.
-    Stall(Box<ShardDiagnostics>),
-    /// The run's [`CancelToken`] tripped.
-    Cancelled { kind: CancelKind, at_cycle: Cycle },
-}
-
-impl RunAbort {
-    fn into_sim_error(self) -> SimError {
-        match self {
-            RunAbort::Stall(diag) => SimError::ShardStall(diag),
-            RunAbort::Cancelled { kind, at_cycle } => SimError::Cancelled { kind, at_cycle },
-        }
-    }
-}
-
-/// Shared implementation: validation, the sharded attempt, and the
-/// sequential rescue retry.
-fn try_run_full(cfg: &SimConfig) -> Result<(SimResult, Option<TelemetryReport>), SimError> {
-    cfg.validate()?;
-    match run_attempt(cfg, None) {
-        Ok(out) => Ok(out),
-        Err(abort @ RunAbort::Cancelled { .. }) => Err(abort.into_sim_error()),
-        Err(RunAbort::Stall(diag)) => {
-            event::emit(
-                Level::Warn,
-                "sim::shard",
-                "sharded drive stalled; retrying on the sequential loop",
-                &[
-                    ("workload", cfg.workload.label().into()),
-                    ("stalled_worker", diag.stalled_worker.into()),
-                    ("waiting_for_slot", diag.waiting_for_slot.into()),
-                    ("timeout_ms", diag.timeout_ms.into()),
-                    ("diag", diag.to_string().into()),
-                ],
-            );
-            run_attempt(cfg, Some(SequentialReason::WatchdogRetry))
-                .map_err(RunAbort::into_sim_error)
-        }
-    }
+    run_attempt(cfg).map(|(result, _)| result)
 }
 
 /// Field-wise `end - start` over every DRAM counter.
-pub(crate) fn stats_delta(end: &DramStats, start: &DramStats) -> DramStats {
+fn stats_delta(end: &DramStats, start: &DramStats) -> DramStats {
     DramStats {
         activates: end.activates - start.activates,
         precharges: end.precharges - start.precharges,
@@ -920,7 +796,7 @@ pub(crate) fn stats_delta(end: &DramStats, start: &DramStats) -> DramStats {
     }
 }
 
-pub(crate) fn merged_stats(ctrls: &[MemoryController]) -> DramStats {
+fn merged_stats(ctrls: &[MemoryController]) -> DramStats {
     let mut d = DramStats::default();
     for c in ctrls {
         d.merge(&c.channel.stats);
@@ -930,7 +806,7 @@ pub(crate) fn merged_stats(ctrls: &[MemoryController]) -> DramStats {
 
 /// Per-tenant served-column totals summed over controllers (all-zero when
 /// QoS is not armed).
-pub(crate) fn merged_tenant_cols(ctrls: &[MemoryController]) -> [u64; MAX_TENANTS] {
+fn merged_tenant_cols(ctrls: &[MemoryController]) -> [u64; MAX_TENANTS] {
     let mut acc = [0u64; MAX_TENANTS];
     for c in ctrls {
         for (a, v) in acc.iter_mut().zip(c.tenant_cols()) {
@@ -940,15 +816,11 @@ pub(crate) fn merged_tenant_cols(ctrls: &[MemoryController]) -> [u64; MAX_TENANT
     acc
 }
 
-/// One full simulation attempt. `force_sequential` pins the drive to the
-/// sequential loop with the given reason (used for the watchdog rescue
-/// retry); otherwise the dispatcher picks per the config. `Err` carries
-/// the watchdog's stall diagnostics — all simulation state built here is
-/// dropped with it, so a retry starts from scratch.
-fn run_attempt(
-    cfg: &SimConfig,
-    force_sequential: Option<SequentialReason>,
-) -> Result<(SimResult, Option<TelemetryReport>), RunAbort> {
+/// The shared implementation of the entry points: validate `cfg`, then
+/// simulate it. On cancellation all simulation state built here is
+/// dropped with the error.
+fn run_attempt(cfg: &SimConfig) -> Result<(SimResult, Option<TelemetryReport>), SimError> {
+    cfg.validate()?;
     let mut tracer = SpanTracer::new();
     tracer.enter("setup");
     let capacity = cfg.mem.capacity_bytes();
@@ -1017,47 +889,14 @@ fn run_attempt(
     });
     tracer.exit(); // setup
     tracer.enter("drive");
-
-    // Dispatch: the classic single-threaded loop, or the channel-sharded
-    // drive (bit-identical by construction; see `crate::shard`). Sharding
-    // requires fills to cross the NoC no faster than the controller
-    // stride (true for every paper config: noc = 8, stride = 2).
-    let threads = cfg.effective_threads();
-    let sequential_reason = if let Some(reason) = force_sequential {
-        Some(reason)
-    } else if threads <= 1 {
-        Some(SequentialReason::SingleThread)
-    } else if cfg.cmp.noc_latency < cfg.ctrl_stride {
-        Some(SequentialReason::NocBelowStride)
-    } else {
-        None
-    };
-    let (out, drive) = match sequential_reason {
-        Some(reason) => (
-            drive_sequential(
-                cfg,
-                &mut cmp,
-                ctrls,
-                &integrator,
-                &mut timeline,
-                &mut tracer,
-            )?,
-            DriveMode::Sequential { reason },
-        ),
-        None => {
-            let workers = threads.min(cfg.mem.channels).max(1);
-            let out = crate::shard::drive_sharded(
-                cfg,
-                &mut cmp,
-                ctrls,
-                &integrator,
-                &mut timeline,
-                &mut tracer,
-                workers,
-            )?;
-            (out, DriveMode::Sharded { workers })
-        }
-    };
+    let out = drive_sequential(
+        cfg,
+        &mut cmp,
+        ctrls,
+        &integrator,
+        &mut timeline,
+        &mut tracer,
+    )?;
     tracer.exit(); // drive
     tracer.enter("artifact");
     let DriveOutput {
@@ -1229,33 +1068,30 @@ fn run_attempt(
         profile,
         reliability,
         qos: qos_report,
-        drive,
     };
     Ok((result, report))
 }
 
-/// Everything a drive loop (sequential or sharded) produces beyond the
-/// mutations it leaves in `cmp`, the returned controllers, and the epoch
-/// timeline: warmup-boundary snapshots and read-latency accounting.
-pub(crate) struct DriveOutput {
-    pub(crate) ctrls: Vec<MemoryController>,
-    pub(crate) committed_at_warmup: u64,
-    pub(crate) per_core_at_warmup: Vec<u64>,
-    pub(crate) dram_at_warmup: DramStats,
-    pub(crate) heat_at_warmup: Vec<HeatCounters>,
-    pub(crate) read_latency_acc: u64,
-    pub(crate) read_latency_hist: microbank_core::hist::Histogram,
-    pub(crate) read_lat_samples: u64,
+/// Everything the drive produces beyond the mutations it leaves in `cmp`,
+/// the returned controllers, and the epoch timeline: warmup-boundary
+/// snapshots and read-latency accounting.
+struct DriveOutput {
+    ctrls: Vec<MemoryController>,
+    committed_at_warmup: u64,
+    per_core_at_warmup: Vec<u64>,
+    dram_at_warmup: DramStats,
+    heat_at_warmup: Vec<HeatCounters>,
+    read_latency_acc: u64,
+    read_latency_hist: microbank_core::hist::Histogram,
+    read_lat_samples: u64,
     /// Per-tenant read-latency histograms (one per tenant slot the run
     /// reports; empty when QoS is off — the hook stays a single branch).
-    pub(crate) tenant_hists: Vec<microbank_core::hist::Histogram>,
+    tenant_hists: Vec<microbank_core::hist::Histogram>,
     /// Per-tenant served-column totals at the warmup boundary.
-    pub(crate) tenant_cols_at_warmup: [u64; MAX_TENANTS],
+    tenant_cols_at_warmup: [u64; MAX_TENANTS],
 }
 
-/// The classic single-threaded cycle loop. The sharded drive
-/// (`crate::shard`) reproduces this loop's observable behavior
-/// bit-for-bit; any change here needs a matching change there.
+/// The single-threaded cycle loop: every run goes through here.
 fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
     cfg: &SimConfig,
     cmp: &mut CmpSystem<S>,
@@ -1263,7 +1099,7 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
     integrator: &PowerIntegrator,
     timeline: &mut Option<Timeline>,
     tracer: &mut SpanTracer,
-) -> Result<DriveOutput, RunAbort> {
+) -> Result<DriveOutput, SimError> {
     let epoch_cycles = cfg.telemetry.map_or(0, |tc| tc.epoch_cycles);
     // Fine-grained accounting (cfg.spans): wall time inside the
     // controller-tick block vs the rest of the loop. Two clock reads per
@@ -1322,7 +1158,7 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
         if let Some(token) = cancel {
             if now >= cancel_check_at {
                 if let Some(kind) = token.tripped() {
-                    return Err(RunAbort::Cancelled {
+                    return Err(SimError::Cancelled {
                         kind,
                         at_cycle: now,
                     });
@@ -1649,21 +1485,6 @@ impl MemPort for TrackingRouter<'_> {
     }
 }
 
-/// Thread budget for a configuration sweep: the `MICROBANK_THREADS`
-/// environment variable when set (and positive), else the machine's
-/// available parallelism, else 4.
-fn sweep_threads() -> usize {
-    std::env::var("MICROBANK_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        })
-}
-
 pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
@@ -1675,35 +1496,27 @@ pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run many configurations concurrently, one `Result` slot per config.
-/// Each slot goes through [`try_run`] (validation, watchdog, sequential
-/// rescue) with a panic net on top: a run that fails reports its typed
-/// [`SimError`] in its slot instead of tearing down the whole sweep — the
-/// surviving slots still come back.
-///
-/// The thread budget ([`sweep_threads`]) is split between sweep-level
-/// concurrency and per-run channel sharding: configs with `threads: None`
-/// get the cores the sweep leaves idle (a 2-config study on a 16-way
-/// machine shards each simulation 8 ways). Explicit `threads` settings
-/// are honored untouched.
+/// Each slot goes through [`try_run`] with a panic net on top: a run that
+/// fails reports its typed [`SimError`] in its slot instead of tearing
+/// down the whole sweep — the surviving slots still come back. The pool
+/// has one thread per available core (4 when that is unknown), capped at
+/// the number of configs.
 pub fn run_many_checked(cfgs: &[SimConfig]) -> Vec<Result<SimResult, SimError>> {
-    let budget = sweep_threads();
-    let sweep = budget.min(cfgs.len().max(1));
-    let per_run = (budget / sweep).max(1);
+    let workers = std::thread::available_parallelism()
+        .map_or(4, |p| p.get())
+        .min(cfgs.len().max(1));
     let mut results: Vec<Option<Result<SimResult, SimError>>> = vec![None; cfgs.len()];
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results_mx = parking_lot::Mutex::new(&mut results);
     std::thread::scope(|s| {
-        for _ in 0..sweep {
+        for _ in 0..workers {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= cfgs.len() {
                     break;
                 }
-                let mut cfg = cfgs[i].clone();
-                if cfg.threads.is_none() {
-                    cfg.threads = Some(per_run);
-                }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&cfg)))
+                let cfg = &cfgs[i];
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(cfg)))
                     .unwrap_or_else(|p| {
                         Err(SimError::Panic {
                             message: panic_message(p),

@@ -5,8 +5,9 @@
 //!
 //! * **Per-slot isolation**: a slot that panics or errors records a
 //!   `Failed` outcome in its slot; the rest of the sweep still runs.
-//! * **One automatic retry** per failed execution (validation failures
-//!   are deterministic and are not retried).
+//! * **One automatic retry** per failed execution whose error
+//!   [`SimError::is_retryable`] (validation failures and cancelled runs
+//!   are not retried).
 //! * **Crash-safe resume**: after every slot the runner atomically
 //!   rewrites `<dir>/<name>.manifest.json`, recording each slot's id, a
 //!   fingerprint of its configuration, its outcome, and its projected
@@ -50,8 +51,8 @@ pub enum SlotStatus {
 #[derive(Debug, Clone)]
 pub struct SlotRecord {
     pub id: String,
-    /// Fingerprint of the slot's configuration (threads and test hooks
-    /// masked out — parallelism does not change results).
+    /// Fingerprint of the slot's configuration (span tracing, time skip
+    /// and cancellation token masked out — they do not change results).
     pub config_fp: String,
     pub status: SlotStatus,
     /// Executions spent on this record (1, or 2 after a retry).
@@ -178,16 +179,14 @@ impl SweepRunner {
     }
 
     /// FNV-1a over the config's `Debug` rendering, with the fields that
-    /// cannot change results (thread count, span tracing, test hooks,
-    /// cancellation token) normalized out so a resume on a different
-    /// machine still matches. Shared with the sweep service, whose job
+    /// cannot change results (span tracing, time skip, cancellation
+    /// token) normalized out so a resume on a different machine still
+    /// matches. Shared with the sweep service, whose job
     /// manifests must certify slots with the same identity.
     pub(crate) fn config_fingerprint(cfg: &SimConfig) -> String {
         let mut c = cfg.clone();
-        c.threads = None;
         c.spans = false;
         c.time_skip = None;
-        c.test_stall_shard = None;
         // A token only shortens runs that are then discarded whole; a
         // certified result is identical with or without one. Masking it
         // also keeps the hash stable across token identities (the Debug
@@ -277,9 +276,7 @@ impl SweepRunner {
             };
             let mut attempts = 1u32;
             let mut outcome = attempt();
-            let retryable =
-                matches!(&outcome, Err(e) if !matches!(e, SimError::InvalidConfig { .. }));
-            if retryable {
+            if matches!(&outcome, Err(e) if e.is_retryable()) {
                 let rendered = match &outcome {
                     Err(e) => e.to_string(),
                     Ok(_) => unreachable!("retryable implies Err"),
@@ -657,16 +654,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fingerprint_masks_parallelism_and_test_hooks() {
+    fn fingerprint_masks_result_neutral_knobs() {
         let base = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
         let fp0 = SweepRunner::config_fingerprint(&base);
-        let mut threaded = base.clone();
-        threaded.threads = Some(8);
-        threaded.test_stall_shard = Some(3);
-        threaded.spans = true;
-        threaded.time_skip = Some(false);
-        threaded.cancel = Some(crate::simulator::CancelToken::default());
-        assert_eq!(fp0, SweepRunner::config_fingerprint(&threaded));
+        let mut knobs = base.clone();
+        knobs.spans = true;
+        knobs.time_skip = Some(false);
+        knobs.cancel = Some(crate::simulator::CancelToken::default());
+        assert_eq!(fp0, SweepRunner::config_fingerprint(&knobs));
         // A tripped token must not change the hash either (Debug shows
         // the trip state; the mask removes it before rendering).
         let tripped = crate::simulator::CancelToken::default();

@@ -1,215 +1,12 @@
-//! Fail-safe pipeline suite (DESIGN.md §5d): the validation ladder, the
-//! typed-error entry points, the sharded drive's watchdog, and the
-//! sequential rescue retry. The cross-cutting invariant: a healthy run
-//! through `try_run` is bit-identical to `run`, and *no* configuration —
-//! valid, invalid, or stalled — may take the process down when entering
-//! through the fallible API.
+//! Fail-safe pipeline suite (DESIGN.md §5d): the validation ladder and
+//! the typed-error entry points. The cross-cutting invariant: *no*
+//! configuration — valid or invalid — may take the process down when
+//! entering through the fallible API. (`try_run` ≡ `run` on the golden
+//! grid is pinned in `integration_golden.rs`.)
 
-use microbank_ctrl::policy::PolicyKind;
-use microbank_ctrl::predictor::PredictorKind;
-use microbank_ctrl::scheduler::SchedulerKind;
-use microbank_sim::simulator::{
-    golden_fingerprint, run, try_run, try_run_once, DriveMode, SequentialReason, SimConfig,
-};
+use microbank_sim::simulator::{run, run_many_checked, try_run, SimConfig};
 use microbank_sim::SimError;
 use microbank_workloads::suite::Workload;
-
-/// The golden suite's configuration grid (kept in sync with
-/// `integration_golden.rs` and `parallel_invariance.rs`).
-fn golden_grid() -> Vec<SimConfig> {
-    let mut out = Vec::new();
-    for &(nw, nb) in &[(1, 1), (8, 8)] {
-        for sched in [
-            SchedulerKind::FrFcfs,
-            SchedulerKind::ParBs { marking_cap: 5 },
-        ] {
-            for policy in [
-                PolicyKind::Open,
-                PolicyKind::Close,
-                PolicyKind::Predictive(PredictorKind::Local),
-            ] {
-                let mut cfg = SimConfig::spec_single_channel(Workload::Spec("429.mcf")).quick();
-                cfg.mem = cfg.mem.with_ubanks(nw, nb);
-                cfg.warmup_cycles = 10_000;
-                cfg.measure_cycles = 30_000;
-                cfg.scheduler = sched;
-                cfg.policy = policy;
-                out.push(cfg);
-            }
-        }
-    }
-    assert_eq!(out.len(), 12);
-    out
-}
-
-/// A short multi-channel run: the class where the sharded drive actually
-/// distributes work, and therefore where the watchdog matters.
-fn multi_channel_cfg() -> SimConfig {
-    let mut cfg = SimConfig::paper_default(Workload::MixHigh);
-    cfg.warmup_cycles = 2_000;
-    cfg.measure_cycles = 6_000;
-    cfg
-}
-
-/// Acceptance: all 12 golden configs produce bit-identical fingerprints
-/// through `run()` and `try_run()` at 1 and 2 worker threads, with the
-/// watchdog armed (the default) and never firing on a healthy run.
-#[test]
-fn try_run_matches_run_on_every_golden_config() {
-    for cfg in golden_grid() {
-        assert!(cfg.watchdog_timeout_ms > 0, "watchdog armed by default");
-        let via_run = run(&cfg.clone().with_threads(1));
-        let via_try = try_run(&cfg.clone().with_threads(2)).expect("healthy config");
-        assert_eq!(
-            golden_fingerprint(&via_run),
-            golden_fingerprint(&via_try),
-            "run/try_run diverged for {:?}/{:?}/{:?}",
-            cfg.mem.ubank,
-            cfg.scheduler,
-            cfg.policy
-        );
-        assert!(
-            !matches!(
-                via_try.drive,
-                DriveMode::Sequential {
-                    reason: SequentialReason::WatchdogRetry
-                }
-            ),
-            "watchdog must not fire on a healthy run"
-        );
-    }
-}
-
-/// `SimResult::drive` truthfully reports which loop ran and why.
-#[test]
-fn drive_mode_reports_dispatch_decision() {
-    let cfg = multi_channel_cfg();
-    let seq = try_run(&cfg.clone().with_threads(1)).unwrap();
-    assert_eq!(
-        seq.drive,
-        DriveMode::Sequential {
-            reason: SequentialReason::SingleThread
-        }
-    );
-    let sharded = try_run(&cfg.clone().with_threads(2)).unwrap();
-    assert_eq!(sharded.drive, DriveMode::Sharded { workers: 2 });
-}
-
-/// Satellite: when `noc_latency < ctrl_stride` the dispatcher must refuse
-/// to shard, report why, and produce exactly the sequential result.
-#[test]
-fn noc_below_stride_falls_back_sequential_with_identical_fingerprint() {
-    let mut cfg = multi_channel_cfg();
-    cfg.ctrl_stride = cfg.cmp.noc_latency + 2; // violate the shard precondition
-    let threaded = try_run(&cfg.clone().with_threads(4)).unwrap();
-    assert_eq!(
-        threaded.drive,
-        DriveMode::Sequential {
-            reason: SequentialReason::NocBelowStride
-        },
-        "dispatcher must surface why it refused to shard"
-    );
-    let sequential = try_run(&cfg.clone().with_threads(1)).unwrap();
-    assert_eq!(
-        golden_fingerprint(&threaded),
-        golden_fingerprint(&sequential),
-        "fallback path must be bit-identical to the sequential loop"
-    );
-}
-
-/// An injected worker stall must surface as `SimError::ShardStall` with
-/// coherent diagnostics when the retry is disabled (`try_run_once`).
-#[test]
-fn watchdog_surfaces_stall_with_diagnostics() {
-    let mut cfg = multi_channel_cfg().with_threads(2);
-    cfg.watchdog_timeout_ms = 150;
-    cfg.test_stall_shard = Some(100);
-    let err = try_run_once(&cfg).expect_err("stalled run must not succeed");
-    match err {
-        SimError::ShardStall(d) => {
-            assert_eq!(d.workers, 2);
-            assert_eq!(d.stalled_worker, 0, "worker 0 carries the injected stall");
-            assert_eq!(d.worker_done.len(), 2);
-            assert_eq!(
-                d.worker_done[0], 100,
-                "worker 0 sealed exactly the slots before the stall"
-            );
-            assert!(d.waiting_for_slot > 100);
-            assert_eq!(d.timeout_ms, 150);
-            assert_eq!(d.mailbox_depths.len(), cfg.mem.channels);
-            assert_eq!(d.occupancy.len(), cfg.mem.channels);
-            let shown = SimError::ShardStall(d).to_string();
-            assert!(
-                shown.contains("worker 0/2"),
-                "display names the worker: {shown}"
-            );
-        }
-        other => panic!("expected ShardStall, got: {other}"),
-    }
-}
-
-/// The tentpole degradation property: with the retry enabled (`try_run`),
-/// a stalled sharded run degrades to slow-but-correct — the sequential
-/// rescue produces exactly the fingerprint a healthy run produces.
-#[test]
-fn watchdog_retry_degrades_to_correct_sequential_run() {
-    let mut stalled = multi_channel_cfg().with_threads(2);
-    stalled.watchdog_timeout_ms = 150;
-    stalled.test_stall_shard = Some(50);
-    let rescued = try_run(&stalled).expect("retry must rescue the run");
-    assert_eq!(
-        rescued.drive,
-        DriveMode::Sequential {
-            reason: SequentialReason::WatchdogRetry
-        }
-    );
-    let healthy = try_run(&multi_channel_cfg().with_threads(1)).unwrap();
-    assert_eq!(
-        golden_fingerprint(&rescued),
-        golden_fingerprint(&healthy),
-        "rescued run must be bit-identical to a healthy sequential run"
-    );
-}
-
-/// Observability under degradation: the watchdog-retry path must stay
-/// bit-identical with span tracing enabled — the rescue's tracer is
-/// rebuilt for the sequential attempt, and none of it may leak into
-/// simulated state.
-#[test]
-fn watchdog_retry_is_identical_with_span_tracing_enabled() {
-    let mut stalled = multi_channel_cfg().with_threads(2).with_spans(true);
-    stalled.watchdog_timeout_ms = 150;
-    stalled.test_stall_shard = Some(50);
-    let rescued = try_run(&stalled).expect("retry must rescue the traced run");
-    assert_eq!(
-        rescued.drive,
-        DriveMode::Sequential {
-            reason: SequentialReason::WatchdogRetry
-        }
-    );
-    let healthy = try_run(&multi_channel_cfg().with_threads(1)).unwrap();
-    assert_eq!(
-        golden_fingerprint(&rescued),
-        golden_fingerprint(&healthy),
-        "traced rescue must be bit-identical to a healthy sequential run"
-    );
-    // The rescue ran sequentially, so its fine spans are the sequential
-    // breakdown, not stale sharded rows from the failed attempt.
-    let paths: Vec<&str> = rescued
-        .profile
-        .spans
-        .iter()
-        .map(|s| s.path.as_str())
-        .collect();
-    assert!(
-        paths.contains(&"drive/ctrl-tick"),
-        "rescued traced run missing sequential spans: {paths:?}"
-    );
-    assert!(
-        !paths.iter().any(|p| p.contains("coordinator")),
-        "rescued run leaked sharded spans from the failed attempt: {paths:?}"
-    );
-}
 
 /// The validation ladder rejects a bad config with per-component
 /// diagnostics instead of panicking mid-construction.
@@ -247,4 +44,29 @@ fn invalid_configs_yield_typed_errors_not_panics() {
 fn run_panics_with_formatted_diagnostics_on_invalid_config() {
     let cfg = SimConfig::spec_single_channel(Workload::Spec("no.such.app")).quick();
     let _ = run(&cfg);
+}
+
+/// The hardened sweep runner: a bad configuration reports a typed `Err`
+/// in its own slot while the surviving runs still come back.
+#[test]
+fn run_many_checked_captures_per_slot_failures() {
+    let good = SimConfig::spec_single_channel(Workload::Spec("429.mcf")).quick();
+    let bad = SimConfig::spec_single_channel(Workload::Spec("no.such.app")).quick();
+    let results = run_many_checked(&[good, bad]);
+    assert_eq!(results.len(), 2);
+    assert!(results[0].is_ok(), "healthy run must survive the sweep");
+    let err = results[1]
+        .as_ref()
+        .expect_err("unknown app must be rejected");
+    match err {
+        SimError::InvalidConfig { errors } => {
+            assert!(
+                errors
+                    .iter()
+                    .any(|e| e.diagnostics.iter().any(|d| d.contains("unknown SPEC app"))),
+                "diagnostics should name the unknown app, got: {errors:?}"
+            );
+        }
+        other => panic!("expected InvalidConfig, got: {other}"),
+    }
 }

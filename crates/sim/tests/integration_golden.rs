@@ -14,8 +14,12 @@ use microbank_ctrl::policy::PolicyKind;
 use microbank_ctrl::predictor::PredictorKind;
 use microbank_ctrl::scheduler::SchedulerKind;
 use microbank_faults::FaultConfig;
-use microbank_sim::simulator::{golden_fingerprint, run, SimConfig};
+use microbank_sim::simulator::{golden_fingerprint, run, run_instrumented, try_run, SimConfig};
+use microbank_telemetry::TelemetryConfig;
 use microbank_workloads::suite::Workload;
+
+mod common;
+use common::{assert_results_identical, assert_telemetry_identical, multi_channel_cfg};
 
 /// Committed fingerprints (regenerated only on deliberate behavior change).
 const GOLDEN: &[(&str, &str, &str, [u64; 13])] = &[
@@ -305,6 +309,20 @@ fn golden_fingerprints_are_reproduced() {
     );
 }
 
+/// The fallible entry point is the same run as the panicking wrapper:
+/// `try_run` reproduces every committed fingerprint.
+#[test]
+fn try_run_reproduces_golden_fingerprints() {
+    for &(part, sched, policy, ref want) in GOLDEN {
+        let r = try_run(&config_for(part, sched, policy)).expect("healthy config");
+        assert_eq!(
+            golden_fingerprint(&r),
+            *want,
+            "{part}/{sched}/{policy}: try_run diverged from the committed golden"
+        );
+    }
+}
+
 #[test]
 fn golden_runs_are_deterministic_across_repeats() {
     // Same config twice → identical fingerprint (no hidden wall-clock or
@@ -373,6 +391,41 @@ fn per_cycle_reference_reproduces_golden_fingerprints() {
             "{part}/{sched}/{policy}: per-cycle reference diverged from golden"
         );
     }
+}
+
+/// Event-driven time skipping (DESIGN §5f) is a pure reordering of when
+/// work executes, never of what executes: on a 16-channel run the
+/// per-cycle reference is reproduced bit for bit — every result field,
+/// the epoch time-series, the per-μbank heat maps, and the command trace
+/// — by the skipping run, with span tracing off and on.
+#[test]
+fn time_skip_is_behavior_neutral_on_multi_channel_runs() {
+    let cfg = multi_channel_cfg().with_telemetry(TelemetryConfig::new(2_500, 4_096));
+    let (r_ref, t_ref) = run_instrumented(&cfg.clone().with_time_skip(false));
+    for spans in [false, true] {
+        let on = cfg.clone().with_time_skip(true).with_spans(spans);
+        let (r_on, t_on) = run_instrumented(&on);
+        let tag = format!("skip on, spans {spans}");
+        assert_results_identical(&r_ref, &r_on, &tag);
+        assert_telemetry_identical(&t_ref, &t_on, &tag);
+    }
+}
+
+/// The skip axis composes with the reliability engine: a stress fault
+/// configuration (defects, flips, scrubber armed) runs largely per-cycle
+/// — the scrub schedule and demand retries pin the horizon — but whatever
+/// skipping remains must still be invisible.
+#[test]
+fn time_skip_is_behavior_neutral_under_faults() {
+    let cfg = multi_channel_cfg().with_faults(FaultConfig::stress(0xFA_017));
+    let per_cycle = run(&cfg.clone().with_time_skip(false));
+    let s = per_cycle.reliability.expect("faults armed");
+    assert!(
+        s.corrected + s.detected > 0,
+        "stress config injected no observable errors"
+    );
+    let skipping = run(&cfg.with_time_skip(true));
+    assert_results_identical(&per_cycle, &skipping, "faults, skip on");
 }
 
 /// Satellite of the `faults.is_some()` horizon fix: a clean-*armed* fault

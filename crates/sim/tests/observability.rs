@@ -1,16 +1,19 @@
 //! Live observability suite: the sweep status surface (status.json +
-//! HTTP endpoint), the metrics exposition, and the result exporter.
-//! Everything here is observation — the companion invariance tests
-//! (`parallel_invariance.rs`, `failsafe.rs`) pin down that none of it
-//! can change simulated results.
+//! HTTP endpoint), the metrics exposition, the result exporter, and the
+//! harness span tracer. Everything here is observation, and the span
+//! test below pins down that it cannot change simulated results.
 
-use microbank_sim::simulator::{try_run, SimConfig};
+use microbank_sim::simulator::{run_instrumented, try_run, SimConfig};
 use microbank_sim::{http_get, summarize, MetricsRegistry, SlotStatus, SweepRunner, SweepSlot};
 use microbank_telemetry::json::parse;
 use microbank_telemetry::metrics::validate_exposition;
+use microbank_telemetry::TelemetryConfig;
 use microbank_workloads::suite::Workload;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+mod common;
+use common::{assert_results_identical, assert_telemetry_identical, multi_channel_cfg};
 
 fn quick_cfg(seed_shift: u64) -> SimConfig {
     let mut cfg = SimConfig::spec_single_channel(Workload::Spec("429.mcf")).quick();
@@ -170,4 +173,34 @@ fn sim_result_exports_a_valid_exposition() {
             .unwrap()
     };
     assert_eq!(cycles(&text2), 2.0 * cycles(&text));
+}
+
+/// Span tracing is wall-clock observation and must never feed back into
+/// simulated state: every result field and every telemetry artifact
+/// (epoch series, heat maps, command trace) is byte-identical with spans
+/// on vs off. The traced run produces the fine-grained drive breakdown;
+/// the plain run keeps only the coarse phases.
+#[test]
+fn span_tracing_is_behavior_neutral() {
+    let cfg = multi_channel_cfg().with_telemetry(TelemetryConfig::new(2_500, 4_096));
+    let (r_off, t_off) = run_instrumented(&cfg);
+    let (r_on, t_on) = run_instrumented(&cfg.clone().with_spans(true));
+    assert_results_identical(&r_off, &r_on, "spans on");
+    assert_telemetry_identical(&t_off, &t_on, "spans on");
+    let paths: Vec<&str> = r_on.profile.spans.iter().map(|s| s.path.as_str()).collect();
+    for fine in ["drive/ctrl-tick", "drive/cpu-and-noc"] {
+        assert!(
+            paths.contains(&fine),
+            "traced run missing {fine} span: {paths:?}"
+        );
+    }
+    assert!(
+        r_off
+            .profile
+            .spans
+            .iter()
+            .all(|s| !["ctrl-tick", "cpu-and-noc"].contains(&s.name.as_str())),
+        "untraced run leaked fine-grained spans: {:?}",
+        r_off.profile.spans
+    );
 }

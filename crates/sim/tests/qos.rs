@@ -1,7 +1,7 @@
 //! Multi-tenant QoS suite (DESIGN §5g): the golden-identity pin — an
 //! accounting-only `QosConfig` must be invisible to every simulated
-//! behavior — plus determinism and worker-count invariance of the
-//! regulated path, and validation routing through `SimConfig::validate`.
+//! behavior — plus determinism and skip invariance of the regulated
+//! path, and validation routing through `SimConfig::validate`.
 
 use microbank_ctrl::policy::PolicyKind;
 use microbank_ctrl::predictor::PredictorKind;
@@ -52,43 +52,37 @@ fn regulated_cfg() -> SimConfig {
 
 /// The golden-identity pin: a constructed-but-disabled regulator
 /// (`QosConfig::tracking()` — no budgets, no priorities) reproduces the
-/// unarmed run bit for bit on every simulated-behavior surface, at 1 and
-/// 2 workers and on both sides of the skip axis. Mirrors the
-/// clean-armed-fault-engine neutrality pin.
+/// unarmed run bit for bit on every simulated-behavior surface, on both
+/// sides of the skip axis. Mirrors the clean-armed-fault-engine
+/// neutrality pin.
 #[test]
 fn tracking_qos_is_behavior_neutral() {
     for cfg in corners() {
         let base = run(&cfg);
-        for workers in [1usize, 2] {
-            for skip in [true, false] {
-                let armed = run(&cfg
-                    .clone()
-                    .with_qos(QosConfig::tracking())
-                    .with_threads(workers)
-                    .with_time_skip(skip));
-                let tag = format!(
-                    "{:?}/{:?}, {workers} workers, skip {skip}",
-                    cfg.mem.ubank, cfg.scheduler
-                );
-                assert_eq!(
-                    golden_fingerprint(&base),
-                    golden_fingerprint(&armed),
-                    "{tag}: tracking QoS perturbed simulated behavior"
-                );
-                assert_eq!(base.dram, armed.dram, "{tag}: DRAM counters diverged");
-                assert_eq!(
-                    base.read_latency_hist, armed.read_latency_hist,
-                    "{tag}: latency histogram diverged"
-                );
-                let report = armed.qos.expect("tracking config arms the report");
-                assert_eq!(report.throttled, 0, "{tag}: tracking config throttled");
-                assert_eq!(report.reclaimed, 0, "{tag}: tracking config reclaimed");
-                let shares: f64 = report.tenants.iter().map(|t| t.share).sum();
-                assert!(
-                    (shares - 1.0).abs() < 1e-9,
-                    "{tag}: bandwidth shares sum to {shares}, not 1"
-                );
-            }
+        for skip in [true, false] {
+            let armed = run(&cfg
+                .clone()
+                .with_qos(QosConfig::tracking())
+                .with_time_skip(skip));
+            let tag = format!("{:?}/{:?}, skip {skip}", cfg.mem.ubank, cfg.scheduler);
+            assert_eq!(
+                golden_fingerprint(&base),
+                golden_fingerprint(&armed),
+                "{tag}: tracking QoS perturbed simulated behavior"
+            );
+            assert_eq!(base.dram, armed.dram, "{tag}: DRAM counters diverged");
+            assert_eq!(
+                base.read_latency_hist, armed.read_latency_hist,
+                "{tag}: latency histogram diverged"
+            );
+            let report = armed.qos.expect("tracking config arms the report");
+            assert_eq!(report.throttled, 0, "{tag}: tracking config throttled");
+            assert_eq!(report.reclaimed, 0, "{tag}: tracking config reclaimed");
+            let shares: f64 = report.tenants.iter().map(|t| t.share).sum();
+            assert!(
+                (shares - 1.0).abs() < 1e-9,
+                "{tag}: bandwidth shares sum to {shares}, not 1"
+            );
         }
         assert!(base.qos.is_none(), "unarmed run must not report QoS");
     }
@@ -96,8 +90,7 @@ fn tracking_qos_is_behavior_neutral() {
 
 /// Telemetry identity under the tracking config: heat maps and command
 /// traces byte-identical; the epoch timeline may only *append* the
-/// per-tenant columns — every pre-existing column stays byte-identical —
-/// and those appended columns are worker-count invariant.
+/// per-tenant columns — every pre-existing column stays byte-identical.
 #[test]
 fn tracking_qos_only_appends_timeline_columns() {
     let cfg = corners()
@@ -124,36 +117,19 @@ fn tracking_qos_only_appends_timeline_columns() {
             "timeline row rewritten, not appended:\n  base  {b}\n  armed {a}"
         );
     }
-    // The appended columns are themselves sharding-invariant.
-    let (_, t_shard) =
-        run_instrumented(&cfg.clone().with_qos(QosConfig::tracking()).with_threads(2));
-    assert_eq!(
-        armed_csv,
-        t_shard.timeline.to_csv(),
-        "tenant columns diverged at 2 workers"
-    );
 }
 
-/// Active regulation is deterministic and worker-count invariant: repeat
-/// runs, the sharded drive, and the per-cycle reference all agree on the
-/// fingerprint AND the full per-tenant report (shares, percentiles,
-/// throttle/reclaim counters).
+/// Active regulation is deterministic and skip-invariant: repeat runs
+/// and the per-cycle reference agree on the fingerprint AND the full
+/// per-tenant report (shares, percentiles, throttle/reclaim counters).
 #[test]
 fn regulated_tenant_mix_is_deterministic_and_invariant() {
     let cfg = regulated_cfg();
-    let reference = run(&cfg.clone().with_threads(1));
+    let reference = run(&cfg);
     let report = format!("{:?}", reference.qos);
     for (tag, variant) in [
-        ("repeat", cfg.clone().with_threads(1)),
-        ("2 workers", cfg.clone().with_threads(2)),
-        (
-            "skip off",
-            cfg.clone().with_threads(1).with_time_skip(false),
-        ),
-        (
-            "2 workers, skip off",
-            cfg.clone().with_threads(2).with_time_skip(false),
-        ),
+        ("repeat", cfg.clone()),
+        ("skip off", cfg.clone().with_time_skip(false)),
     ] {
         let r = run(&variant);
         assert_eq!(

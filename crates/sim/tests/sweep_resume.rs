@@ -5,7 +5,7 @@
 //! the next invocation.
 
 use microbank_sim::report::Table;
-use microbank_sim::simulator::{SimConfig, SimResult};
+use microbank_sim::simulator::{CancelToken, SimConfig, SimResult};
 use microbank_sim::{SimError, SlotStatus, SweepRunner, SweepSlot};
 use microbank_workloads::suite::Workload;
 use std::path::PathBuf;
@@ -154,5 +154,34 @@ fn failed_slot_is_isolated_and_reattempted_on_resume() {
         "failed slots must be re-attempted, not resumed"
     );
     assert!(records[0].resumed && records[1].resumed && records[3].resumed);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cancelled slot is not retried: its token stays tripped, so a second
+/// attempt could only fail the same way. The record shows one attempt and
+/// the `Cancelled` error, and the retry counter stays at zero.
+#[test]
+fn cancelled_slot_is_recorded_once_without_retry() {
+    let dir = fresh_dir("cancelled");
+    let token = CancelToken::new();
+    token.cancel();
+    let mut slots = four_slots();
+    slots.truncate(1);
+    slots[0].cfg = slots[0].cfg.clone().with_cancel(token);
+
+    let mut runner = SweepRunner::new("demo", &dir);
+    let records = runner.run_slots(&slots, project).unwrap();
+    assert_eq!(records[0].status, SlotStatus::Failed);
+    assert_eq!(records[0].attempts, 1, "a cancelled slot must not retry");
+    let msg = records[0].error.as_deref().unwrap();
+    assert!(msg.contains("run cancelled (requested)"), "{msg}");
+    let retries: f64 = runner
+        .metrics()
+        .render_prometheus()
+        .lines()
+        .filter(|l| l.starts_with("microbank_sweep_slot_retries_total"))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum();
+    assert_eq!(retries, 0.0, "no retry may be counted");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,12 +6,12 @@
 //! and the energy model's latch dispatch. For the two legacy variants the
 //! rules are `NONE`, so the seam must be invisible: bit-identical
 //! fingerprints against both the legacy `with_ubanks` construction and the
-//! committed golden table, at 1 and 2 workers, with time-skip on and off.
+//! committed golden table, with time-skip on and off.
 //!
 //! SALP and Sectored have no legacy reference, so their pinned property is
 //! internal consistency: the event-driven time-skip drive must reproduce
 //! the per-cycle reference exactly (the `earliest_*`/`act_blocker` duals
-//! are the proof obligations), and worker count must not matter.
+//! are the proof obligations).
 
 use microbank_core::variant::{DeviceVariant, SalpMode};
 use microbank_ctrl::policy::PolicyKind;
@@ -64,31 +64,29 @@ fn conventional_through_seam_matches_committed_golden() {
 
 #[test]
 fn conventional_seam_is_identical_to_legacy_1x1_everywhere() {
-    let seam = |threads: usize, skip: bool| {
-        let mut cfg = base_cfg().with_threads(threads).with_time_skip(skip);
+    let seam = |skip: bool| {
+        let mut cfg = base_cfg().with_time_skip(skip);
         cfg.mem = cfg.mem.with_variant(DeviceVariant::Conventional);
         fp(&cfg)
     };
-    let legacy = |threads: usize, skip: bool| {
-        let mut cfg = base_cfg().with_threads(threads).with_time_skip(skip);
+    let legacy = |skip: bool| {
+        let mut cfg = base_cfg().with_time_skip(skip);
         cfg.mem = cfg.mem.with_ubanks(1, 1);
         fp(&cfg)
     };
-    for threads in [1, 2] {
-        for skip in [false, true] {
-            assert_eq!(
-                seam(threads, skip),
-                legacy(threads, skip),
-                "Conventional vs legacy (1,1) diverged at threads={threads}, skip={skip}"
-            );
-        }
+    for skip in [false, true] {
+        assert_eq!(
+            seam(skip),
+            legacy(skip),
+            "Conventional vs legacy (1,1) diverged at skip={skip}"
+        );
     }
 }
 
 #[test]
 fn microbank_seam_is_identical_to_legacy_8x8_everywhere() {
-    let seam = |threads: usize, skip: bool| {
-        let mut cfg = base_cfg().with_threads(threads).with_time_skip(skip);
+    let seam = |skip: bool| {
+        let mut cfg = base_cfg().with_time_skip(skip);
         // with_variant(Microbank) preserves the configured geometry.
         cfg.mem = cfg
             .mem
@@ -96,19 +94,17 @@ fn microbank_seam_is_identical_to_legacy_8x8_everywhere() {
             .with_variant(DeviceVariant::Microbank);
         fp(&cfg)
     };
-    let legacy = |threads: usize, skip: bool| {
-        let mut cfg = base_cfg().with_threads(threads).with_time_skip(skip);
+    let legacy = |skip: bool| {
+        let mut cfg = base_cfg().with_time_skip(skip);
         cfg.mem = cfg.mem.with_ubanks(8, 8);
         fp(&cfg)
     };
-    for threads in [1, 2] {
-        for skip in [false, true] {
-            assert_eq!(
-                seam(threads, skip),
-                legacy(threads, skip),
-                "Microbank vs legacy (8,8) diverged at threads={threads}, skip={skip}"
-            );
-        }
+    for skip in [false, true] {
+        assert_eq!(
+            seam(skip),
+            legacy(skip),
+            "Microbank vs legacy (8,8) diverged at skip={skip}"
+        );
     }
 }
 
@@ -118,7 +114,7 @@ fn microbank_seam_is_identical_to_legacy_8x8_everywhere() {
 /// wait folds the burst end). Any inexactness shows up as a fingerprint
 /// mismatch between the two drive modes.
 #[test]
-fn structural_variants_are_skip_exact_and_worker_invariant() {
+fn structural_variants_are_skip_exact() {
     let variants = [
         DeviceVariant::Salp {
             subarrays: 8,
@@ -142,25 +138,19 @@ fn structural_variants_are_skip_exact_and_worker_invariant() {
         },
     ];
     for v in variants {
-        let mk = |threads: usize, skip: bool| {
-            let mut cfg = base_cfg().with_threads(threads).with_time_skip(skip);
+        let mk = |skip: bool| {
+            let mut cfg = base_cfg().with_time_skip(skip);
             cfg.mem = cfg.mem.with_variant(v);
             cfg
         };
-        let reference = fp(&mk(1, false));
+        let reference = fp(&mk(false));
+        let r = run(&mk(true));
         assert_eq!(
-            fp(&mk(1, true)),
+            golden_fingerprint(&r),
             reference,
             "{}: time-skip drive diverged from the per-cycle reference",
             v.label()
         );
-        assert_eq!(
-            fp(&mk(2, true)),
-            reference,
-            "{}: 2-worker run diverged from the single-worker reference",
-            v.label()
-        );
-        let r = run(&mk(1, true));
         assert!(
             r.dram.reads > 0,
             "{}: no reads completed — variant deadlocked",

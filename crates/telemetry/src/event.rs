@@ -111,7 +111,7 @@ impl From<bool> for Value {
 #[derive(Debug)]
 pub struct Event<'a> {
     pub level: Level,
-    /// Emitting subsystem, e.g. `sim::shard`, `sim::sweep`.
+    /// Emitting subsystem, e.g. `sim::sweep`, `sim::service`.
     pub target: &'a str,
     pub message: &'a str,
     pub fields: &'a [(&'a str, Value)],
@@ -282,8 +282,8 @@ mod tests {
     fn json_rendering_is_one_parseable_object() {
         let ev = Event {
             level: Level::Error,
-            target: "sim::shard",
-            message: "stall \"detected\"",
+            target: "sim::sweep",
+            message: "slot \"failed\"",
             fields: &[
                 ("worker", Value::from(3u64)),
                 ("ratio", Value::from(0.5)),

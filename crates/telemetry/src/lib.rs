@@ -14,8 +14,8 @@
 //!   commands, exported as Chrome `trace_event` JSON for
 //!   `chrome://tracing`.
 //! * [`span`] — [`span::SpanTracer`]: hierarchical wall-clock
-//!   self-profiling of the harness (setup/drive/artifact phases, and in
-//!   sharded runs the per-worker work/spin/seal breakdown).
+//!   self-profiling of the harness (setup/drive/artifact phases, and
+//!   the drive's controller-tick vs CPU/NoC breakdown).
 //! * [`metrics`] — [`metrics::MetricsRegistry`]: counters, gauges, and
 //!   histograms with Prometheus text exposition and JSON snapshots.
 //! * [`event`] — leveled structured event logging (`MICROBANK_LOG`),

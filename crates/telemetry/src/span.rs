@@ -1,9 +1,9 @@
 //! Hierarchical wall-clock span tracing for the harness itself.
 //!
 //! Supersedes the flat `PhaseTimer`: instead of a linear sequence of
-//! phase marks, the tracer maintains a tree of named spans, so sharded
-//! runs can attribute wall time to the coordinator, each worker, and —
-//! within a worker — to useful work vs spin-waits vs mailbox sealing.
+//! phase marks, the tracer maintains a tree of named spans, so a run can
+//! attribute wall time to setup, warmup, measurement and artifact
+//! assembly, and — within the drive — to controller ticks vs the rest.
 //!
 //! Spans with the same name under the same parent are *aggregated*
 //! (total time + entry count), never duplicated: the sequential drive
@@ -20,14 +20,12 @@ use std::time::Instant;
 /// One node in the span tree, flattened for export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRow {
-    /// Slash-joined path from the root, e.g. `drive/worker-0/spin-wait`.
+    /// Slash-joined path from the root, e.g. `drive/ctrl-tick`.
     pub path: String,
-    /// Leaf name, e.g. `spin-wait`.
+    /// Leaf name, e.g. `ctrl-tick`.
     pub name: String,
     /// Depth in the tree (roots are 0).
     pub depth: u16,
-    /// Display lane: 0 = main thread / coordinator, 1+w = shard worker w.
-    pub lane: u16,
     /// Wall seconds from tracer construction to the span's first entry.
     pub start_secs: f64,
     /// Total wall seconds accumulated across all entries.
@@ -39,7 +37,6 @@ pub struct SpanRow {
 #[derive(Debug, Clone)]
 struct Node {
     name: String,
-    lane: u16,
     start_ns: u64,
     total_ns: u64,
     count: u64,
@@ -90,14 +87,9 @@ impl SpanTracer {
         if let Some(&idx) = siblings.iter().find(|&&i| self.nodes[i].name == name) {
             return idx;
         }
-        let lane = match parent {
-            Some(p) => self.nodes[p].lane,
-            None => 0,
-        };
         let idx = self.nodes.len();
         self.nodes.push(Node {
             name: name.to_string(),
-            lane,
             start_ns: self.now_ns(),
             total_ns: 0,
             count: 0,
@@ -130,16 +122,6 @@ impl SpanTracer {
         }
     }
 
-    /// Close the innermost open span, charging an explicit duration
-    /// instead of the measured one. Used when grafting time measured on
-    /// another thread (a shard worker) into the tree.
-    pub fn exit_with_ns(&mut self, total_ns: u64) {
-        let idx = self.stack.pop().expect("exit without matching enter");
-        let node = &mut self.nodes[idx];
-        node.open_since = None;
-        node.total_ns += total_ns;
-    }
-
     /// Accumulate `ns` nanoseconds over `count` events into a child of
     /// the current span without opening/closing it — the cheap path for
     /// time measured by an external accumulator.
@@ -149,23 +131,6 @@ impl SpanTracer {
         let node = &mut self.nodes[idx];
         node.total_ns += ns;
         node.count += count;
-    }
-
-    /// Tag the innermost open span (and its future children) with a
-    /// display lane. Lane 0 is the main thread; shard workers use 1+w.
-    pub fn set_lane(&mut self, lane: u16) {
-        if let Some(&idx) = self.stack.last() {
-            self.nodes[idx].lane = lane;
-        }
-    }
-
-    /// Override the innermost open span's start offset (nanoseconds from
-    /// tracer construction) — grafted worker spans start when the drive
-    /// started, not when the graft happens.
-    pub fn set_start_ns(&mut self, ns: u64) {
-        if let Some(&idx) = self.stack.last() {
-            self.nodes[idx].start_ns = ns;
-        }
     }
 
     fn node_total_ns(&self, idx: usize) -> u64 {
@@ -197,7 +162,6 @@ impl SpanTracer {
             path: path.clone(),
             name: node.name.clone(),
             depth,
-            lane: node.lane,
             start_secs: node.start_ns as f64 / 1e9,
             secs: self.node_total_ns(idx) as f64 / 1e9,
             count: node.count,
@@ -224,8 +188,6 @@ impl SpanTracer {
             w.begin_object()
                 .key("name")
                 .string(&node.name)
-                .key("lane")
-                .uint(node.lane as u64)
                 .key("start_secs")
                 .num(node.start_ns as f64 / 1e9)
                 .key("secs")
@@ -265,8 +227,6 @@ pub fn rows_to_json(rows: &[SpanRow]) -> String {
             .string(&r.name)
             .key("depth")
             .uint(r.depth as u64)
-            .key("lane")
-            .uint(r.lane as u64)
             .key("start_secs")
             .num(r.start_secs)
             .key("secs")
@@ -316,27 +276,6 @@ mod tests {
         assert_eq!(ctrl.count, 5);
         assert!((ctrl.secs - 2e-6).abs() < 1e-12);
         assert_eq!(ctrl.path, "drive/ctrl-tick");
-    }
-
-    #[test]
-    fn exit_with_ns_charges_grafted_time_and_lane() {
-        let mut t = SpanTracer::new();
-        t.enter("drive");
-        t.enter("worker-0");
-        t.set_lane(3);
-        t.set_start_ns(7_000);
-        t.add_ns("spin-wait", 250, 4);
-        t.exit_with_ns(1_000_000);
-        t.exit();
-        let rows = t.rows();
-        let w0 = rows.iter().find(|r| r.name == "worker-0").unwrap();
-        assert_eq!(w0.lane, 3);
-        assert!((w0.secs - 1e-3).abs() < 1e-12);
-        assert!((w0.start_secs - 7e-6).abs() < 1e-12);
-        // Children created after set_lane inherit the lane.
-        let spin = rows.iter().find(|r| r.name == "spin-wait").unwrap();
-        assert_eq!(spin.lane, 3);
-        assert_eq!(spin.path, "drive/worker-0/spin-wait");
     }
 
     #[test]

@@ -152,8 +152,8 @@ pub fn to_chrome_json(records: &[CmdRecord]) -> String {
 }
 
 /// Like [`to_chrome_json`], additionally merging harness span rows (see
-/// [`crate::span::SpanRow`]) as duration events under [`HARNESS_PID`],
-/// with `tid` = lane (0 = coordinator/main, 1+w = shard worker w).
+/// [`crate::span::SpanRow`]) as duration events under [`HARNESS_PID`]
+/// on a single track (`tid` 0).
 /// Device events use simulated time, harness events wall time — the two
 /// timebases share a `ts` axis only nominally, which is fine for the
 /// intended use (eyeballing where harness time goes next to what the
@@ -186,7 +186,7 @@ pub fn to_chrome_json_with_spans(records: &[CmdRecord], spans: &[crate::span::Sp
             .key("pid")
             .uint(HARNESS_PID)
             .key("tid")
-            .uint(s.lane as u64)
+            .uint(0)
             .key("args")
             .begin_object()
             .key("count")
@@ -332,10 +332,9 @@ mod tests {
         t.push(rec(10, CmdKind::Act));
         t.push(rec(14, CmdKind::Rd));
         let spans = vec![crate::span::SpanRow {
-            path: "drive/worker-0/spin-wait".to_string(),
-            name: "spin-wait".to_string(),
-            depth: 2,
-            lane: 1,
+            path: "drive/ctrl-tick".to_string(),
+            name: "ctrl-tick".to_string(),
+            depth: 1,
             start_secs: 0.001,
             secs: 0.5,
             count: 42,
