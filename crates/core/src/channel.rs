@@ -508,15 +508,6 @@ impl Channel {
             .all(|b| b.is_idle())
     }
 
-    /// Banks of `rank` that still hold an open row (must be precharged
-    /// before refresh); returns flat indices.
-    pub fn rank_open_banks(&self, rank: usize) -> Vec<usize> {
-        let lo = rank * self.ubanks_per_rank;
-        (lo..lo + self.ubanks_per_rank)
-            .filter(|&f| !self.banks[f].is_idle())
-            .collect()
-    }
-
     /// Flat indices of every μbank (all ranks) currently holding an open
     /// row. Used at measurement boundaries: a row opened before the
     /// boundary and precharged after it must be attributed to one side

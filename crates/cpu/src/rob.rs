@@ -185,8 +185,7 @@ impl Core {
     ///   skipped cycle would have counted an MSHR stall.
     ///
     /// Callers that skip the intervening cycles must account each one via
-    /// [`Core::account_rob_full_cycles`] or
-    /// [`Core::account_mshr_stall_cycles`] per the returned kind, and must
+    /// [`Core::account_stall_cycles`] with the returned kind, and must
     /// re-evaluate on any event that can unwedge the core (a fill to its
     /// cluster may free an MSHR without completing one of its own loads).
     pub fn quiesced_until(&self) -> (Cycle, StallKind) {
@@ -207,15 +206,13 @@ impl Core {
         (0, StallKind::RobFull)
     }
 
-    /// Bulk-account skipped ROB-full cycles (see [`Core::quiesced_until`]).
-    pub fn account_rob_full_cycles(&mut self, n: u64) {
-        self.stats.rob_full_cycles += n;
-    }
-
-    /// Bulk-account skipped MSHR-stall cycles (see
+    /// Bulk-account `n` skipped cycles of stall `kind` (see
     /// [`Core::quiesced_until`]).
-    pub fn account_mshr_stall_cycles(&mut self, n: u64) {
-        self.stats.mshr_stall_cycles += n;
+    pub fn account_stall_cycles(&mut self, kind: StallKind, n: u64) {
+        match kind {
+            StallKind::RobFull => self.stats.rob_full_cycles += n,
+            StallKind::MshrReplay => self.stats.mshr_stall_cycles += n,
+        }
     }
 
     /// A pending load (ROB sequence `seq`) finished at `now`.

@@ -16,7 +16,8 @@ use crate::rob::{Core, MemOutcome, StallKind};
 use microbank_core::fxhash::{FxHashMap, FxHashSet};
 use microbank_core::request::TenantId;
 use microbank_core::Cycle;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A main-memory line request leaving the CMP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,13 +408,26 @@ pub struct CmpSystem<S: InstrSource> {
     /// `i` can make no progress before `core_wake[i]` — its ROB is full
     /// with an unready head, or its dispatch is wedged on an MSHR-stalled
     /// replay — so ticking it would only bump the stall counter named by
-    /// `core_stall[i]`, which the skip accounts directly. Any fill for
-    /// the core (or, for MSHR wedges, any fill to its cluster that frees
-    /// an MSHR) resets its entry to 0 (see [`CmpSystem::on_fill`]).
+    /// `core_stall[i]`. Any fill for the core (or, for MSHR wedges, any
+    /// fill to its cluster that frees an MSHR) resets its entry to 0 (see
+    /// [`CmpSystem::on_fill`]).
     core_wake: Vec<Cycle>,
-    /// Which stall counter each quiesced core accrues per skipped cycle
+    /// Which stall counter each quiesced core accrues per stalled cycle
     /// (valid while `core_wake[i] > now`; see [`Core::quiesced_until`]).
     core_stall: Vec<StallKind>,
+    /// Cores that [`CmpSystem::tick`] runs, one bit per core: exactly the
+    /// cores with `core_wake[i] <= now` at the next tick. Walked in
+    /// ascending core index, the order the full per-core loop used.
+    awake: Vec<u64>,
+    /// Finite wakes of quiesced cores as a min-heap of `(wake, core)`. An
+    /// entry is stale unless `core_wake[core]` still equals its wake (a
+    /// fill woke the core early); stale entries are dropped lazily.
+    timed: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// First cycle not yet charged to core `i`'s stall counter. A quiesced
+    /// core costs nothing per cycle: its `core_stall[i]` counter is charged
+    /// `now - stall_since[i]` cycles in one go when it next ticks (or at
+    /// [`CmpSystem::settle_stalls`]).
+    stall_since: Vec<Cycle>,
 }
 
 impl<S: InstrSource> CmpSystem<S> {
@@ -425,12 +439,19 @@ impl<S: InstrSource> CmpSystem<S> {
             .collect();
         let clusters = cfg.clusters();
         let tenants = sources.iter().map(|s| s.tenant()).collect();
+        let mut awake = vec![0u64; cfg.cores.div_ceil(64)];
+        for i in 0..cfg.cores {
+            awake[i / 64] |= 1 << (i % 64);
+        }
         CmpSystem {
             cfg,
             cores,
             sources,
             core_wake: vec![0; cfg.cores],
             core_stall: vec![StallKind::RobFull; cfg.cores],
+            awake,
+            timed: BinaryHeap::new(),
+            stall_since: vec![0; cfg.cores],
             uncore: Uncore {
                 cfg,
                 l1: (0..cfg.cores)
@@ -457,7 +478,10 @@ impl<S: InstrSource> CmpSystem<S> {
         }
     }
 
-    /// Advance every core one cycle, submitting memory traffic to `port`.
+    /// Advance every awake core one cycle, submitting memory traffic to
+    /// `port`. Quiesced cores are not visited: a core whose timed wake
+    /// has come rejoins the awake set here, and its stalled cycles are
+    /// charged when it ticks.
     pub fn tick(&mut self, now: Cycle, port: &mut dyn MemPort) {
         // Retry backlogged submissions first (bounded by MSHRs).
         while let Some(&req) = self.uncore.backlog.front() {
@@ -467,67 +491,70 @@ impl<S: InstrSource> CmpSystem<S> {
                 break;
             }
         }
-        let uncore = &mut self.uncore;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            // A quiesced core (full ROB with an unready head, or dispatch
-            // wedged on an MSHR-stalled replay) can make no progress:
-            // ticking it would only bump one stall counter. Account that
-            // stall and skip the whole cache/closure path (dominant when
-            // most cores block on the massive-bank memory system).
-            if self.core_wake[i] > now {
-                match self.core_stall[i] {
-                    StallKind::RobFull => core.account_rob_full_cycles(1),
-                    StallKind::MshrReplay => core.account_mshr_stall_cycles(1),
-                }
-                continue;
+        while let Some(&Reverse((wake, i))) = self.timed.peek() {
+            if wake > now {
+                break;
             }
-            core.commit(now);
-            let cluster = i / uncore.cfg.cores_per_cluster;
-            let src = &mut self.sources[i];
-            core.dispatch(now, src, |addr, w, seq| {
-                uncore.mem_access(i, cluster, addr, w, seq, now, port)
-            });
-            let (wake, stall) = core.quiesced_until();
-            self.core_wake[i] = wake;
-            self.core_stall[i] = stall;
+            self.timed.pop();
+            if self.core_wake[i] == wake {
+                self.awake[i / 64] |= 1 << (i % 64);
+            }
+        }
+        let uncore = &mut self.uncore;
+        for w in 0..self.awake.len() {
+            // Only the core being ticked leaves the set during the walk,
+            // so iterating a snapshot of the word is exact.
+            let mut bits = self.awake[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let core = &mut self.cores[i];
+                core.account_stall_cycles(self.core_stall[i], now - self.stall_since[i]);
+                core.commit(now);
+                let cluster = i / uncore.cfg.cores_per_cluster;
+                let src = &mut self.sources[i];
+                core.dispatch(now, src, |addr, w, seq| {
+                    uncore.mem_access(i, cluster, addr, w, seq, now, port)
+                });
+                let (wake, stall) = core.quiesced_until();
+                self.core_wake[i] = wake;
+                self.core_stall[i] = stall;
+                self.stall_since[i] = now + 1;
+                if wake > now + 1 {
+                    self.awake[w] &= !(1 << (i % 64));
+                    if wake != Cycle::MAX {
+                        self.timed.push(Reverse((wake, i)));
+                    }
+                }
+            }
+        }
+        // Drop stale heads so `core_horizon` reads a live wake.
+        while let Some(&Reverse((wake, i))) = self.timed.peek() {
+            if self.core_wake[i] == wake {
+                break;
+            }
+            self.timed.pop();
         }
     }
 
-    /// Earliest cycle after `now` at which [`CmpSystem::tick`] could do
-    /// anything beyond bulk-accountable stalls (ROB-full or MSHR-wedged,
-    /// per [`Core::quiesced_until`]), with CPU state frozen. Returns
-    /// `now + 1` ("must tick next cycle") while the submit backlog is
-    /// non-empty (each failed retry mutates controller reject counters)
-    /// or any core can make progress; otherwise the minimum `core_wake` —
-    /// every skipped cycle up to (exclusive) that horizon would only run
-    /// the per-core stall-skip branch, which
-    /// [`CmpSystem::account_skipped_cycles`] replays in bulk. A fill
-    /// ([`CmpSystem::on_fill`]) resets `core_wake` and thereby ends any
-    /// skip stretch; the drive loop delivers fills before re-asking.
-    pub fn next_event(&self, now: Cycle) -> Cycle {
-        if !self.uncore.backlog.is_empty() {
+    /// Earliest cycle after `now` at which any *core* could make progress,
+    /// with CPU state frozen as [`CmpSystem::tick`] left it at `now`:
+    /// `now + 1` while some core is awake, else the earliest timed wake
+    /// (`Cycle::MAX` when every core waits on a fill). Every skipped cycle
+    /// before it is a pure stall for every core, which the lazy stall
+    /// charge covers. A fill ([`CmpSystem::on_fill`]) wakes cores and
+    /// thereby ends any skip stretch; the drive loop delivers fills before
+    /// re-asking. The submit backlog is ignored: a caller that jumps past
+    /// cycles with a non-empty backlog must prove each skipped cycle's head
+    /// retry fails — the head targets a full controller queue and that
+    /// controller does not tick inside the jump — and replay the failed
+    /// attempts ([`MemoryController::account_rejected`] in
+    /// `microbank-ctrl`).
+    pub fn core_horizon(&self, now: Cycle) -> Cycle {
+        if self.awake.iter().any(|&w| w != 0) {
             return now + 1;
         }
-        self.core_horizon(now)
-    }
-
-    /// The core half of [`CmpSystem::next_event`]: earliest cycle any
-    /// *core* could make progress, ignoring the submit backlog (minimum
-    /// `core_wake`, or `now + 1` while some core is unstalled). A caller
-    /// that jumps past cycles with a non-empty backlog must prove each
-    /// skipped cycle's head retry fails — the head targets a full
-    /// controller queue and that controller does not tick inside the jump
-    /// — and replay the failed attempts
-    /// ([`MemoryController::account_rejected`] in `microbank-ctrl`).
-    pub fn core_horizon(&self, now: Cycle) -> Cycle {
-        let mut min = Cycle::MAX;
-        for &w in &self.core_wake {
-            if w <= now + 1 {
-                return now + 1;
-            }
-            min = min.min(w);
-        }
-        min
+        self.timed.peek().map_or(Cycle::MAX, |r| r.0 .0)
     }
 
     /// Address of the oldest backlogged (rejected) submission, if any.
@@ -537,15 +564,22 @@ impl<S: InstrSource> CmpSystem<S> {
         self.uncore.backlog.front().map(|r| r.addr)
     }
 
-    /// Replay `n` skipped cycles' worth of CPU-side accounting: every core
-    /// was quiesced for all of them (guaranteed by the
-    /// [`CmpSystem::next_event`] horizon), so each accrues `n` cycles of
-    /// its frozen stall kind and nothing else.
+    /// Kept for callers that predate the lazy stall charge, which now
+    /// accounts skipped cycles by itself; does nothing.
+    #[doc(hidden)]
     pub fn account_skipped_cycles(&mut self, n: u64) {
-        for (core, stall) in self.cores.iter_mut().zip(&self.core_stall) {
-            match stall {
-                StallKind::RobFull => core.account_rob_full_cycles(n),
-                StallKind::MshrReplay => core.account_mshr_stall_cycles(n),
+        let _ = n;
+    }
+
+    /// Charge every core the stall cycles it has accrued before `end` but
+    /// not yet been charged, as if the run had ticked every cycle up to
+    /// `end - 1`. Call at the end of a run (with the run's cycle count)
+    /// before reading stall counters from [`CmpSystem::core`].
+    pub fn settle_stalls(&mut self, end: Cycle) {
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            if end > self.stall_since[i] {
+                core.account_stall_cycles(self.core_stall[i], end - self.stall_since[i]);
+                self.stall_since[i] = end;
             }
         }
     }
@@ -572,7 +606,7 @@ impl<S: InstrSource> CmpSystem<S> {
                 }
             }
             self.cores[core].complete_load(seq, ready);
-            self.core_wake[core] = 0; // re-evaluate stall next tick
+            self.wake_core(core);
         }
         // Release every core's MSHR entry for this line. A freed entry can
         // unwedge a core whose dispatch is replaying against a full MSHR
@@ -582,9 +616,16 @@ impl<S: InstrSource> CmpSystem<S> {
             if self.uncore.mshr[core].complete(p.line).is_some()
                 && self.core_stall[core] == StallKind::MshrReplay
             {
-                self.core_wake[core] = 0;
+                self.wake_core(core);
             }
         }
+    }
+
+    /// Make `core` tick at the next [`CmpSystem::tick`], which
+    /// re-evaluates its stall.
+    fn wake_core(&mut self, core: usize) {
+        self.core_wake[core] = 0;
+        self.awake[core / 64] |= 1 << (core % 64);
     }
 
     /// Total committed instructions across all cores.
@@ -601,6 +642,8 @@ impl<S: InstrSource> CmpSystem<S> {
         }
     }
 
+    /// Core `i`. Its stall counters lag while it is quiesced; see
+    /// [`CmpSystem::settle_stalls`].
     pub fn core(&self, i: usize) -> &Core {
         &self.cores[i]
     }

@@ -15,7 +15,7 @@ use crate::qos::{QosConfig, QosRegulator};
 use crate::queue::RequestQueue;
 use crate::scheduler::{Action, Candidate, Scheduler, SchedulerKind};
 use microbank_core::address::AddressMap;
-use microbank_core::channel::Channel;
+use microbank_core::channel::{Channel, RowOutcome};
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, TenantId};
 use microbank_core::Cycle;
@@ -127,6 +127,10 @@ pub struct MemoryController {
     pending: Vec<Option<PendingDecision>>,
     /// Per-μbank policy-requested precharge not yet issued.
     auto_pre: Vec<bool>,
+    /// Per-μbank count of queued requests whose row is the μbank's open
+    /// row (0 while it is closed): the scheduler's "does any queued
+    /// request still want this open row?" check, answered without a scan.
+    open_hits: Vec<u32>,
     /// Minimalist-open close deadlines (Cycle::MAX = none).
     close_deadline: Vec<Cycle>,
     /// Flats with a policy precharge currently due: exactly the set
@@ -190,6 +194,7 @@ impl MemoryController {
             draining_writes: false,
             pending: vec![None; n],
             auto_pre: vec![false; n],
+            open_hits: vec![0; n],
             close_deadline: vec![Cycle::MAX; n],
             pre_due: BTreeSet::new(),
             deadline_heap: BinaryHeap::new(),
@@ -312,8 +317,10 @@ impl MemoryController {
                 PredictorImpl::Perfect => {
                     // The oracle converts a would-be conflict into an
                     // already-precharged bank when legal.
-                    if outcome == PageDecision::Close {
-                        let _ = self.channel.oracle_precharge_flat(flat, now);
+                    if outcome == PageDecision::Close
+                        && self.channel.oracle_precharge_flat(flat, now)
+                    {
+                        self.open_hits[flat] = 0;
                     }
                 }
                 PredictorImpl::None => {}
@@ -322,7 +329,9 @@ impl MemoryController {
         // Row-buffer outcome classification (hit/closed/conflict) at
         // arrival, the standard accounting the energy model consumes.
         // The channel owns it so stats and heat counters update together.
-        self.channel.classify_arrival(flat, req.loc.row);
+        if self.channel.classify_arrival(flat, req.loc.row) == RowOutcome::Hit {
+            self.open_hits[flat] += 1;
+        }
         self.queue.push(req, flat);
         true
     }
@@ -387,6 +396,7 @@ impl MemoryController {
         for flat in lo..hi {
             self.auto_pre[flat] = false;
             self.close_deadline[flat] = Cycle::MAX;
+            self.open_hits[flat] = 0;
         }
         while let Some(&flat) = self.pre_due.range(lo..hi).next() {
             self.pre_due.remove(&flat);
@@ -425,7 +435,7 @@ impl MemoryController {
         if self.queue.is_empty() {
             return false;
         }
-        self.scheduler.maybe_form_batch(&self.queue);
+        self.scheduler.maybe_form_batch(&mut self.queue);
 
         self.scratch.clear();
         for idx in self.queue.indices() {
@@ -446,11 +456,10 @@ impl MemoryController {
                         None
                     }
                 }
-                Some(open) => {
+                Some(_) => {
                     // Conflict: close the open row unless another queued
                     // request still wants it (serve hits before closing).
-                    let has_hit = self.queue.any_hit_for(flat, open);
-                    if !has_hit && self.channel.can_precharge_flat(flat, now) {
+                    if self.open_hits[flat] == 0 && self.channel.can_precharge_flat(flat, now) {
                         Some(Action::PrechargeConflict)
                     } else {
                         None
@@ -463,11 +472,7 @@ impl MemoryController {
                         // §5h). Close the named victim — unless another
                         // queued request still hits its row (serve hits
                         // before closing, as in the conflict arm).
-                        let open = self
-                            .channel
-                            .open_row_flat(victim)
-                            .expect("act_blocker names an open μbank");
-                        if !self.queue.any_hit_for(victim, open)
+                        if self.open_hits[victim] == 0
                             && self.channel.can_precharge_flat(victim, now)
                         {
                             Some(Action::PrechargeVictim(victim as u32))
@@ -486,6 +491,7 @@ impl MemoryController {
                     idx,
                     action,
                     id: r.id,
+                    marked: self.queue.is_marked(idx),
                     thread: r.thread,
                     arrival: r.arrival,
                     tenant: r.tenant,
@@ -547,6 +553,11 @@ impl MemoryController {
         match best.action {
             Action::Activate => {
                 self.channel.activate_flat(flat, r.loc.row, now);
+                self.open_hits[flat] = self
+                    .queue
+                    .iter()
+                    .filter(|q| q.flat == r.flat && q.loc.row == r.loc.row)
+                    .count() as u32;
                 self.auto_pre[flat] = false;
                 self.close_deadline[flat] = Cycle::MAX;
                 self.pre_due.remove(&flat);
@@ -611,7 +622,8 @@ impl MemoryController {
                     }
                 }
                 self.queue.remove(best.idx);
-                self.scheduler.note_serviced(r.id);
+                self.open_hits[flat] -= 1;
+                self.scheduler.note_serviced(best.marked);
                 if r.is_write() {
                     self.stats.served_writes += 1;
                 } else {
@@ -700,9 +712,7 @@ impl MemoryController {
         if let Some(open) = self.channel.open_row_flat(flat_us) {
             // The target holds an open row. Close it on this idle slot
             // unless demand traffic still wants it (hits always win).
-            if !self.queue.any_hit_for(flat_us, open)
-                && self.channel.can_precharge_flat(flat_us, now)
-            {
+            if self.open_hits[flat_us] == 0 && self.channel.can_precharge_flat(flat_us, now) {
                 self.channel.precharge_flat(flat_us, now);
                 self.auto_pre[flat_us] = false;
                 self.close_deadline[flat_us] = Cycle::MAX;
@@ -796,6 +806,7 @@ impl MemoryController {
         };
         let row = self.channel.open_row_flat(flat).unwrap_or(0);
         self.channel.precharge_flat(flat, now);
+        self.open_hits[flat] = 0;
         self.auto_pre[flat] = false;
         self.close_deadline[flat] = Cycle::MAX;
         self.pre_due.remove(&flat);
@@ -898,9 +909,10 @@ impl MemoryController {
             }
         }
         // Demand queue: earliest legal cycle of each request's candidate
-        // action. Queue content is frozen for the whole skip stretch (an
-        // enqueue resets the caller's wake; removals require ticks), so
-        // the `any_hit_for` routing below cannot change mid-stretch.
+        // action. Queue content and open rows are frozen for the whole
+        // skip stretch (an enqueue resets the caller's wake; removals and
+        // row changes require ticks), so the `open_hits` routing below
+        // cannot change mid-stretch.
         for idx in self.queue.indices() {
             let r = self.queue.get(idx);
             let flat = r.flat as usize;
@@ -911,8 +923,8 @@ impl MemoryController {
                 Some(open) if open == r.loc.row => {
                     self.channel.earliest_column_flat(flat, r.is_write())
                 }
-                Some(open) => {
-                    if self.queue.any_hit_for(flat, open) {
+                Some(_) => {
+                    if self.open_hits[flat] > 0 {
                         // The hit holder's own column fold covers this
                         // μbank's next state change.
                         continue;
@@ -921,11 +933,7 @@ impl MemoryController {
                 }
                 None => {
                     if let Some(victim) = self.channel.act_blocker(flat, r.loc.row) {
-                        let open = self
-                            .channel
-                            .open_row_flat(victim)
-                            .expect("act_blocker names an open μbank");
-                        if self.queue.any_hit_for(victim, open) {
+                        if self.open_hits[victim] > 0 {
                             // The hit holder's own column fold covers the
                             // victim's next state change.
                             continue;
@@ -998,12 +1006,35 @@ impl MemoryController {
         self.stats.rejected += n;
     }
 
-    /// Account `n` tick calls that were skipped as provably idle (queue
-    /// empty, nothing issued): identical stat effect to `n` real `tick`
-    /// calls on an idle controller.
-    pub fn account_idle_ticks(&mut self, n: u64) {
-        debug_assert!(self.queue.is_empty(), "idle accounting on a busy queue");
-        self.account_skipped_ticks(n);
+    /// Recount the incrementally-maintained scheduling state from the
+    /// queue and the channel — every μbank's open-row hit count and the
+    /// PAR-BS marked count — and report the first disagreement. A test
+    /// hook: the hot path trusts these counters instead of rescanning.
+    #[doc(hidden)]
+    pub fn check_indexes(&self) -> Result<(), String> {
+        let mut hits = vec![0u32; self.open_hits.len()];
+        for r in self.queue.iter() {
+            let flat = r.flat as usize;
+            if self.channel.open_row_flat(flat) == Some(r.loc.row) {
+                hits[flat] += 1;
+            }
+        }
+        if let Some(flat) = (0..hits.len()).find(|&f| hits[f] != self.open_hits[f]) {
+            return Err(format!(
+                "open_hits[{flat}] = {}, recount {}",
+                self.open_hits[flat], hits[flat]
+            ));
+        }
+        let want = self
+            .queue
+            .indices()
+            .filter(|&i| self.queue.is_marked(i))
+            .count();
+        let have = self.scheduler.marked_count();
+        if have != want {
+            return Err(format!("marked count = {have}, recount {want}"));
+        }
+        Ok(())
     }
 
     /// The policy's speculative-decision hit rate (Fig. 13 right axis).

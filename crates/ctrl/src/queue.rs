@@ -2,60 +2,51 @@
 //!
 //! Each memory controller holds pending requests in a 32-entry queue
 //! (§VI-A). The scheduler scans it every command slot, so the queue keeps
-//! simple dense storage plus three incrementally-maintained indexes the
-//! hot path consults in O(1):
+//! simple dense storage plus two incrementally-maintained indexes the hot
+//! path consults in O(1):
 //!
 //! - per-μbank occupancy counts, which the page policies consult ("as long
 //!   as the queue is not empty, the controller can make an effective
 //!   decision" — §V);
 //! - per-rank occupancy counts, which the power-down path consults without
-//!   rescanning the queue every tick;
-//! - per-(μbank, row) match counts, which turn the scheduler's
-//!   hit-before-close conflict check from an O(queue) rescan per candidate
-//!   into a single map lookup.
+//!   rescanning the queue every tick.
 //!
 //! The queue also stamps each entry's flat μbank index
 //! ([`MemRequest::flat`]) on push, so per-tick scans never recompute
-//! [`microbank_core::address::Location::ubank_flat`].
+//! [`microbank_core::address::Location::ubank_flat`], and carries each
+//! entry's PAR-BS batch mark beside it, so selection never looks a
+//! request up by id.
 
 use microbank_core::config::MemConfig;
 use microbank_core::request::MemRequest;
-use std::collections::HashMap;
 
 // Hot-loop hasher shared across the workspace (see `microbank_core::fxhash`
 // for why the swap from SipHash is behavior-identical here).
 pub use microbank_core::fxhash::{FxBuild, FxHasher};
 
-/// Bounded request queue with per-μbank, per-rank, and per-(μbank, row)
-/// occupancy tracking.
+/// Bounded request queue with per-μbank and per-rank occupancy tracking.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     entries: Vec<MemRequest>,
+    /// PAR-BS batch mark of each entry, parallel to `entries`.
+    marked: Vec<bool>,
     capacity: usize,
     /// Pending-request count per flat μbank index (channel-local).
     per_bank: Vec<u32>,
     /// Pending-request count per rank (for the power-down path).
     per_rank: Vec<u32>,
-    /// Pending-request count per (flat μbank, row): the scheduler's
-    /// "does any queued request still want this open row?" check.
-    row_match: HashMap<u64, u32, FxBuild>,
     /// Queued write (writeback) count, for write-drain watermarks.
     writes: usize,
-}
-
-#[inline]
-fn row_key(flat_ubank: usize, row: u32) -> u64 {
-    ((flat_ubank as u64) << 32) | row as u64
 }
 
 impl RequestQueue {
     pub fn new(cfg: &MemConfig) -> Self {
         RequestQueue {
             entries: Vec::with_capacity(cfg.queue_size),
+            marked: Vec::with_capacity(cfg.queue_size),
             capacity: cfg.queue_size,
             per_bank: vec![0; cfg.ubanks_per_channel()],
             per_rank: vec![0; cfg.ranks_per_channel],
-            row_match: HashMap::with_capacity_and_hasher(cfg.queue_size * 2, FxBuild::default()),
             writes: 0,
         }
     }
@@ -83,7 +74,7 @@ impl RequestQueue {
 
     /// Try to enqueue; returns `false` (and drops nothing) when full. The
     /// request's `loc` must already be decoded and channel-local; its
-    /// cached flat index is stamped here.
+    /// cached flat index is stamped here. New entries are unmarked.
     pub fn push(&mut self, mut req: MemRequest, flat_ubank: usize) -> bool {
         if self.is_full() {
             return false;
@@ -91,12 +82,9 @@ impl RequestQueue {
         req.flat = flat_ubank as u32;
         self.per_bank[flat_ubank] += 1;
         self.per_rank[req.loc.rank as usize] += 1;
-        *self
-            .row_match
-            .entry(row_key(flat_ubank, req.loc.row))
-            .or_insert(0) += 1;
         self.writes += req.is_write() as usize;
         self.entries.push(req);
+        self.marked.push(false);
         true
     }
 
@@ -104,20 +92,9 @@ impl RequestQueue {
     /// arrival stamps by the scheduler, so storage order is free).
     pub fn remove(&mut self, idx: usize) -> MemRequest {
         let req = self.entries.swap_remove(idx);
-        let flat = req.flat as usize;
-        self.per_bank[flat] -= 1;
+        self.marked.swap_remove(idx);
+        self.per_bank[req.flat as usize] -= 1;
         self.per_rank[req.loc.rank as usize] -= 1;
-        match self.row_match.entry(row_key(flat, req.loc.row)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(_) => {
-                debug_assert!(false, "row_match count missing on remove");
-            }
-        }
         self.writes -= req.is_write() as usize;
         req
     }
@@ -128,6 +105,16 @@ impl RequestQueue {
 
     pub fn get(&self, idx: usize) -> &MemRequest {
         &self.entries[idx]
+    }
+
+    /// Is the entry at `idx` part of the current PAR-BS batch?
+    pub fn is_marked(&self, idx: usize) -> bool {
+        self.marked[idx]
+    }
+
+    /// Put the entry at `idx` into the current PAR-BS batch.
+    pub fn mark(&mut self, idx: usize) {
+        self.marked[idx] = true;
     }
 
     /// Flag the entry at `idx` as having consumed its one corrected-ECC
@@ -145,20 +132,6 @@ impl RequestQueue {
     /// Number of queued requests targeting the given rank.
     pub fn pending_for_rank(&self, rank: usize) -> u32 {
         self.per_rank[rank]
-    }
-
-    /// Number of queued requests targeting `flat_ubank` with `row`
-    /// (incrementally maintained; O(1)).
-    pub fn row_match_count(&self, flat_ubank: usize, row: u32) -> u32 {
-        self.row_match
-            .get(&row_key(flat_ubank, row))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Does any queued request target `flat_ubank` with `row`?
-    pub fn any_hit_for(&self, flat_ubank: usize, row: u32) -> bool {
-        self.row_match_count(flat_ubank, row) > 0
     }
 
     /// Indices of all entries, for scheduler scans.
@@ -231,38 +204,21 @@ mod tests {
     }
 
     #[test]
-    fn any_hit_for_matches_row() {
+    fn marks_follow_their_entry_through_swap_remove() {
         let c = cfg();
         let mut q = RequestQueue::new(&c);
-        let (r, f) = req(0, 0, &c);
-        let row = r.loc.row;
+        for i in 0..3 {
+            let (r, f) = req(i, i * 64, &c);
+            q.push(r, f);
+        }
+        q.mark(2);
+        assert!(!q.is_marked(0) && !q.is_marked(1) && q.is_marked(2));
+        // Removing index 0 swaps the last (marked) entry into its slot.
+        q.remove(0);
+        assert_eq!(q.get(0).id, 2);
+        assert!(q.is_marked(0) && !q.is_marked(1));
+        let (r, f) = req(3, 3 * 64, &c);
         q.push(r, f);
-        assert!(q.any_hit_for(f, row));
-        assert!(!q.any_hit_for(f, row + 1));
-    }
-
-    #[test]
-    fn row_match_counts_accumulate_and_drain() {
-        let c = cfg();
-        let mut q = RequestQueue::new(&c);
-        // Two requests to the same μbank row (consecutive lines share a
-        // row at row-granularity interleaving), one to a different bank.
-        let (r1, f1) = req(0, 0, &c);
-        let (r2, f2) = req(1, 64, &c);
-        let (r3, f3) = req(2, 0x4000, &c);
-        assert_eq!(f1, f2);
-        let row = r1.loc.row;
-        q.push(r1, f1);
-        q.push(r2, f2);
-        q.push(r3, f3);
-        assert_eq!(q.row_match_count(f1, row), 2);
-        assert_eq!(q.row_match_count(f3, row), 1);
-        let idx = q.indices().find(|&i| q.get(i).id == 0).unwrap();
-        q.remove(idx);
-        assert_eq!(q.row_match_count(f1, row), 1);
-        let idx = q.indices().find(|&i| q.get(i).id == 1).unwrap();
-        q.remove(idx);
-        assert_eq!(q.row_match_count(f1, row), 0);
-        assert!(!q.any_hit_for(f1, row));
+        assert!(!q.is_marked(2), "new entries start unmarked");
     }
 }

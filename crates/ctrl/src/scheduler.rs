@@ -14,7 +14,7 @@ use crate::qos::{tenant_slot, MAX_TENANTS};
 use crate::queue::{FxBuild, RequestQueue};
 use microbank_core::request::TenantId;
 use microbank_core::Cycle;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +55,8 @@ pub struct Candidate {
     pub idx: usize,
     pub action: Action,
     pub id: u64,
+    /// Part of the current PAR-BS batch (copied from the queue entry).
+    pub marked: bool,
     pub thread: u16,
     pub arrival: Cycle,
     /// Owning tenant (always `TenantId(0)` outside multi-tenant runs);
@@ -64,17 +66,20 @@ pub struct Candidate {
 
 /// Stateful scheduler (batch bookkeeping for PAR-BS).
 ///
-/// Invariant: `marked` is always a subset of the ids currently in the
-/// queue. Marks are created only from queue entries in
-/// [`Scheduler::maybe_form_batch`] and removed only via
-/// [`Scheduler::note_serviced`], which the controller calls exactly when it
-/// removes the entry from the queue. "Any queued request is still marked"
-/// is therefore equivalent to `!marked.is_empty()`, with no queue scan.
+/// The batch marks live on the queue entries
+/// ([`RequestQueue::is_marked`]); the scheduler keeps only their count.
+/// Invariant: `marked` equals the number of marked queue entries. Marks
+/// are set only in [`Scheduler::maybe_form_batch`], and a marked entry
+/// leaves the queue only through the controller's column path, which
+/// reports it via [`Scheduler::note_serviced`]. "Any queued request is
+/// still marked" is therefore `marked > 0`, with no queue scan.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     kind: SchedulerKind,
-    marked: HashSet<u64, FxBuild>,
-    thread_rank: HashMap<u16, u32, FxBuild>,
+    marked: usize,
+    /// Shortest-job-first rank per thread in the current batch, indexed
+    /// by thread; `u32::MAX` (also past the end) for unranked threads.
+    thread_rank: Vec<u32>,
     pub batches_formed: u64,
     // Reusable batch-formation scratch (cleared each use; the maps are
     // never iterated, and `threads` is fully sorted by a total key, so the
@@ -94,8 +99,8 @@ impl Scheduler {
     pub fn new(kind: SchedulerKind) -> Self {
         Scheduler {
             kind,
-            marked: HashSet::default(),
-            thread_rank: HashMap::default(),
+            marked: 0,
+            thread_rank: Vec::new(),
             batches_formed: 0,
             order: Vec::new(),
             per_pair: HashMap::default(),
@@ -115,20 +120,23 @@ impl Scheduler {
         self.kind
     }
 
-    /// Is this request part of the current batch?
-    pub fn is_marked(&self, id: u64) -> bool {
-        self.marked.contains(&id)
+    /// Number of queued requests in the current batch.
+    pub fn marked_count(&self) -> usize {
+        self.marked
     }
 
     /// Shortest-job-first rank of `thread` in the current batch (lower is
     /// higher priority); unmarked threads rank last.
     pub fn rank_of(&self, thread: u16) -> u32 {
-        self.thread_rank.get(&thread).copied().unwrap_or(u32::MAX)
+        self.thread_rank
+            .get(usize::from(thread))
+            .copied()
+            .unwrap_or(u32::MAX)
     }
 
-    /// Drop a serviced request from the batch.
-    pub fn note_serviced(&mut self, id: u64) {
-        self.marked.remove(&id);
+    /// A request left the queue; `marked` is its batch mark.
+    pub fn note_serviced(&mut self, marked: bool) {
+        self.marked -= usize::from(marked);
     }
 
     /// Would the next [`Scheduler::maybe_form_batch`] call actually form
@@ -138,24 +146,23 @@ impl Scheduler {
     /// arriving before the deferred tick would be marked into a batch
     /// that the per-cycle reference formed without it (DESIGN §5f).
     pub fn would_form_batch(&self, queue: &RequestQueue) -> bool {
-        matches!(self.kind, SchedulerKind::ParBs { .. })
-            && self.marked.is_empty()
-            && !queue.is_empty()
+        matches!(self.kind, SchedulerKind::ParBs { .. }) && self.marked == 0 && !queue.is_empty()
     }
 
-    /// Form a new batch if the current one is exhausted (PAR-BS only).
-    /// Uses each entry's cached flat μbank index ([`MemRequest::flat`],
-    /// stamped by the queue on push).
+    /// Form a new batch if the current one is exhausted (PAR-BS only),
+    /// marking the chosen entries in `queue`. Uses each entry's cached
+    /// flat μbank index ([`MemRequest::flat`], stamped by the queue on
+    /// push).
     ///
     /// [`MemRequest::flat`]: microbank_core::request::MemRequest::flat
-    pub fn maybe_form_batch(&mut self, queue: &RequestQueue) {
+    pub fn maybe_form_batch(&mut self, queue: &mut RequestQueue) {
         let SchedulerKind::ParBs { marking_cap } = self.kind else {
             return;
         };
-        if !self.marked.is_empty() {
-            return; // batch still in flight (marked ⊆ queued, see invariant)
+        if self.marked > 0 {
+            return; // batch still in flight (see the invariant)
         }
-        self.thread_rank.clear();
+        self.thread_rank.fill(u32::MAX);
         if queue.is_empty() {
             return;
         }
@@ -167,13 +174,13 @@ impl Scheduler {
         self.per_pair.clear();
         self.per_thread.clear();
         for &i in &self.order {
-            let r = queue.get(i);
-            let pair = (r.thread, r.flat);
-            let n = self.per_pair.entry(pair).or_insert(0);
+            let (thread, flat) = (queue.get(i).thread, queue.get(i).flat);
+            let n = self.per_pair.entry((thread, flat)).or_insert(0);
             if *n < marking_cap {
                 *n += 1;
-                self.marked.insert(r.id);
-                *self.per_thread.entry(r.thread).or_insert(0) += 1;
+                queue.mark(i);
+                self.marked += 1;
+                *self.per_thread.entry(thread).or_insert(0) += 1;
             }
         }
         // Shortest job first: fewest marked requests → rank 0. Sorted by a
@@ -183,7 +190,11 @@ impl Scheduler {
             .extend(self.per_thread.iter().map(|(&t, &n)| (t, n)));
         self.threads.sort_unstable_by_key(|&(t, n)| (n, t));
         for (rank, &(t, _)) in self.threads.iter().enumerate() {
-            self.thread_rank.insert(t, rank as u32);
+            let t = usize::from(t);
+            if t >= self.thread_rank.len() {
+                self.thread_rank.resize(t + 1, u32::MAX);
+            }
+            self.thread_rank[t] = rank as u32;
         }
         self.batches_formed += 1;
     }
@@ -196,10 +207,9 @@ impl Scheduler {
     /// hit; with no priority table installed it is a constant.
     pub fn select<'a>(&self, candidates: &'a [Candidate]) -> Option<&'a Candidate> {
         candidates.iter().min_by_key(|c| {
-            let marked = !self.is_marked(c.id); // false (0) sorts first
             let miss = c.action != Action::Column;
             (
-                marked,
+                !c.marked, // false (0) sorts first
                 self.tenant_prio[tenant_slot(c.tenant)],
                 miss,
                 self.rank_of(c.thread),
@@ -229,34 +239,30 @@ mod tests {
         assert!(queue.push(r, flat));
     }
 
+    /// Queue index of the entry with request id `id`.
+    fn idx_of(q: &RequestQueue, id: u64) -> usize {
+        q.indices().find(|&i| q.get(i).id == id).unwrap()
+    }
+
+    fn cand(idx: usize, action: Action, id: u64, marked: bool, arrival: Cycle) -> Candidate {
+        Candidate {
+            idx,
+            action,
+            id,
+            marked,
+            thread: 0,
+            arrival,
+            tenant: TenantId::default(),
+        }
+    }
+
     #[test]
     fn frfcfs_prefers_row_hits_then_age() {
         let s = Scheduler::new(SchedulerKind::FrFcfs);
         let cands = [
-            Candidate {
-                idx: 0,
-                action: Action::Activate,
-                id: 0,
-                thread: 0,
-                arrival: 0,
-                tenant: TenantId::default(),
-            },
-            Candidate {
-                idx: 1,
-                action: Action::Column,
-                id: 1,
-                thread: 0,
-                arrival: 10,
-                tenant: TenantId::default(),
-            },
-            Candidate {
-                idx: 2,
-                action: Action::Column,
-                id: 2,
-                thread: 1,
-                arrival: 5,
-                tenant: TenantId::default(),
-            },
+            cand(0, Action::Activate, 0, false, 0),
+            cand(1, Action::Column, 1, false, 10),
+            cand(2, Action::Column, 2, false, 5),
         ];
         let best = s.select(&cands).unwrap();
         assert_eq!(
@@ -274,9 +280,14 @@ mod tests {
             push(&mut q, &c, i, 0, i * 64); // iB=13 → same row, same bank
         }
         let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        s.maybe_form_batch(&q);
-        let marked = q.iter().filter(|r| s.is_marked(r.id)).count();
-        assert_eq!(marked, 5);
+        s.maybe_form_batch(&mut q);
+        let marked: Vec<u64> = q
+            .indices()
+            .filter(|&i| q.is_marked(i))
+            .map(|i| q.get(i).id)
+            .collect();
+        assert_eq!(marked, [0, 1, 2, 3, 4], "the five oldest are marked");
+        assert_eq!(s.marked_count(), 5);
         assert_eq!(s.batches_formed, 1);
     }
 
@@ -290,8 +301,13 @@ mod tests {
         }
         push(&mut q, &c, 99, 1, 5 << 20);
         let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        s.maybe_form_batch(&q);
+        s.maybe_form_batch(&mut q);
         assert!(s.rank_of(1) < s.rank_of(0), "shortest job first");
+        assert_eq!(
+            s.rank_of(7),
+            u32::MAX,
+            "threads outside the batch rank last"
+        );
     }
 
     #[test]
@@ -300,48 +316,36 @@ mod tests {
         let mut q = RequestQueue::new(&c);
         push(&mut q, &c, 1, 0, 0);
         let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        s.maybe_form_batch(&q);
-        assert!(s.is_marked(1));
+        s.maybe_form_batch(&mut q);
+        assert!(q.is_marked(idx_of(&q, 1)));
         // New arrivals do not join the in-flight batch.
         push(&mut q, &c, 2, 1, 1 << 20);
-        s.maybe_form_batch(&q);
-        assert!(!s.is_marked(2));
+        s.maybe_form_batch(&mut q);
+        assert!(!q.is_marked(idx_of(&q, 2)));
         assert_eq!(s.batches_formed, 1);
+        assert!(!s.would_form_batch(&q));
         // Drain the batch; next call forms a fresh one including id 2.
-        let idx = q.indices().find(|&i| q.get(i).id == 1).unwrap();
+        let idx = idx_of(&q, 1);
+        s.note_serviced(q.is_marked(idx));
         q.remove(idx);
-        s.note_serviced(1);
-        s.maybe_form_batch(&q);
-        assert!(s.is_marked(2));
+        assert_eq!(s.marked_count(), 0);
+        assert!(s.would_form_batch(&q));
+        s.maybe_form_batch(&mut q);
+        assert!(q.is_marked(idx_of(&q, 2)));
         assert_eq!(s.batches_formed, 2);
+        // Thread 0 left the batch with its request: its rank is cleared.
+        assert_eq!(s.rank_of(0), u32::MAX);
+        assert_eq!(s.rank_of(1), 0);
     }
 
     #[test]
     fn marked_requests_outrank_unmarked_hits() {
-        let c = cfg();
-        let mut q = RequestQueue::new(&c);
-        push(&mut q, &c, 1, 0, 0);
-        let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        s.maybe_form_batch(&q);
+        let s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
         let cands = [
             // Unmarked row hit (arrived after the batch formed)…
-            Candidate {
-                idx: 5,
-                action: Action::Column,
-                id: 42,
-                thread: 3,
-                arrival: 100,
-                tenant: TenantId::default(),
-            },
+            cand(5, Action::Column, 42, false, 100),
             // …vs a marked activate.
-            Candidate {
-                idx: 0,
-                action: Action::Activate,
-                id: 1,
-                thread: 0,
-                arrival: 0,
-                tenant: TenantId::default(),
-            },
+            cand(0, Action::Activate, 1, true, 0),
         ];
         assert_eq!(s.select(&cands).unwrap().id, 1);
     }
@@ -352,8 +356,9 @@ mod tests {
         let mut q = RequestQueue::new(&c);
         push(&mut q, &c, 1, 0, 0);
         let mut s = Scheduler::new(SchedulerKind::FrFcfs);
-        s.maybe_form_batch(&q);
-        assert!(!s.is_marked(1));
+        s.maybe_form_batch(&mut q);
+        assert!(!q.is_marked(0));
+        assert_eq!(s.marked_count(), 0);
         assert_eq!(s.batches_formed, 0);
     }
 }

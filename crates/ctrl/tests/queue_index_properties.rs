@@ -1,34 +1,44 @@
-//! Property tests for the request queue's incrementally-maintained
-//! indexes: under arbitrary interleavings of pushes and removals, the
-//! per-(μbank, row) match counts, per-μbank counts, per-rank counts, and
-//! write counter must always agree with a naive rescan of the queue
-//! contents. The scheduler's hit-before-close conflict check trusts these
-//! counts instead of rescanning, so any drift here silently changes
-//! scheduling decisions.
+//! Index-consistency tests for the incrementally-maintained scheduling
+//! state.
+//!
+//! The request queue keeps per-μbank, per-rank and write counts; the
+//! controller keeps a per-μbank open-row hit count and the scheduler a
+//! PAR-BS marked count. The hot path trusts all of them instead of
+//! rescanning the queue, so any drift silently changes scheduling
+//! decisions. The queue property test checks its counts against a naive
+//! rescan under arbitrary pushes and removals; the controller soak checks
+//! the open-row hit and marked counts after every enqueue and tick, across
+//! device variants, with refresh (PREA), the perfect predictor (oracle
+//! precharge), a close-page policy (policy precharge) and patrol scrub.
 
 use microbank_core::address::AddressMap;
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, ReqKind};
+use microbank_core::variant::{DeviceVariant, SalpMode};
+use microbank_ctrl::controller::{Completion, MemoryController};
+use microbank_ctrl::policy::PolicyKind;
+use microbank_ctrl::predictor::PredictorKind;
 use microbank_ctrl::queue::RequestQueue;
+use microbank_ctrl::scheduler::SchedulerKind;
+use microbank_faults::FaultConfig;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn cfg() -> MemConfig {
     MemConfig::lpddr_tsi().with_ubanks(4, 4).with_queue_size(16)
 }
 
-/// Naive recomputation of every index from the queue's entries.
+/// Naive recomputation of every queue index from the queue's entries.
 fn rescan(q: &RequestQueue, cfg: &MemConfig) -> Naive {
     let mut n = Naive {
         per_bank: vec![0; cfg.ubanks_per_channel()],
         per_rank: vec![0; cfg.ranks_per_channel],
-        row_match: std::collections::BTreeMap::new(),
         writes: 0,
     };
     for r in q.iter() {
-        let flat = r.flat as usize;
-        n.per_bank[flat] += 1;
+        n.per_bank[r.flat as usize] += 1;
         n.per_rank[r.loc.rank as usize] += 1;
-        *n.row_match.entry((flat, r.loc.row)).or_insert(0u32) += 1;
         n.writes += r.is_write() as usize;
     }
     n
@@ -37,7 +47,6 @@ fn rescan(q: &RequestQueue, cfg: &MemConfig) -> Naive {
 struct Naive {
     per_bank: Vec<u32>,
     per_rank: Vec<u32>,
-    row_match: std::collections::BTreeMap<(usize, u32), u32>,
     writes: usize,
 }
 
@@ -50,25 +59,6 @@ fn check_agreement(q: &RequestQueue, cfg: &MemConfig) {
         assert_eq!(q.pending_for_rank(rank), want, "per-rank[{rank}]");
     }
     assert_eq!(q.writes_queued(), naive.writes, "write count");
-    // Every (μbank, row) pair present in the queue must match its count…
-    for (&(flat, row), &want) in &naive.row_match {
-        assert_eq!(
-            q.row_match_count(flat, row),
-            want,
-            "row_match[{flat},{row}]"
-        );
-        assert!(q.any_hit_for(flat, row));
-    }
-    // …and pairs absent from the queue must report zero (the map entry is
-    // removed, not left at a stale value).
-    for r in q.iter() {
-        let flat = r.flat as usize;
-        let absent_row = r.loc.row.wrapping_add(1);
-        if !naive.row_match.contains_key(&(flat, absent_row)) {
-            assert_eq!(q.row_match_count(flat, absent_row), 0);
-            assert!(!q.any_hit_for(flat, absent_row));
-        }
-    }
 }
 
 proptest! {
@@ -106,5 +96,84 @@ proptest! {
             check_agreement(&q, &c);
         }
         prop_assert_eq!(q.writes_queued(), 0);
+    }
+}
+
+/// Drive `c` with random traffic for `cycles`, checking the controller's
+/// indexes after every enqueue and every tick. Half of the addresses come
+/// from a few hot rows so that row hits, and hence non-zero open-row hit
+/// counts, are common. Returns the completions.
+fn soak_checked(c: &mut MemoryController, cycles: u64, seed: u64) -> Vec<Completion> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut done = Vec::new();
+    let mut id = 0u64;
+    let check = |c: &MemoryController, what: &str, now: u64| {
+        if let Err(e) = c.check_indexes() {
+            panic!("after {what} at cycle {now}: {e}");
+        }
+    };
+    for now in 0..cycles {
+        while c.free_slots() > 0 && rng.gen_bool(0.5) {
+            let addr = if rng.gen_bool(0.5) {
+                (rng.gen_range(0..4u64) << 16) | (rng.gen_range(0..32u64) << 6)
+            } else {
+                rng.gen_range(0..(1u64 << 26)) & !63
+            };
+            let kind = if rng.gen_bool(0.25) {
+                ReqKind::Write
+            } else {
+                ReqKind::Read
+            };
+            let mut r = MemRequest::new(id, addr, kind, (id % 8) as u16, now);
+            r.loc = c.map().decode(addr);
+            assert!(c.enqueue(r, now));
+            id += 1;
+            check(c, "enqueue", now);
+        }
+        c.tick(now);
+        c.take_completions(&mut done);
+        check(c, "tick", now);
+    }
+    done
+}
+
+#[test]
+fn controller_indexes_match_recount_across_variants_and_policies() {
+    let variants = [
+        DeviceVariant::Conventional,
+        DeviceVariant::Salp {
+            subarrays: 8,
+            mode: SalpMode::Salp1,
+        },
+        DeviceVariant::Sectored {
+            sectors: 16,
+            sectors_per_act: 8,
+        },
+        DeviceVariant::Microbank,
+    ];
+    let policies = [
+        PolicyKind::Predictive(PredictorKind::Perfect),
+        PolicyKind::Close,
+        PolicyKind::Open,
+    ];
+    for v in variants {
+        let mem = MemConfig::lpddr_tsi()
+            .with_ubanks(16, 16)
+            .with_variant(v)
+            .with_channels(1)
+            .with_refresh(true);
+        for (p, policy) in policies.into_iter().enumerate() {
+            let mut c = MemoryController::new(&mem, SchedulerKind::default(), policy, 8);
+            // Patrol scrub (and its PRE path) on one policy per variant.
+            if policy == PolicyKind::Open {
+                c.enable_faults(&FaultConfig::new(7).with_scrub(64), 0);
+            }
+            let done = soak_checked(&mut c, 40_000, 1 + p as u64);
+            let label = format!("{} / {policy:?}", v.label());
+            assert!(done.len() > 500, "{label}: only {} done", done.len());
+            let dram = c.channel.stats;
+            assert!(dram.refreshes > 0, "{label}: no refresh (PREA) ran");
+            assert!(dram.row_hits > 0, "{label}: no row hits");
+        }
     }
 }

@@ -1321,7 +1321,8 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
         // provably quiet — the CPU horizon covers all cores and the
         // backlog, the delivery heap's top bounds fill arrivals, and each
         // skipped controller slot lands strictly before its owner's wake —
-        // so replaying them is pure bulk stats accounting.
+        // so replaying them is pure bulk stats accounting (the cores charge
+        // their stalled cycles themselves when they next tick).
         let next = now + 1;
         now = if !skip || next >= total {
             next
@@ -1367,7 +1368,6 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
                 h = h.min(total);
             }
             if h > next {
-                cmp.account_skipped_cycles(h - next);
                 if backlog_ch != usize::MAX {
                     ctrls[backlog_ch].account_rejected(h - next);
                 }
@@ -1397,6 +1397,7 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
     for (c, &n) in ctrls.iter_mut().zip(&ctrl_skipped) {
         c.account_skipped_ticks(n);
     }
+    cmp.settle_stalls(total);
 
     Ok(DriveOutput {
         ctrls,
