@@ -33,6 +33,16 @@ pub enum RowOutcome {
     Closed,
 }
 
+/// Command class of an `earliest_*` dual: which of a rank's shared
+/// floors ([`Channel::floors`]) the command waits on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmdClass {
+    Read = 0,
+    Write = 1,
+    Activate = 2,
+    Precharge = 3,
+}
+
 /// Number of ACTs tracked by the tFAW sliding window.
 const FAW_ACTS: usize = 4;
 
@@ -109,6 +119,14 @@ pub struct Channel {
     /// for this; the owner may keep streaming (its row buffer is already
     /// connected).
     gbl_busy_until: Vec<Cycle>,
+    /// Per rank: the rank-wide part of each `earliest_*` dual, indexed by
+    /// [`CmdClass`]. Recomputed by every command (they all move the
+    /// command bus) and by power-down transitions.
+    floors: Vec<[Cycle; 4]>,
+    /// Per physical bank: bumped by every change to the bank's μbank or
+    /// global-bitline state, and by a row-hit arrival. A value derived
+    /// from one bank's state stays exact while its epoch is unchanged.
+    bank_epoch: Vec<u64>,
     pub stats: DramStats,
     /// Per-μbank heat counters; `None` (the default) costs one branch per
     /// hook site.
@@ -122,7 +140,7 @@ impl Channel {
         let ubanks_per_rank = cfg.banks_per_rank * ubanks_per_bank;
         let total = ubanks_per_rank * cfg.ranks_per_channel;
         let physical_banks = cfg.banks_per_rank * cfg.ranks_per_channel;
-        Channel {
+        let mut ch = Channel {
             t,
             ubanks_per_rank,
             banks_per_rank: cfg.banks_per_rank,
@@ -140,9 +158,13 @@ impl Channel {
             ubanks_per_bank,
             gbl_owner: vec![NO_GBL_OWNER; physical_banks],
             gbl_busy_until: vec![0; physical_banks],
+            floors: vec![[0; 4]; cfg.ranks_per_channel],
+            bank_epoch: vec![0; physical_banks],
             stats: DramStats::default(),
             telemetry: None,
-        }
+        };
+        ch.refresh_floors();
+        ch
     }
 
     /// Attach per-μbank heat counters (shape derived from the channel's
@@ -180,8 +202,27 @@ impl Channel {
     /// Global physical-bank index of a μbank. μbanks of one physical bank
     /// are contiguous in `banks` (`flat = (rank·banksPerRank + bank)·
     /// ubanksPerBank + within`), so this is a single divide.
-    fn bank_of(&self, flat: usize) -> usize {
+    pub fn bank_of(&self, flat: usize) -> usize {
         flat / self.ubanks_per_bank
+    }
+
+    /// Per physical bank (see [`Channel::bank_of`]), the state epoch: it
+    /// changes whenever anything an `act_blocker`, `local_*` or row-hit
+    /// lookup of one of the bank's μbanks reads may have changed.
+    pub fn bank_epochs(&self) -> &[u64] {
+        &self.bank_epoch
+    }
+
+    fn touch_bank(&mut self, flat: usize) {
+        let bank = self.bank_of(flat);
+        self.bank_epoch[bank] += 1;
+    }
+
+    fn touch_rank(&mut self, rank: usize) {
+        let per_rank = self.banks_per_rank;
+        for e in &mut self.bank_epoch[rank * per_rank..(rank + 1) * per_rank] {
+            *e += 1;
+        }
     }
 
     /// The variant's structural issue rules (as stored at construction).
@@ -265,11 +306,13 @@ impl Channel {
                 rs.wake_ready = now + self.t.t_xp;
                 rs.last_activity = now;
                 self.stats.powerdown_rank_cycles += now - rs.pd_since;
+                self.refresh_floors();
             }
         } else if !has_work && all_idle && now >= rs.last_activity + idle {
             rs.powered_down = true;
             rs.pd_since = now;
             self.stats.powerdown_entries += 1;
+            self.refresh_floors();
         }
     }
 
@@ -317,6 +360,8 @@ impl Channel {
         rs.last_act = Some(now);
         rs.last_activity = now;
         self.next_cmd = now + self.t.t_cmd;
+        self.touch_bank(flat);
+        self.refresh_floors();
         self.stats.activates += 1;
         if let Some(tel) = &mut self.telemetry {
             tel.heat.activates[flat] += 1;
@@ -326,7 +371,9 @@ impl Channel {
     /// Classify (and count) the row-buffer outcome of a request arriving
     /// for `row` in μbank `flat`. Updates both the channel's aggregate
     /// stats and, when telemetry is attached, the per-μbank heat counters
-    /// — one call site for both so they can never diverge.
+    /// — one call site for both so they can never diverge. A hit bumps the
+    /// bank's epoch: it raises the open row's demand, which can turn
+    /// another queued request's conflict precharge into a wait.
     pub fn classify_arrival(&mut self, flat: usize, row: u32) -> RowOutcome {
         let outcome = match self.banks[flat].open_row {
             Some(r) if r == row => RowOutcome::Hit,
@@ -334,7 +381,10 @@ impl Channel {
             None => RowOutcome::Closed,
         };
         match outcome {
-            RowOutcome::Hit => self.stats.row_hits += 1,
+            RowOutcome::Hit => {
+                self.stats.row_hits += 1;
+                self.touch_bank(flat);
+            }
             RowOutcome::Conflict => self.stats.row_conflicts += 1,
             RowOutcome::Closed => self.stats.row_closed += 1,
         }
@@ -398,6 +448,8 @@ impl Channel {
         self.take_gbl(flat, self.data_free);
         self.next_col_cmd = now + self.t.t_ccd;
         self.next_cmd = now + self.t.t_cmd;
+        self.touch_bank(flat);
+        self.refresh_floors();
         self.stats.reads += 1;
         self.stats.data_bus_busy += self.t.t_burst;
         done
@@ -413,6 +465,8 @@ impl Channel {
         self.take_gbl(flat, self.data_free);
         self.next_col_cmd = now + self.t.t_ccd;
         self.next_cmd = now + self.t.t_cmd;
+        self.touch_bank(flat);
+        self.refresh_floors();
         self.stats.writes += 1;
         self.stats.data_bus_busy += self.t.t_burst;
         done
@@ -434,6 +488,8 @@ impl Channel {
         self.ranks[rank].last_activity = now;
         self.banks[flat].precharge(now, &self.t);
         self.next_cmd = now + self.t.t_cmd;
+        self.touch_bank(flat);
+        self.refresh_floors();
         self.stats.precharges += 1;
     }
 
@@ -451,6 +507,7 @@ impl Channel {
                 b.open_row = None;
                 b.next_act = ready;
                 b.next_col = Cycle::MAX;
+                self.touch_bank(flat);
                 self.stats.precharges += 1;
                 return true;
             }
@@ -486,6 +543,8 @@ impl Channel {
             }
         }
         self.next_cmd = now + self.t.t_cmd;
+        self.touch_rank(rank);
+        self.refresh_floors();
     }
 
     /// Is a refresh overdue for `rank` at `now`?
@@ -531,6 +590,8 @@ impl Channel {
         rs.refresh_until = done;
         rs.refresh_due += self.t.t_refi;
         self.next_cmd = now + self.t.t_cmd;
+        self.touch_rank(rank);
+        self.refresh_floors();
         self.stats.refreshes += 1;
     }
 
@@ -559,6 +620,8 @@ impl Channel {
         self.ranks[rank].last_activity = now;
         self.banks[flat].refresh_until(now + self.t.t_rc());
         self.next_cmd = now + self.t.t_cmd;
+        self.touch_bank(flat);
+        self.refresh_floors();
         self.stats.scrubs += 1;
     }
 
@@ -598,10 +661,15 @@ impl Channel {
     //
     // Every `can_*` check is a conjunction of monotone thresholds on `now`
     // (`now >= timer`), so with the channel state frozen each predicate has
-    // an exact first-true cycle: the max of its timers. The controller's
-    // `next_event` folds these to prove how long it can sleep; the duals
-    // below MUST stay in lockstep with their predicates (pinned by the
-    // `earliest_*_duals_are_exact` tests).
+    // an exact first-true cycle: the max of its timers. Each dual splits
+    // into `max(floor, local)`: the *floor* holds the timers the whole rank
+    // shares (command bus, tCCD, data bus, tWTR, tRRD, tFAW, refresh and
+    // power-down readiness) and moves with every command; the *local* part
+    // reads one μbank (its open row and timers, SALP's global-bitline
+    // release) and moves only when that μbank's bank epoch does. The
+    // controller's `next_event` folds these to prove how long it can sleep;
+    // the duals below MUST stay in lockstep with their predicates (pinned
+    // by the `earliest_*_duals_are_exact` tests).
 
     /// Earliest cycle `rank` can accept any command: end of an in-flight
     /// refresh and of a power-down exit (tXP). A rank that is powered down
@@ -615,50 +683,73 @@ impl Channel {
         rs.refresh_until.max(rs.wake_ready)
     }
 
-    /// Earliest cycle [`Channel::can_activate_flat`] becomes true with the
-    /// channel state frozen. `Cycle::MAX` while the μbank holds an open row
-    /// (a PRE — itself a folded event — must land first).
-    pub fn earliest_activate_flat(&self, flat: usize) -> Cycle {
+    /// The rank-wide floors of `rank`, computed from the timers.
+    fn floors_from_scratch(&self, rank: usize) -> [Cycle; 4] {
+        let rs = &self.ranks[rank];
+        let ready = self.next_cmd.max(self.rank_ready_at(rank));
+        let column = ready.max(self.next_col_cmd);
+        // `burst_start = now + lat >= data_free` solved for `now`.
+        let read = column
+            .max(self.data_free.saturating_sub(self.t.t_aa))
+            .max(rs.last_wr_data_end + self.t.t_wtr);
+        let write = column.max(self.data_free.saturating_sub(self.t.t_cwl));
+        let mut activate = ready;
+        if let Some(a) = rs.last_act {
+            activate = activate.max(a + self.t.t_rrd);
+        }
+        if rs.act_window.len() == FAW_ACTS {
+            activate = activate.max(rs.act_window[0] + self.t.t_faw);
+        }
+        [read, write, activate, ready]
+    }
+
+    fn refresh_floors(&mut self) {
+        for rank in 0..self.ranks.len() {
+            self.floors[rank] = self.floors_from_scratch(rank);
+        }
+    }
+
+    /// Per rank, the rank-wide floor of each command class's dual, indexed
+    /// by [`CmdClass`]: `earliest_*` = `max(floor, local_*)`.
+    pub fn floors(&self) -> &[[Cycle; 4]] {
+        &self.floors
+    }
+
+    /// Compare every rank's stored floors with a recomputation from the
+    /// timers and report the first disagreement (a test hook).
+    #[doc(hidden)]
+    pub fn check_floors(&self) -> Result<(), String> {
+        for rank in 0..self.ranks.len() {
+            let want = self.floors_from_scratch(rank);
+            if self.floors[rank] != want {
+                return Err(format!(
+                    "rank {rank} floors {:?}, recomputed {want:?}",
+                    self.floors[rank]
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// μbank-local part of [`Channel::earliest_activate_flat`]: `next_act`,
+    /// or `Cycle::MAX` while the μbank holds an open row.
+    pub fn local_activate_flat(&self, flat: usize) -> Cycle {
         let b = &self.banks[flat];
         if b.open_row.is_some() {
             return Cycle::MAX;
         }
-        let rank = self.rank_of(flat);
-        let rs = &self.ranks[rank];
-        let mut t = self.next_cmd.max(self.rank_ready_at(rank)).max(b.next_act);
-        if let Some(a) = rs.last_act {
-            t = t.max(a + self.t.t_rrd);
-        }
-        if rs.act_window.len() == FAW_ACTS {
-            t = t.max(rs.act_window[0] + self.t.t_faw);
-        }
-        t
+        b.next_act
     }
 
-    /// Earliest cycle a column command to `flat`'s currently open row
-    /// becomes legal ([`Channel::can_column_flat`] dual). The caller must
-    /// have checked that the open row matches the request; `Cycle::MAX`
-    /// while the μbank is precharged.
-    pub fn earliest_column_flat(&self, flat: usize, is_write: bool) -> Cycle {
+    /// μbank-local part of [`Channel::earliest_column_flat`]: `next_col`
+    /// and, when the variant shares global bitlines, the in-flight burst's
+    /// release for a non-owner subarray. `Cycle::MAX` while precharged.
+    pub fn local_column_flat(&self, flat: usize) -> Cycle {
         let b = &self.banks[flat];
         if b.open_row.is_none() {
             return Cycle::MAX;
         }
-        let rank = self.rank_of(flat);
-        let lat = if is_write { self.t.t_cwl } else { self.t.t_aa };
-        let mut t = self
-            .next_cmd
-            .max(self.next_col_cmd)
-            .max(self.rank_ready_at(rank))
-            .max(b.next_col)
-            // `burst_start = now + lat >= data_free` solved for `now`.
-            .max(self.data_free.saturating_sub(lat));
-        if !is_write {
-            t = t.max(self.ranks[rank].last_wr_data_end + self.t.t_wtr);
-        }
-        // Shared-global-bitline release is a frozen timer, so the dual
-        // stays exact: a non-owner subarray's first legal cycle includes
-        // the in-flight burst's end.
+        let mut t = b.next_col;
         if self.rules.shared_global_bitlines {
             let bank = self.bank_of(flat);
             if self.gbl_owner[bank] != flat as u32 {
@@ -666,6 +757,38 @@ impl Channel {
             }
         }
         t
+    }
+
+    /// μbank-local part of [`Channel::earliest_precharge_flat`]:
+    /// `next_pre`, or `Cycle::MAX` while the μbank is precharged.
+    pub fn local_precharge_flat(&self, flat: usize) -> Cycle {
+        let b = &self.banks[flat];
+        if b.open_row.is_none() {
+            return Cycle::MAX;
+        }
+        b.next_pre
+    }
+
+    /// Earliest cycle [`Channel::can_activate_flat`] becomes true with the
+    /// channel state frozen. `Cycle::MAX` while the μbank holds an open row
+    /// (a PRE — itself a folded event — must land first).
+    pub fn earliest_activate_flat(&self, flat: usize) -> Cycle {
+        let floor = self.floors[self.rank_of(flat)][CmdClass::Activate as usize];
+        self.local_activate_flat(flat).max(floor)
+    }
+
+    /// Earliest cycle a column command to `flat`'s currently open row
+    /// becomes legal ([`Channel::can_column_flat`] dual). The caller must
+    /// have checked that the open row matches the request; `Cycle::MAX`
+    /// while the μbank is precharged.
+    pub fn earliest_column_flat(&self, flat: usize, is_write: bool) -> Cycle {
+        let class = if is_write {
+            CmdClass::Write
+        } else {
+            CmdClass::Read
+        };
+        let floor = self.floors[self.rank_of(flat)][class as usize];
+        self.local_column_flat(flat).max(floor)
     }
 
     /// Earliest cycle [`Channel::can_activate_row_flat`] becomes true with
@@ -684,12 +807,8 @@ impl Channel {
     /// Earliest cycle [`Channel::can_precharge_flat`] becomes true;
     /// `Cycle::MAX` while the μbank is already precharged.
     pub fn earliest_precharge_flat(&self, flat: usize) -> Cycle {
-        let b = &self.banks[flat];
-        if b.open_row.is_none() {
-            return Cycle::MAX;
-        }
-        let rank = self.rank_of(flat);
-        self.next_cmd.max(self.rank_ready_at(rank)).max(b.next_pre)
+        let floor = self.floors[self.rank_of(flat)][CmdClass::Precharge as usize];
+        self.local_precharge_flat(flat).max(floor)
     }
 
     /// Earliest cycle [`Channel::can_precharge_all`] becomes true for
@@ -919,12 +1038,14 @@ mod tests {
         assert_eq!(ch.stats.powerdown_entries, 1);
         // Commands are rejected while powered down.
         assert!(!ch.can_activate_flat(f, pre_at + 1500));
+        assert_eq!(ch.earliest_activate_flat(f), Cycle::MAX);
         // Work arrives: wake; tXP gates the first command.
         let wake_at = pre_at + 2000;
         ch.update_powerdown(0, wake_at, true);
         assert!(!ch.is_powered_down(0));
         assert!(!ch.can_activate_flat(f, wake_at + t.t_xp - 1));
         assert!(ch.can_activate_flat(f, wake_at + t.t_xp));
+        assert_eq!(ch.earliest_activate_flat(f), wake_at + t.t_xp);
         // Power-down residency was accounted.
         assert_eq!(ch.stats.powerdown_rank_cycles, wake_at - (pre_at + 1001));
     }

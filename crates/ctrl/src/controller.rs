@@ -5,6 +5,13 @@
 //! Each [`MemoryController::tick`] issues at most one DRAM command, chosen
 //! in priority order: refresh management, then the scheduler's best demand
 //! command, then policy-driven speculative precharges.
+//!
+//! Every queued request carries its cached next command
+//! ([`crate::queue::NextCmd`]), re-derived from μbank state only when the
+//! channel's epoch for the request's physical bank moved. The demand
+//! candidate scan and the [`MemoryController::next_event`] fold compare
+//! each entry's μbank-local deadline with its rank's shared floor
+//! ([`Channel::floors`]) and read no μbank state (DESIGN §5f).
 
 use crate::policy::PolicyKind;
 use crate::predictor::{
@@ -12,10 +19,10 @@ use crate::predictor::{
     TournamentPredictor,
 };
 use crate::qos::{QosConfig, QosRegulator};
-use crate::queue::RequestQueue;
+use crate::queue::{NextCmd, RequestQueue};
 use crate::scheduler::{Action, Candidate, Scheduler, SchedulerKind};
 use microbank_core::address::AddressMap;
-use microbank_core::channel::{Channel, RowOutcome};
+use microbank_core::channel::{Channel, CmdClass, RowOutcome};
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, TenantId};
 use microbank_core::Cycle;
@@ -438,65 +445,29 @@ impl MemoryController {
         self.scheduler.maybe_form_batch(&mut self.queue);
 
         self.scratch.clear();
-        for idx in self.queue.indices() {
-            let r = self.queue.get(idx);
-            let flat = r.flat as usize;
-            let rank = r.loc.rank as usize;
-            if self.refresh_draining[rank] {
+        let floors = self.channel.floors();
+        let (entries, marked, cmds) = self.queue.split_next_cmds();
+        for (idx, (r, n)) in entries.iter().zip(cmds).enumerate() {
+            revalidate(&self.channel, &self.open_hits, r, n);
+            let rank = n.rank as usize;
+            if self.refresh_draining[rank] || n.local.max(floors[rank][n.class as usize]) > now {
                 continue;
             }
-            let action = match self.channel.open_row_flat(flat) {
-                Some(open) if open == r.loc.row => {
-                    if self
-                        .channel
-                        .can_column_flat(flat, r.loc.row, r.is_write(), now)
-                    {
-                        Some(Action::Column)
-                    } else {
-                        None
-                    }
-                }
-                Some(_) => {
-                    // Conflict: close the open row unless another queued
-                    // request still wants it (serve hits before closing).
-                    if self.open_hits[flat] == 0 && self.channel.can_precharge_flat(flat, now) {
-                        Some(Action::PrechargeConflict)
-                    } else {
-                        None
-                    }
-                }
-                None => {
-                    if let Some(victim) = self.channel.act_blocker(flat, r.loc.row) {
-                        // The device variant's structural rules block this
-                        // ACT behind a sibling μbank's open row (DESIGN
-                        // §5h). Close the named victim — unless another
-                        // queued request still hits its row (serve hits
-                        // before closing, as in the conflict arm).
-                        if self.open_hits[victim] == 0
-                            && self.channel.can_precharge_flat(victim, now)
-                        {
-                            Some(Action::PrechargeVictim(victim as u32))
-                        } else {
-                            None
-                        }
-                    } else if self.channel.can_activate_flat(flat, now) {
-                        Some(Action::Activate)
-                    } else {
-                        None
-                    }
-                }
+            let action = match n.class {
+                CmdClass::Read | CmdClass::Write => Action::Column,
+                CmdClass::Activate => Action::Activate,
+                CmdClass::Precharge if n.target == r.flat => Action::PrechargeConflict,
+                CmdClass::Precharge => Action::PrechargeVictim(n.target),
             };
-            if let Some(action) = action {
-                self.scratch.push(Candidate {
-                    idx,
-                    action,
-                    id: r.id,
-                    marked: self.queue.is_marked(idx),
-                    thread: r.thread,
-                    arrival: r.arrival,
-                    tenant: r.tenant,
-                });
-            }
+            self.scratch.push(Candidate {
+                idx,
+                action,
+                id: r.id,
+                marked: marked[idx],
+                thread: r.thread,
+                arrival: r.arrival,
+                tenant: r.tenant,
+            });
         }
         // Write-drain watermark mode: batch writes to amortize tWTR.
         if let Some(wd) = self.write_drain {
@@ -842,10 +813,10 @@ impl MemoryController {
     /// - a draining rank contributes its earliest PREA (or demands a tick
     ///   when already idle, since REF only waits for the drain); an armed
     ///   refresh schedule contributes its next deadline;
-    /// - each queued request contributes the earliest legal cycle of the
-    ///   action the candidate scan would pick for it (column for an open
-    ///   row match, conflict-precharge when no other request still hits
-    ///   the open row, activate when closed);
+    /// - each queued request contributes the earliest legal cycle of its
+    ///   cached next command, `max(local, rank floor)` (column for an open
+    ///   row match, conflict or victim precharge unless another request
+    ///   still hits the row it would close, activate when closed);
     /// - pending policy precharges contribute their earliest PRE; armed
     ///   close deadlines contribute `max(deadline, earliest PRE)` —
     ///   promotion into `pre_due` is pure catch-up at the next executed
@@ -908,45 +879,20 @@ impl MemoryController {
                 next = next.min(at);
             }
         }
-        // Demand queue: earliest legal cycle of each request's candidate
-        // action. Queue content and open rows are frozen for the whole
+        // Demand queue: earliest legal cycle of each request's next
+        // command. Queue content and open rows are frozen for the whole
         // skip stretch (an enqueue resets the caller's wake; removals and
-        // row changes require ticks), so the `open_hits` routing below
-        // cannot change mid-stretch.
-        for idx in self.queue.indices() {
-            let r = self.queue.get(idx);
-            let flat = r.flat as usize;
-            if self.refresh_draining[r.loc.rank as usize] {
+        // row changes require ticks), so the cached commands cannot change
+        // mid-stretch.
+        let floors = self.channel.floors();
+        let (entries, _, cmds) = self.queue.split_next_cmds();
+        for (r, n) in entries.iter().zip(cmds) {
+            revalidate(&self.channel, &self.open_hits, r, n);
+            let rank = n.rank as usize;
+            if self.refresh_draining[rank] {
                 continue;
             }
-            let at = match self.channel.open_row_flat(flat) {
-                Some(open) if open == r.loc.row => {
-                    self.channel.earliest_column_flat(flat, r.is_write())
-                }
-                Some(_) => {
-                    if self.open_hits[flat] > 0 {
-                        // The hit holder's own column fold covers this
-                        // μbank's next state change.
-                        continue;
-                    }
-                    self.channel.earliest_precharge_flat(flat)
-                }
-                None => {
-                    if let Some(victim) = self.channel.act_blocker(flat, r.loc.row) {
-                        if self.open_hits[victim] > 0 {
-                            // The hit holder's own column fold covers the
-                            // victim's next state change.
-                            continue;
-                        }
-                        // Mirror of the scan's PrechargeVictim arm: the
-                        // victim's precharge is the first event that can
-                        // unblock this request's ACT.
-                        self.channel.earliest_precharge_flat(victim)
-                    } else {
-                        self.channel.earliest_activate_flat(flat)
-                    }
-                }
-            };
+            let at = n.local.max(floors[rank][n.class as usize]);
             if at <= now {
                 return None;
             }
@@ -1007,9 +953,11 @@ impl MemoryController {
     }
 
     /// Recount the incrementally-maintained scheduling state from the
-    /// queue and the channel — every μbank's open-row hit count and the
-    /// PAR-BS marked count — and report the first disagreement. A test
-    /// hook: the hot path trusts these counters instead of rescanning.
+    /// queue and the channel — every μbank's open-row hit count, the
+    /// PAR-BS marked count, the channel's rank floors and every
+    /// epoch-current cached next command — and report the first
+    /// disagreement. A test hook: the hot path trusts these instead of
+    /// rescanning.
     #[doc(hidden)]
     pub fn check_indexes(&self) -> Result<(), String> {
         let mut hits = vec![0u32; self.open_hits.len()];
@@ -1034,6 +982,23 @@ impl MemoryController {
         if have != want {
             return Err(format!("marked count = {have}, recount {want}"));
         }
+        self.channel.check_floors()?;
+        let epochs = self.channel.bank_epochs();
+        for (r, n) in self.queue.iter().zip(self.queue.next_cmds()) {
+            let bank = self.channel.bank_of(r.flat as usize);
+            if n.bank as usize != bank || n.rank != r.loc.rank as u16 {
+                return Err(format!("request {}: cached bank/rank {n:?}", r.id));
+            }
+            if n.epoch == epochs[bank] {
+                let want = derive_next_cmd(&self.channel, &self.open_hits, r);
+                if (n.class, n.target, n.local) != want {
+                    return Err(format!(
+                        "request {}: cached {n:?} at epoch {}, derived {want:?}",
+                        r.id, epochs[bank]
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -1045,6 +1010,54 @@ impl MemoryController {
     /// Active page policy.
     pub fn policy(&self) -> PolicyKind {
         self.policy
+    }
+}
+
+/// Re-derive `r`'s cached next command if its physical bank changed since
+/// the last derivation.
+#[inline]
+fn revalidate(ch: &Channel, open_hits: &[u32], r: &MemRequest, n: &mut NextCmd) {
+    let epoch = ch.bank_epochs()[n.bank as usize];
+    if n.epoch != epoch {
+        (n.class, n.target, n.local) = derive_next_cmd(ch, open_hits, r);
+        n.epoch = epoch;
+    }
+}
+
+/// The next DRAM command queued request `r` needs, from the channel's
+/// current state: `(class, target μbank, μbank-local earliest cycle)`.
+/// Everything it reads lies in `r`'s physical bank — the μbank's open row
+/// and timers, the structural victim (always a sibling) and both μbanks'
+/// `open_hits` — so it stays exact while that bank's epoch is unchanged.
+fn derive_next_cmd(ch: &Channel, open_hits: &[u32], r: &MemRequest) -> (CmdClass, u32, Cycle) {
+    let flat = r.flat as usize;
+    // Serve hits before closing: a precharge waits (`Cycle::MAX`) while
+    // another queued request still hits the row it would close.
+    let precharge = |target: usize| {
+        let local = if open_hits[target] == 0 {
+            ch.local_precharge_flat(target)
+        } else {
+            Cycle::MAX
+        };
+        (CmdClass::Precharge, target as u32, local)
+    };
+    match ch.open_row_flat(flat) {
+        Some(open) if open == r.loc.row => {
+            let class = if r.is_write() {
+                CmdClass::Write
+            } else {
+                CmdClass::Read
+            };
+            (class, r.flat, ch.local_column_flat(flat))
+        }
+        // Conflict: close the open row.
+        Some(_) => precharge(flat),
+        // The device variant's structural rules may block this ACT behind
+        // a sibling μbank's open row (DESIGN §5h): close that victim.
+        None => match ch.act_blocker(flat, r.loc.row) {
+            Some(victim) => precharge(victim),
+            None => (CmdClass::Activate, r.flat, ch.local_activate_flat(flat)),
+        },
     }
 }
 
@@ -1136,6 +1149,50 @@ mod tests {
         );
         let f0 = 0usize; // bank 0, subarray 0 is flat 0
         assert_eq!(c.channel.open_row_flat(f0), None, "victim was closed");
+    }
+
+    /// The perfect predictor's oracle precharge closes a row at enqueue
+    /// time. A sibling request whose cached command was "precharge that
+    /// row as the structural victim" must be re-derived (into an ACT).
+    #[test]
+    fn oracle_precharge_revalidates_a_sibling_blocked_behind_it() {
+        use microbank_core::variant::{DeviceVariant, SalpMode};
+        let cf = MemConfig::lpddr_tsi()
+            .with_variant(DeviceVariant::Salp {
+                subarrays: 2,
+                mode: SalpMode::Salp1,
+            })
+            .with_channels(1)
+            .with_refresh(false);
+        // FR-FCFS: a pending PAR-BS batch would stop `next_event` before
+        // its demand fold derives the queued commands.
+        let perfect = PolicyKind::Predictive(PredictorKind::Perfect);
+        let mut c = MemoryController::new(&cf, SchedulerKind::FrFcfs, perfect, 4);
+        c.enqueue(mkreq_at(1, 0, 0, 0, 7, ReqKind::Read), 0);
+        let _ = run_until(&mut c, 1, 10_000);
+        // Subarray 1 is blocked behind subarray 0's open row 7.
+        c.enqueue(mkreq_at(2, 0, 0, 1, 3, ReqKind::Read), 10_000);
+        assert_eq!(c.next_event(10_000), None, "the victim PRE is legal now");
+        c.check_indexes().unwrap();
+        // A different row for subarray 0: the oracle closes row 7.
+        c.enqueue(mkreq_at(3, 0, 0, 0, 9, ReqKind::Read), 10_000);
+        assert_eq!(c.channel.open_row_flat(0), None, "oracle precharge fired");
+        c.check_indexes().unwrap();
+    }
+
+    /// A refresh of an already idle rank pushes every μbank's `next_act`
+    /// past tRFC; a cached ACT must not keep its old local deadline.
+    #[test]
+    fn refresh_of_an_idle_rank_revalidates_cached_activates() {
+        let cf = MemConfig::lpddr_tsi().with_ubanks(1, 1).with_channels(1);
+        // FR-FCFS, as above, so that `next_event` derives the command.
+        let mut c = MemoryController::new(&cf, SchedulerKind::FrFcfs, PolicyKind::Open, 4);
+        let due = c.channel.next_refresh_at(0).unwrap();
+        c.enqueue(mkreq(&c, 1, 0, ReqKind::Read, 0), due - 1);
+        assert_eq!(c.next_event(due - 1), None, "the ACT is legal now");
+        c.tick(due);
+        assert_eq!(c.channel.stats.refreshes, 1);
+        c.check_indexes().unwrap();
     }
 
     #[test]

@@ -13,16 +13,44 @@
 //!
 //! The queue also stamps each entry's flat μbank index
 //! ([`MemRequest::flat`]) on push, so per-tick scans never recompute
-//! [`microbank_core::address::Location::ubank_flat`], and carries each
-//! entry's PAR-BS batch mark beside it, so selection never looks a
-//! request up by id.
+//! [`microbank_core::address::Location::ubank_flat`], and carries two
+//! values beside each entry, swapped together by [`RequestQueue::remove`]:
+//!
+//! - its PAR-BS batch mark, so selection never looks a request up by id;
+//! - its cached next DRAM command ([`NextCmd`]), which the controller
+//!   re-derives only when the entry's physical bank changed, so the
+//!   candidate scan and the `next_event` fold read no μbank state.
 
+use microbank_core::channel::CmdClass;
 use microbank_core::config::MemConfig;
 use microbank_core::request::MemRequest;
+use microbank_core::Cycle;
 
 // Hot-loop hasher shared across the workspace (see `microbank_core::fxhash`
 // for why the swap from SipHash is behavior-identical here).
 pub use microbank_core::fxhash::{FxBuild, FxHasher};
+
+/// A queued request's next DRAM command as the controller last derived
+/// it. Its earliest legal cycle is `max(local, channel floor of (rank,
+/// class))`; the value is exact while `epoch` equals the channel's epoch
+/// of physical bank `bank`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NextCmd {
+    /// μbank-local part of the command's earliest legal cycle. A
+    /// precharge that must wait until no queued request hits the target's
+    /// open row has `Cycle::MAX`: the hit holder's column changes the
+    /// epoch first.
+    pub local: Cycle,
+    /// Bank epoch the command was derived at (`u64::MAX` = never).
+    pub epoch: u64,
+    /// μbank the command goes to: the request's own, or for a precharge
+    /// the sibling that structurally blocks its ACT.
+    pub target: u32,
+    /// Global physical-bank index of the request's μbank.
+    pub bank: u32,
+    pub rank: u16,
+    pub class: CmdClass,
+}
 
 /// Bounded request queue with per-μbank and per-rank occupancy tracking.
 #[derive(Debug, Clone)]
@@ -30,6 +58,10 @@ pub struct RequestQueue {
     entries: Vec<MemRequest>,
     /// PAR-BS batch mark of each entry, parallel to `entries`.
     marked: Vec<bool>,
+    /// Cached next command of each entry, parallel to `entries`.
+    next: Vec<NextCmd>,
+    /// μbanks per physical bank, to stamp [`NextCmd::bank`] on push.
+    ubanks_per_bank: usize,
     capacity: usize,
     /// Pending-request count per flat μbank index (channel-local).
     per_bank: Vec<u32>,
@@ -44,6 +76,8 @@ impl RequestQueue {
         RequestQueue {
             entries: Vec::with_capacity(cfg.queue_size),
             marked: Vec::with_capacity(cfg.queue_size),
+            next: Vec::with_capacity(cfg.queue_size),
+            ubanks_per_bank: cfg.ubank.ubanks_per_bank(),
             capacity: cfg.queue_size,
             per_bank: vec![0; cfg.ubanks_per_channel()],
             per_rank: vec![0; cfg.ranks_per_channel],
@@ -74,7 +108,8 @@ impl RequestQueue {
 
     /// Try to enqueue; returns `false` (and drops nothing) when full. The
     /// request's `loc` must already be decoded and channel-local; its
-    /// cached flat index is stamped here. New entries are unmarked.
+    /// cached flat index is stamped here. New entries are unmarked, and
+    /// their cached next command is stale.
     pub fn push(&mut self, mut req: MemRequest, flat_ubank: usize) -> bool {
         if self.is_full() {
             return false;
@@ -83,6 +118,14 @@ impl RequestQueue {
         self.per_bank[flat_ubank] += 1;
         self.per_rank[req.loc.rank as usize] += 1;
         self.writes += req.is_write() as usize;
+        self.next.push(NextCmd {
+            local: Cycle::MAX,
+            epoch: u64::MAX,
+            target: req.flat,
+            bank: (flat_ubank / self.ubanks_per_bank) as u32,
+            rank: req.loc.rank as u16,
+            class: CmdClass::Activate,
+        });
         self.entries.push(req);
         self.marked.push(false);
         true
@@ -93,6 +136,7 @@ impl RequestQueue {
     pub fn remove(&mut self, idx: usize) -> MemRequest {
         let req = self.entries.swap_remove(idx);
         self.marked.swap_remove(idx);
+        self.next.swap_remove(idx);
         self.per_bank[req.flat as usize] -= 1;
         self.per_rank[req.loc.rank as usize] -= 1;
         self.writes -= req.is_write() as usize;
@@ -110,6 +154,17 @@ impl RequestQueue {
     /// Is the entry at `idx` part of the current PAR-BS batch?
     pub fn is_marked(&self, idx: usize) -> bool {
         self.marked[idx]
+    }
+
+    /// Cached next command of every entry, by entry index.
+    pub(crate) fn next_cmds(&self) -> &[NextCmd] {
+        &self.next
+    }
+
+    /// The entries and their marks beside their cached next commands, for
+    /// re-deriving those during a scan.
+    pub(crate) fn split_next_cmds(&mut self) -> (&[MemRequest], &[bool], &mut [NextCmd]) {
+        (&self.entries, &self.marked, &mut self.next)
     }
 
     /// Put the entry at `idx` into the current PAR-BS batch.
@@ -220,5 +275,25 @@ mod tests {
         let (r, f) = req(3, 3 * 64, &c);
         q.push(r, f);
         assert!(!q.is_marked(2), "new entries start unmarked");
+    }
+
+    #[test]
+    fn next_cmds_follow_their_entry_through_swap_remove() {
+        let c = cfg();
+        let mut q = RequestQueue::new(&c);
+        for i in 0..3 {
+            let (r, f) = req(i, i << 14, &c);
+            q.push(r, f);
+        }
+        let per_bank = c.ubank.ubanks_per_bank();
+        for (r, n) in q.iter().zip(q.next_cmds()) {
+            assert_eq!(n.bank as usize, r.flat as usize / per_bank);
+            assert_eq!(n.epoch, u64::MAX, "pushed stale");
+        }
+        q.split_next_cmds().2[2].local = 42;
+        q.remove(0);
+        assert_eq!(q.get(0).id, 2);
+        assert_eq!(q.next_cmds()[0].local, 42);
+        assert_eq!(q.next_cmds().len(), 2);
     }
 }

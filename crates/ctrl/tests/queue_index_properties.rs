@@ -2,14 +2,17 @@
 //! state.
 //!
 //! The request queue keeps per-μbank, per-rank and write counts; the
-//! controller keeps a per-μbank open-row hit count and the scheduler a
-//! PAR-BS marked count. The hot path trusts all of them instead of
-//! rescanning the queue, so any drift silently changes scheduling
-//! decisions. The queue property test checks its counts against a naive
-//! rescan under arbitrary pushes and removals; the controller soak checks
-//! the open-row hit and marked counts after every enqueue and tick, across
-//! device variants, with refresh (PREA), the perfect predictor (oracle
-//! precharge), a close-page policy (policy precharge) and patrol scrub.
+//! controller keeps a per-μbank open-row hit count, the scheduler a PAR-BS
+//! marked count, the channel each rank's dual floors, and the queue every
+//! entry's cached next command, revalidated by bank epoch. The hot path
+//! trusts all of them instead of rescanning the queue, so any drift
+//! silently changes scheduling decisions. The queue property test checks
+//! its counts against a naive rescan under arbitrary pushes and removals;
+//! the controller soak checks the rest after every enqueue, tick and
+//! `next_event` (which re-derives the commands the tick made stale),
+//! across device variants, with refresh (PREA), the perfect predictor
+//! (oracle precharge), a close-page policy (policy precharge) and patrol
+//! scrub.
 
 use microbank_core::address::AddressMap;
 use microbank_core::config::MemConfig;
@@ -100,7 +103,7 @@ proptest! {
 }
 
 /// Drive `c` with random traffic for `cycles`, checking the controller's
-/// indexes after every enqueue and every tick. Half of the addresses come
+/// indexes after every enqueue, tick and `next_event`. Half of the addresses come
 /// from a few hot rows so that row hits, and hence non-zero open-row hit
 /// counts, are common. Returns the completions.
 fn soak_checked(c: &mut MemoryController, cycles: u64, seed: u64) -> Vec<Completion> {
@@ -133,6 +136,8 @@ fn soak_checked(c: &mut MemoryController, cycles: u64, seed: u64) -> Vec<Complet
         c.tick(now);
         c.take_completions(&mut done);
         check(c, "tick", now);
+        c.next_event(now);
+        check(c, "next_event", now);
     }
     done
 }
@@ -144,6 +149,12 @@ fn controller_indexes_match_recount_across_variants_and_policies() {
         DeviceVariant::Salp {
             subarrays: 8,
             mode: SalpMode::Salp1,
+        },
+        // Shared global bitlines without an open-row cap: a μbank's local
+        // column deadline depends on a sibling's burst.
+        DeviceVariant::Salp {
+            subarrays: 8,
+            mode: SalpMode::Masa,
         },
         DeviceVariant::Sectored {
             sectors: 16,
