@@ -43,17 +43,17 @@ fn real_main() -> Result<(), SimError> {
         v
     })?;
 
-    for rec in &records {
-        if rec.status == SlotStatus::Failed {
-            return Err(SimError::Panic {
-                message: format!(
-                    "slot '{}' failed after {} attempt(s): {}",
-                    rec.id,
-                    rec.attempts,
-                    rec.error.as_deref().unwrap_or("unknown error")
-                ),
-            });
-        }
+    let mut failed = false;
+    for rec in records.iter().filter(|r| r.status == SlotStatus::Failed) {
+        eprintln!(
+            "headline: slot '{}' failed: {}",
+            rec.id,
+            rec.error.as_deref().unwrap_or("unknown error")
+        );
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
     }
     let (base, ub) = (&records[0].values, &records[1].values);
 

@@ -3,8 +3,10 @@
 //! Accepts simulation jobs over HTTP and executes them with the full
 //! fault-tolerance stack in `microbank_sim::service`: durable
 //! write-ahead queue (kill -9 + restart resumes every admitted job),
-//! per-job deadlines, error-class-aware retry with backoff, bounded
-//! admission, and graceful drain on SIGTERM/ctrl-C or `POST /shutdown`.
+//! per-job deadlines, bounded admission, and graceful drain on
+//! SIGTERM/ctrl-C or `POST /shutdown`. Each slot runs once: a run depends
+//! only on its config, so a failed slot is recorded `failed`, and only a
+//! later job re-runs it.
 //!
 //! Usage:
 //!   sweepd [--addr HOST:PORT] [--dir DIR] [--workers N]

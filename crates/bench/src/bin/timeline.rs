@@ -2,11 +2,13 @@
 //! baseline (1,1) and the paper's sweet-spot μbank config (4,4), exporting
 //! every artifact the telemetry layer produces:
 //!
-//!   results/timeline_<tag>.csv / .json   epoch time-series
-//!   results/heat_<tag>.csv / .json       per-μbank heat map
-//!   results/trace_<tag>.json             Chrome trace_event command trace,
-//!                                        with harness span rows merged in
-//!   results/spans_<tag>.json             hierarchical harness span tree
+//! ```text
+//! results/timeline_<tag>.csv / .json   epoch time-series
+//! results/heat_<tag>.csv / .json       per-μbank heat map
+//! results/trace_<tag>.json             Chrome trace_event command trace,
+//!                                      with harness span rows merged in
+//! results/spans_<tag>.json             hierarchical harness span tree
+//! ```
 //!
 //! Also cross-checks the heat map against the run's DRAM stats (the totals
 //! must reconcile exactly) and round-trips the trace through the parser

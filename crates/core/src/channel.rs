@@ -645,14 +645,7 @@ impl Channel {
         self.ranks.len()
     }
 
-    // ---- Location-based convenience wrappers (compute the flat index). ----
-
-    /// Flat index of a location's μbank, given the owning config.
-    pub fn flat(&self, cfg: &MemConfig, loc: &Location) -> usize {
-        loc.ubank_flat(cfg)
-    }
-
-    /// Open row of the μbank addressed by `loc` (by flat index).
+    /// Open row of the μbank at flat index `flat`.
     pub fn open_row_flat(&self, flat: usize) -> Option<u32> {
         self.banks[flat].open_row
     }

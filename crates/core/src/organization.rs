@@ -3,10 +3,10 @@
 //!
 //! The paper positions μbank as subsuming two contemporaneous designs:
 //!
-//! * **SALP** (Kim et al., ISCA'12 [33]) exploits subarray-level
+//! * **SALP** (Kim et al., ISCA'12 \[33\]) exploits subarray-level
 //!   parallelism — multiple row buffers per bank along the bitline
 //!   direction. That is exactly μbank with `nW = 1, nB = S`.
-//! * **Half-DRAM** (Zhang et al., ISCA'14 [62]) halves the activated row
+//! * **Half-DRAM** (Zhang et al., ISCA'14 \[62\]) halves the activated row
 //!   through vertical+horizontal reorganization; its activation-energy/
 //!   parallelism point corresponds to `(nW, nB) = (2, 2)`.
 //!
@@ -60,26 +60,6 @@ impl Organization {
     /// Number of independent row buffers per bank.
     pub fn row_buffers_per_bank(&self) -> usize {
         self.ubank_config().ubanks_per_bank()
-    }
-
-    /// The timing-faithful [`crate::variant::DeviceVariant`] realizing
-    /// this organization. The `Organization` enum predates the variant
-    /// seam and expresses designs as μbank *geometry* only; the variant
-    /// adds each design's structural issue rules (SALP's shared global
-    /// bitlines get the full MASA rule set here — the closest match to
-    /// "independent row buffers per subarray").
-    pub fn device_variant(&self) -> crate::variant::DeviceVariant {
-        use crate::variant::{DeviceVariant, SalpMode};
-        match *self {
-            Organization::Conventional => DeviceVariant::Conventional,
-            Organization::Salp { subarrays } => DeviceVariant::Salp {
-                subarrays,
-                mode: SalpMode::Masa,
-            },
-            // Half-DRAM and μbank both partition along the wordline
-            // direction with independent partitions — the native model.
-            Organization::HalfDram | Organization::Microbank { .. } => DeviceVariant::Microbank,
-        }
     }
 
     /// The comparison set used by the ablation bench: baseline, SALP-8,

@@ -2,7 +2,7 @@
 //!
 //! The paper's Table I gives the headline timings (tRCD, tAA, tRAS, tRP); the
 //! remaining constraints are inherited from the DDR3-1600 datasheet the paper
-//! cites ([51], Samsung DDR3 SDRAM) and scaled where the TSI interface
+//! cites (\[51\], Samsung DDR3 SDRAM) and scaled where the TSI interface
 //! changes them. All parameters are expressed in nanoseconds here and
 //! converted to the simulator's single 2 GHz clock domain by [`Timings`].
 

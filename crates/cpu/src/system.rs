@@ -548,7 +548,7 @@ impl<S: InstrSource> CmpSystem<S> {
     /// cycles with a non-empty backlog must prove each skipped cycle's head
     /// retry fails — the head targets a full controller queue and that
     /// controller does not tick inside the jump — and replay the failed
-    /// attempts ([`MemoryController::account_rejected`] in
+    /// attempts (`MemoryController::account_rejected` in
     /// `microbank-ctrl`).
     pub fn core_horizon(&self, now: Cycle) -> Cycle {
         if self.awake.iter().any(|&w| w != 0) {

@@ -6,10 +6,10 @@
 //! no request for the bank:
 //!
 //! * **open** — always keep the row open, betting on a future row hit
-//!   (Rixner et al. [50]); the winner under μbanks;
+//!   (Rixner et al. \[50\]); the winner under μbanks;
 //! * **close** — always precharge immediately, betting on a row miss;
 //! * **minimalist-open** — keep the row open for a fixed interval (tRC,
-//!   after Kaseridis et al. [32]), then close;
+//!   after Kaseridis et al. \[32\]), then close;
 //! * **predictive** — consult a [`crate::predictor`] scheme;
 //! * **perfect** — the oracle: enjoys row hits as if open and row misses as
 //!   if closed-at-the-earliest-legal-time.

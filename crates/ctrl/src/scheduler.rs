@@ -1,4 +1,4 @@
-//! Memory-access scheduling: FR-FCFS and PAR-BS (Mutlu & Moscibroda [46]),
+//! Memory-access scheduling: FR-FCFS and PAR-BS (Mutlu & Moscibroda \[46\]),
 //! the paper's default scheduler (§VI-A).
 //!
 //! PAR-BS forms *batches*: when no marked requests remain, it marks up to

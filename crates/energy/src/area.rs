@@ -14,7 +14,7 @@
 //!    strip per partition boundary.
 //! 3. **Per-μbank latches** between the row predecoders and the local row
 //!    decoders hold the active local-wordline selection per μbank
-//!    (§IV-A, [33]); their count grows with `nW × nB`.
+//!    (§IV-A, \[33\]); their count grows with `nW × nB`.
 //!
 //! The three coefficients below are calibrated against the CACTI-3DD
 //! results the paper publishes as the Fig. 6(a) matrix; the unit test
@@ -100,13 +100,6 @@ impl AreaModel {
             }
         }
         out
-    }
-
-    /// The single-subarray (SSA) alternative the paper rejects: dedicating
-    /// one mat per cache line needs 512 local datalines per mat and blows
-    /// the die up ~3.8× (§IV-A). Exposed for the documentation example.
-    pub fn ssa_relative_area(&self) -> f64 {
-        3.8
     }
 }
 

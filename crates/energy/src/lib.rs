@@ -17,7 +17,7 @@
 //!   paper uses (200 pJ/op dual-issue OoO core at 22 nm, §III-B).
 //! * [`breakdown`] — the Fig. 1 per-bit energy breakdown of PCB vs TSI vs
 //!   TSI+μbank memory systems.
-//! * [`edp`] — energy-delay-product helpers.
+//! * [`mod@edp`] — energy-delay-product helpers.
 
 pub mod area;
 pub mod breakdown;

@@ -154,7 +154,7 @@ impl FaultEngine {
         loc.row = r2;
     }
 
-    /// Assess one demand read of `(flat, row)`. `age_frac` ∈ [0,1] is the
+    /// Assess one demand read of `(flat, row)`. `age_frac` ∈ \[0, 1\] is the
     /// rank's refresh age (retention-decay scaling); `retried` marks a
     /// request already re-issued once, which is never retried again.
     pub fn assess_demand_read(

@@ -5,8 +5,10 @@
 //! [`crate::sweep::SweepRunner`]). The panicking wrappers
 //! ([`crate::simulator::run`] and friends) format these errors into their
 //! panic message, so existing callers keep their fail-fast behavior while
-//! harnesses get a value they can match on, record in a manifest, and
-//! retry around.
+//! harnesses get a value they can match on and record in a manifest.
+//! None of them retries: a run depends only on its config, so a second
+//! attempt would fail the same way. A failed sweep slot is recorded once,
+//! and only a later invocation re-runs it.
 
 use microbank_core::validate::ConfigError;
 use std::fmt;
@@ -19,8 +21,8 @@ pub enum SimError {
     /// carrying the full list of diagnostics for that component.
     InvalidConfig { errors: Vec<ConfigError> },
     /// The run panicked (an internal invariant tripped). Captured only by
-    /// the harness entry points that isolate slots
-    /// (`run_many_checked`, `SweepRunner`); `try_run` lets panics unwind.
+    /// the harness entry points that isolate runs (`run_many_checked`,
+    /// `SweepRunner`, the sweep service); `try_run` lets panics unwind.
     Panic { message: String },
     /// An artifact (manifest, CSV/JSON result file) could not be written
     /// or read.
@@ -45,20 +47,6 @@ pub enum CancelKind {
     /// The executing service is shutting down; the run should be treated
     /// as never attempted (checkpointed, not failed).
     Shutdown,
-}
-
-impl SimError {
-    /// Whether a fresh attempt at the same run could succeed. The one
-    /// retry classifier shared by [`crate::sweep::SweepRunner`] and the
-    /// sweep service: an invalid config fails the same way every time,
-    /// and a cancelled run's token stays tripped, so neither is retried;
-    /// a panic or an artifact I/O failure may be transient.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            SimError::InvalidConfig { .. } | SimError::Cancelled { .. } => false,
-            SimError::Panic { .. } | SimError::Artifact { .. } => true,
-        }
-    }
 }
 
 impl CancelKind {
@@ -113,25 +101,5 @@ mod tests {
         let shown = err.to_string();
         assert!(shown.contains("MemConfig invalid:"));
         assert!(shown.contains("queue_size"));
-    }
-
-    #[test]
-    fn only_panics_and_artifact_failures_are_retryable() {
-        let invalid = SimError::InvalidConfig { errors: vec![] };
-        let cancelled = SimError::Cancelled {
-            kind: CancelKind::Requested,
-            at_cycle: 0,
-        };
-        let panic = SimError::Panic {
-            message: "boom".into(),
-        };
-        let artifact = SimError::Artifact {
-            path: "x.json".into(),
-            message: "disk full".into(),
-        };
-        assert!(!invalid.is_retryable());
-        assert!(!cancelled.is_retryable());
-        assert!(panic.is_retryable());
-        assert!(artifact.is_retryable());
     }
 }

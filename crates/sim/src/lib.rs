@@ -16,11 +16,12 @@
 //!   fallible entry points; see DESIGN.md §5d.
 //! * [`sweep`] — crash-safe resumable sweep execution with per-slot
 //!   isolation, an atomic on-disk manifest, and a live status surface
-//!   (`<name>.status.json` + optional HTTP `/status` & `/metrics`).
+//!   (`<name>.status.json` + optional HTTP `/status` & `/metrics`). A run
+//!   depends only on its config, so a failed slot is recorded once and
+//!   only a later invocation re-runs it.
 //! * [`service`] — sweep-as-a-service: a fault-tolerant job daemon
-//!   (durable write-ahead queue, worker pool with deadlines, backoff,
-//!   cooperative cancellation, graceful drain) behind an HTTP job API
-//!   (DESIGN.md §5i).
+//!   (durable write-ahead queue, worker pool with deadlines, cooperative
+//!   cancellation, graceful drain) behind an HTTP job API (DESIGN.md §5i).
 
 pub mod error;
 pub mod experiment;

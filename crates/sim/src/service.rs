@@ -21,11 +21,10 @@
 //!   [`crate::simulator::CANCEL_CHECK_CYCLES`] simulated cycles.
 //!   Cancellation is sound under time-skip: it only shortens runs whose
 //!   state is discarded whole.
-//! * **Error-class-aware retry** ([`SimError::is_retryable`]):
-//!   deterministic `InvalidConfig` is never retried (it is rejected at
-//!   admission anyway), `Cancelled` is never retried, and
-//!   `Panic`/`Artifact` retry with exponential backoff plus
-//!   deterministic jitter up to a per-slot attempt cap.
+//! * **One execution per slot**: a run depends only on its config, so a
+//!   slot that fails (a panic, a requested or deadline cancel) is
+//!   recorded `failed` once and never retried; only a later job
+//!   re-runs it.
 //! * **Admission control**: a bounded queue answers 429 with
 //!   `Retry-After` when full, and 503 once draining.
 //! * **Graceful drain**: shutdown stops admission, waits a grace period
@@ -34,9 +33,7 @@
 //!   `queued`), not failed — and exits with a clean queue manifest.
 
 use crate::error::{CancelKind, SimError};
-use crate::simulator::{
-    golden_fingerprint, panic_message, try_run, CancelToken, SimConfig, SimResult,
-};
+use crate::simulator::{golden_fingerprint, isolate, try_run, CancelToken, SimConfig, SimResult};
 use crate::sweep::{
     self, config_fingerprint, parse_manifest, quarantine_manifest, render_manifest, SlotRecord,
     SlotStatus,
@@ -75,11 +72,6 @@ pub struct ServiceConfig {
     /// How long a graceful drain waits for in-flight jobs before
     /// checkpointing them with `Shutdown` cancellation.
     pub drain_grace_ms: u64,
-    /// Executions per slot before a retryable error becomes permanent.
-    pub max_slot_attempts: u32,
-    /// Base backoff before a retry (doubles per attempt, plus
-    /// deterministic jitter).
-    pub backoff_base_ms: u64,
 }
 
 impl ServiceConfig {
@@ -91,8 +83,6 @@ impl ServiceConfig {
             queue_cap: 16,
             default_deadline_ms: 0,
             drain_grace_ms: 2_000,
-            max_slot_attempts: 3,
-            backoff_base_ms: 50,
         }
     }
 }
@@ -323,8 +313,9 @@ impl SweepService {
         Arc::clone(&self.inner.metrics)
     }
 
-    /// True once a drain (signal, `POST /shutdown`, or [`shutdown`])
-    /// has completed and the workers stopped.
+    /// True once a drain (signal, `POST /shutdown`, or
+    /// [`shutdown`](Self::shutdown)) has completed and the workers
+    /// stopped.
     pub fn stopped(&self) -> bool {
         self.inner.stop.load(Ordering::Acquire)
     }
@@ -1173,7 +1164,6 @@ fn job_detail(inner: &ServiceInner, id: &str) -> HttpResponse {
                     SlotStatus::Ok => "ok",
                     SlotStatus::Failed => "failed",
                 });
-                w.key("attempts").uint(u64::from(r.attempts));
                 if let Some(e) = &r.error {
                     w.key("error").string(e);
                 }
@@ -1272,42 +1262,9 @@ fn worker_loop(inner: &Arc<ServiceInner>) {
     }
 }
 
-/// Deterministic backoff jitter: FNV-1a over the slot identity and
-/// attempt number, folded into [0, base). No RNG state, reproducible in
-/// tests.
-fn jitter_ms(job_id: &str, slot_id: &str, attempt: u32, base: u64) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in job_id
-        .bytes()
-        .chain([0u8])
-        .chain(slot_id.bytes())
-        .chain([0u8])
-        .chain(attempt.to_le_bytes())
-    {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-    }
-    if base == 0 {
-        0
-    } else {
-        h % base
-    }
-}
-
-/// Sleep `total` in small increments, returning early if the token
-/// trips (a cancel must not wait out a backoff).
-fn backoff_sleep(total: Duration, token: &CancelToken) {
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline {
-        if token.is_tripped() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10).min(deadline - Instant::now()));
-    }
-}
-
 fn execute_slot(inner: &Arc<ServiceInner>, j: usize, s: usize) {
     // Snapshot what the run needs; drop the lock before executing.
-    let (cfg, token, job_id, slot_id) = {
+    let (cfg, token, slot_id) = {
         let mut st = inner.lock();
         let job = &mut st.jobs[j];
         if job.records[s].is_some() {
@@ -1318,75 +1275,19 @@ fn execute_slot(inner: &Arc<ServiceInner>, j: usize, s: usize) {
         }
         job.started.get_or_insert_with(Instant::now);
         (
-            job.specs[s].cfg.clone(),
+            job.specs[s].cfg.clone().with_cancel(job.token.clone()),
             job.token.clone(),
-            job.id.clone(),
             job.specs[s].id.clone(),
         )
     };
     // Pre-execution token check: a cancelled or expired job's queued
-    // slots are finalized without running; a shutdown checkpoint leaves
-    // them unrecorded for the next start.
-    if let Some(kind) = token.tripped() {
-        if kind == CancelKind::Shutdown {
-            return;
-        }
-        let err = SimError::Cancelled { kind, at_cycle: 0 };
-        record_slot(inner, j, s, failed_record(&slot_id, &cfg, 1, &err));
-        return;
-    }
-    let cfg = cfg.with_cancel(token.clone());
-    let mut attempts = 0u32;
-    let outcome = loop {
-        attempts += 1;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&cfg)))
-            .unwrap_or_else(|p| {
-                Err(SimError::Panic {
-                    message: panic_message(p),
-                })
-            });
-        match result {
-            Ok(r) => break Ok(r),
-            Err(e) if e.is_retryable() && attempts < inner.cfg.max_slot_attempts => {
-                let base = inner.cfg.backoff_base_ms << (attempts - 1).min(8);
-                let delay = base + jitter_ms(&job_id, &slot_id, attempts, base.max(1));
-                event::emit(
-                    Level::Warn,
-                    "sim::service",
-                    "slot failed; backing off before retry",
-                    &[
-                        ("job", job_id.as_str().into()),
-                        ("slot", slot_id.as_str().into()),
-                        ("attempt", u64::from(attempts).into()),
-                        ("backoff_ms", delay.into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-                inner
-                    .metrics
-                    .counter_add("microbank_service_jobs_retried_total", &[], 1);
-                backoff_sleep(Duration::from_millis(delay), &token);
-                if let Some(kind) = token.tripped() {
-                    break Err(SimError::Cancelled { kind, at_cycle: 0 });
-                }
-            }
-            Err(e) => break Err(e),
-        }
+    // slots are finalized without running.
+    let outcome = match token.tripped() {
+        Some(kind) => Err(SimError::Cancelled { kind, at_cycle: 0 }),
+        None => isolate(|| try_run(&cfg)),
     };
-    match outcome {
-        Ok(result) => {
-            let rec = SlotRecord {
-                id: slot_id,
-                config_fp: config_fingerprint(&cfg),
-                status: SlotStatus::Ok,
-                attempts,
-                error: None,
-                values: service_projection(&result),
-                resumed: false,
-                secs: 0.0,
-            };
-            record_slot(inner, j, s, rec);
-        }
+    let rec = match outcome {
+        Ok(result) => SlotRecord::ok(&slot_id, &cfg, service_projection(&result), 0.0),
         Err(SimError::Cancelled {
             kind: CancelKind::Shutdown,
             ..
@@ -1394,24 +1295,11 @@ fn execute_slot(inner: &Arc<ServiceInner>, j: usize, s: usize) {
             // Checkpoint: the run's state is discarded whole and the
             // slot stays unrecorded, so the next start re-executes
             // exactly it — never a certified one.
+            return;
         }
-        Err(e) => {
-            record_slot(inner, j, s, failed_record(&slot_id, &cfg, attempts, &e));
-        }
-    }
-}
-
-fn failed_record(slot_id: &str, cfg: &SimConfig, attempts: u32, e: &SimError) -> SlotRecord {
-    SlotRecord {
-        id: slot_id.to_string(),
-        config_fp: config_fingerprint(cfg),
-        status: SlotStatus::Failed,
-        attempts,
-        error: Some(e.to_string()),
-        values: Vec::new(),
-        resumed: false,
-        secs: 0.0,
-    }
+        Err(e) => SlotRecord::failed(&slot_id, &cfg, &e, 0.0),
+    };
+    record_slot(inner, j, s, rec);
 }
 
 /// Commit one slot outcome: store the record, rewrite the job manifest
@@ -1439,7 +1327,7 @@ fn record_slot(inner: &Arc<ServiceInner>, j: usize, s: usize, rec: SlotRecord) {
         event::emit(
             Level::Warn,
             "sim::service",
-            "slot failed permanently",
+            "slot failed",
             &[
                 ("job", st.jobs[j].id.as_str().into()),
                 ("slot_index", (s as u64).into()),
@@ -1654,17 +1542,5 @@ mod tests {
             values.push((w & 0xffff_ffff) as f64);
         }
         assert_eq!(golden_fp_from_values(&values), Some(fp));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let a = jitter_ms("job-1", "s", 1, 100);
-        assert_eq!(a, jitter_ms("job-1", "s", 1, 100));
-        assert!(a < 100);
-        assert_ne!(
-            jitter_ms("job-1", "s", 1, 1 << 60),
-            jitter_ms("job-1", "s", 2, 1 << 60),
-            "attempts must decorrelate"
-        );
     }
 }

@@ -1486,7 +1486,7 @@ impl MemPort for TrackingRouter<'_> {
     }
 }
 
-pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -1494,6 +1494,19 @@ pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "run panicked".to_string()
     }
+}
+
+/// Run `f` behind a panic net: a panic becomes [`SimError::Panic`]
+/// carrying the payload's message, and whatever `f` returns passes
+/// through unchanged. Every harness that isolates runs from each other
+/// (`run_many_checked`, `SweepRunner`, the sweep service) goes through
+/// here, passing `|| try_run(cfg)`.
+pub(crate) fn isolate<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        Err(SimError::Panic {
+            message: panic_message(p),
+        })
+    })
 }
 
 /// Run many configurations concurrently, one `Result` slot per config.
@@ -1516,13 +1529,7 @@ pub fn run_many_checked(cfgs: &[SimConfig]) -> Vec<Result<SimResult, SimError>> 
                 if i >= cfgs.len() {
                     break;
                 }
-                let cfg = &cfgs[i];
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(cfg)))
-                    .unwrap_or_else(|p| {
-                        Err(SimError::Panic {
-                            message: panic_message(p),
-                        })
-                    });
+                let r = isolate(|| try_run(&cfgs[i]));
                 results_mx.lock()[i] = Some(r);
             });
         }
@@ -1590,6 +1597,34 @@ mod tests {
         // …and never-inserted ids resolve to None.
         assert_eq!(s.remove(4), None);
         assert_eq!(s.remove(1_000), None);
+    }
+
+    #[test]
+    fn isolate_turns_str_and_string_panics_into_panic_errors() {
+        let r = isolate::<()>(|| panic!("static payload"));
+        assert_eq!(
+            r.unwrap_err(),
+            SimError::Panic {
+                message: "static payload".into()
+            }
+        );
+        let r = isolate::<()>(|| std::panic::panic_any(format!("owned payload {}", 7)));
+        assert_eq!(
+            r.unwrap_err(),
+            SimError::Panic {
+                message: "owned payload 7".into()
+            }
+        );
+    }
+
+    #[test]
+    fn isolate_passes_errors_through_unchanged() {
+        let err = SimError::Cancelled {
+            kind: CancelKind::Deadline,
+            at_cycle: 42,
+        };
+        assert_eq!(isolate::<()>(|| Err(err.clone())), Err(err));
+        assert_eq!(isolate(|| Ok::<_, SimError>(3)), Ok(3));
     }
 
     #[test]

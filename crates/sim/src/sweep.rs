@@ -5,9 +5,9 @@
 //!
 //! * **Per-slot isolation**: a slot that panics or errors records a
 //!   `Failed` outcome in its slot; the rest of the sweep still runs.
-//! * **One automatic retry** per failed execution whose error
-//!   [`SimError::is_retryable`] (validation failures and cancelled runs
-//!   are not retried).
+//!   A run depends only on its config, so a failed slot is recorded once
+//!   and not retried in the same invocation; only a later invocation
+//!   re-runs it.
 //! * **Crash-safe resume**: after every slot the runner atomically
 //!   rewrites `<dir>/<name>.manifest.json`, recording each slot's id, a
 //!   fingerprint of its configuration, its outcome, and its projected
@@ -24,7 +24,7 @@
 
 use crate::error::SimError;
 use crate::report::Table;
-use crate::simulator::{panic_message, try_run, SimConfig, SimResult};
+use crate::simulator::{isolate, try_run, SimConfig, SimResult};
 use microbank_telemetry::artifact::atomic_write;
 use microbank_telemetry::json::{self, JsonWriter};
 use microbank_telemetry::{event, Level, MetricsRegistry, StatusServer, StatusShared};
@@ -55,9 +55,7 @@ pub struct SlotRecord {
     /// and cancellation token masked out — they do not change results).
     pub config_fp: String,
     pub status: SlotStatus,
-    /// Executions spent on this record (1, or 2 after a retry).
-    pub attempts: u32,
-    /// The final error's rendering, for `Failed` records.
+    /// The error's rendering, for `Failed` records.
     pub error: Option<String>,
     pub values: Vec<f64>,
     /// True when this record was satisfied from a prior run's manifest
@@ -69,7 +67,37 @@ pub struct SlotRecord {
     pub secs: f64,
 }
 
-/// Executes sweep slots with isolation, retry, and manifest-based resume.
+impl SlotRecord {
+    /// The record of slot `id`, run from `cfg`, that completed with the
+    /// projected `values` after `secs` wall seconds.
+    pub(crate) fn ok(id: &str, cfg: &SimConfig, values: Vec<f64>, secs: f64) -> Self {
+        SlotRecord {
+            id: id.to_string(),
+            config_fp: config_fingerprint(cfg),
+            status: SlotStatus::Ok,
+            error: None,
+            values,
+            resumed: false,
+            secs,
+        }
+    }
+
+    /// The record of slot `id`, run from `cfg`, that failed with `err`
+    /// after `secs` wall seconds.
+    pub(crate) fn failed(id: &str, cfg: &SimConfig, err: &SimError, secs: f64) -> Self {
+        SlotRecord {
+            id: id.to_string(),
+            config_fp: config_fingerprint(cfg),
+            status: SlotStatus::Failed,
+            error: Some(err.to_string()),
+            values: Vec::new(),
+            resumed: false,
+            secs,
+        }
+    }
+}
+
+/// Executes sweep slots with isolation and manifest-based resume.
 ///
 /// # Observability
 ///
@@ -178,28 +206,6 @@ impl SweepRunner {
         &self.records
     }
 
-    /// FNV-1a over the config's `Debug` rendering, with the fields that
-    /// cannot change results (span tracing, time skip, cancellation
-    /// token) normalized out so a resume on a different machine still
-    /// matches. Shared with the sweep service, whose job
-    /// manifests must certify slots with the same identity.
-    pub(crate) fn config_fingerprint(cfg: &SimConfig) -> String {
-        let mut c = cfg.clone();
-        c.spans = false;
-        c.time_skip = None;
-        // A token only shortens runs that are then discarded whole; a
-        // certified result is identical with or without one. Masking it
-        // also keeps the hash stable across token identities (the Debug
-        // print shows live/tripped state, not a value).
-        c.cancel = None;
-        let rendered = format!("{c:?}");
-        let mut h = 0xcbf29ce484222325u64;
-        for b in rendered.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-        }
-        format!("{h:016x}")
-    }
-
     /// Run every slot, resuming from the manifest where possible, and
     /// return the records in slot order. `project` reduces a completed
     /// run to the values the sweep's artifacts need; only those values
@@ -230,7 +236,7 @@ impl SweepRunner {
         self.note_slot_metrics(sweep_start);
         self.publish_status(slots, sweep_start, None);
         for slot in slots {
-            let fp = Self::config_fingerprint(&slot.cfg);
+            let fp = config_fingerprint(&slot.cfg);
             let prior_hit = self
                 .prior
                 .iter()
@@ -266,37 +272,7 @@ impl SweepRunner {
             }
             self.publish_status(slots, sweep_start, Some(&slot.id));
             let slot_start = Instant::now();
-            let attempt = || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&slot.cfg)))
-                    .unwrap_or_else(|p| {
-                        Err(SimError::Panic {
-                            message: panic_message(p),
-                        })
-                    })
-            };
-            let mut attempts = 1u32;
-            let mut outcome = attempt();
-            if matches!(&outcome, Err(e) if e.is_retryable()) {
-                let rendered = match &outcome {
-                    Err(e) => e.to_string(),
-                    Ok(_) => unreachable!("retryable implies Err"),
-                };
-                event::emit(
-                    Level::Warn,
-                    "sim::sweep",
-                    "slot failed; retrying once",
-                    &[
-                        ("sweep", self.name.as_str().into()),
-                        ("slot", slot.id.as_str().into()),
-                        ("attempt", 1u64.into()),
-                        ("error", rendered.into()),
-                    ],
-                );
-                self.metrics
-                    .counter_add("microbank_sweep_slot_retries_total", &[], 1);
-                attempts = 2;
-                outcome = attempt();
-            }
+            let outcome = isolate(|| try_run(&slot.cfg));
             executed += 1;
             let secs = slot_start.elapsed().as_secs_f64();
             let rec = match outcome {
@@ -309,43 +285,23 @@ impl SweepRunner {
                         &[
                             ("sweep", self.name.as_str().into()),
                             ("slot", slot.id.as_str().into()),
-                            ("attempts", u64::from(attempts).into()),
                             ("secs", secs.into()),
                         ],
                     );
-                    SlotRecord {
-                        id: slot.id.clone(),
-                        config_fp: fp,
-                        status: SlotStatus::Ok,
-                        attempts,
-                        error: None,
-                        values: project(&result),
-                        resumed: false,
-                        secs,
-                    }
+                    SlotRecord::ok(&slot.id, &slot.cfg, project(&result), secs)
                 }
                 Err(e) => {
                     event::emit(
                         Level::Error,
                         "sim::sweep",
-                        "slot failed permanently",
+                        "slot failed",
                         &[
                             ("sweep", self.name.as_str().into()),
                             ("slot", slot.id.as_str().into()),
-                            ("attempts", u64::from(attempts).into()),
                             ("error", e.to_string().into()),
                         ],
                     );
-                    SlotRecord {
-                        id: slot.id.clone(),
-                        config_fp: fp,
-                        status: SlotStatus::Failed,
-                        attempts,
-                        error: Some(e.to_string()),
-                        values: Vec::new(),
-                        resumed: false,
-                        secs,
-                    }
+                    SlotRecord::failed(&slot.id, &slot.cfg, &e, secs)
                 }
             };
             self.metrics
@@ -477,7 +433,6 @@ impl SweepRunner {
             };
             w.key("state").string(state);
             if let Some(r) = rec {
-                w.key("attempts").uint(u64::from(r.attempts));
                 w.key("secs").num(r.secs);
                 if let Some(e) = &r.error {
                     w.key("error").string(e);
@@ -549,10 +504,26 @@ impl SweepRunner {
     }
 }
 
-/// Free-function form of [`SweepRunner::config_fingerprint`] for the
-/// sweep service, which certifies slots with the same identity.
+/// FNV-1a over the config's `Debug` rendering, with the fields that
+/// cannot change results (span tracing, time skip, cancellation token)
+/// normalized out so a resume on a different machine still matches.
+/// Shared with the sweep service, whose job manifests must certify slots
+/// with the same identity.
 pub(crate) fn config_fingerprint(cfg: &SimConfig) -> String {
-    SweepRunner::config_fingerprint(cfg)
+    let mut c = cfg.clone();
+    c.spans = false;
+    c.time_skip = None;
+    // A token only shortens runs that are then discarded whole; a
+    // certified result is identical with or without one. Masking it also
+    // keeps the hash stable across token identities (the Debug print
+    // shows live/tripped state, not a value).
+    c.cancel = None;
+    let rendered = format!("{c:?}");
+    let mut h = 0xcbf29ce484222325u64;
+    for b in rendered.bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
+    }
+    format!("{h:016x}")
 }
 
 /// Render a manifest document for `records` — the format shared by
@@ -571,7 +542,6 @@ pub(crate) fn render_manifest(name: &str, records: &[SlotRecord]) -> String {
             SlotStatus::Ok => "ok",
             SlotStatus::Failed => "failed",
         });
-        w.key("attempts").uint(u64::from(r.attempts));
         if let Some(e) = &r.error {
             w.key("error").string(e);
         }
@@ -601,7 +571,6 @@ pub(crate) fn parse_manifest(text: &str) -> Option<Vec<SlotRecord>> {
             id: slot.get("id")?.as_str()?.to_string(),
             config_fp: slot.get("config_fp")?.as_str()?.to_string(),
             status,
-            attempts: slot.get("attempts")?.as_f64()? as u32,
             error: slot
                 .get("error")
                 .and_then(|e| e.as_str())
@@ -656,22 +625,22 @@ mod tests {
     #[test]
     fn fingerprint_masks_result_neutral_knobs() {
         let base = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
-        let fp0 = SweepRunner::config_fingerprint(&base);
+        let fp0 = config_fingerprint(&base);
         let mut knobs = base.clone();
         knobs.spans = true;
         knobs.time_skip = Some(false);
         knobs.cancel = Some(crate::simulator::CancelToken::default());
-        assert_eq!(fp0, SweepRunner::config_fingerprint(&knobs));
+        assert_eq!(fp0, config_fingerprint(&knobs));
         // A tripped token must not change the hash either (Debug shows
         // the trip state; the mask removes it before rendering).
         let tripped = crate::simulator::CancelToken::default();
         tripped.cancel();
         let mut cancelled = base.clone();
         cancelled.cancel = Some(tripped);
-        assert_eq!(fp0, SweepRunner::config_fingerprint(&cancelled));
+        assert_eq!(fp0, config_fingerprint(&cancelled));
         let mut different = base.clone();
         different.seed ^= 1;
-        assert_ne!(fp0, SweepRunner::config_fingerprint(&different));
+        assert_ne!(fp0, config_fingerprint(&different));
     }
 
     #[test]
@@ -679,18 +648,18 @@ mod tests {
         // QoS changes simulated behavior, so it must invalidate manifest
         // hits: arming it, and every knob inside it, alters the print.
         let base = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
-        let fp0 = SweepRunner::config_fingerprint(&base);
+        let fp0 = config_fingerprint(&base);
         let tracking = base
             .clone()
             .with_qos(microbank_ctrl::qos::QosConfig::tracking());
-        let fp1 = SweepRunner::config_fingerprint(&tracking);
+        let fp1 = config_fingerprint(&tracking);
         assert_ne!(fp0, fp1, "arming QoS must change the fingerprint");
         let regulated = base
             .clone()
             .with_qos(microbank_ctrl::qos::QosConfig::tracking().with_tenant(Some(64), 1));
-        let fp2 = SweepRunner::config_fingerprint(&regulated);
+        let fp2 = config_fingerprint(&regulated);
         assert_ne!(fp1, fp2, "tenant policies must change the fingerprint");
-        assert_eq!(fp1, SweepRunner::config_fingerprint(&tracking.clone()));
+        assert_eq!(fp1, config_fingerprint(&tracking.clone()));
     }
 
     #[test]
@@ -700,7 +669,7 @@ mod tests {
         // on the fingerprint must never resume across variants. The field
         // rides in MemConfig's Debug rendering automatically.
         let base = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
-        let fp0 = SweepRunner::config_fingerprint(&base);
+        let fp0 = config_fingerprint(&base);
         for v in [
             DeviceVariant::Conventional,
             DeviceVariant::Salp {
@@ -720,7 +689,7 @@ mod tests {
             cfg.mem = cfg.mem.with_variant(v);
             assert_ne!(
                 fp0,
-                SweepRunner::config_fingerprint(&cfg),
+                config_fingerprint(&cfg),
                 "variant {} must change the fingerprint",
                 v.label()
             );
@@ -730,10 +699,7 @@ mod tests {
         a.mem = a.mem.with_variant(DeviceVariant::Conventional);
         let mut b = base.clone();
         b.mem = b.mem.with_variant(DeviceVariant::Conventional);
-        assert_eq!(
-            SweepRunner::config_fingerprint(&a),
-            SweepRunner::config_fingerprint(&b)
-        );
+        assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
     }
 
     #[test]
@@ -743,22 +709,23 @@ mod tests {
         let values = vec![0.1 + 0.2, 1.0 / 3.0, -0.0, 12345.0, 6.02e23];
         {
             let mut r = SweepRunner::new("roundtrip", &dir);
-            r.records.push(SlotRecord {
-                id: "a".into(),
-                config_fp: "00".into(),
-                status: SlotStatus::Ok,
-                attempts: 1,
-                error: None,
-                values: values.clone(),
-                resumed: false,
-                secs: 0.0,
-            });
+            let cfg = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
+            r.records
+                .push(SlotRecord::ok("a", &cfg, values.clone(), 0.0));
             r.write_manifest().unwrap();
         }
         let loaded = SweepRunner::new("roundtrip", &dir).prior;
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].values, values, "bit-exact f64 round-trip");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifests_with_an_attempts_key_still_parse() {
+        let text = r#"{"sweep":"old","slots":[{"id":"a","config_fp":"00","status":"ok","attempts":2,"values":[1.5]}]}"#;
+        let records = parse_manifest(text).expect("a manifest with attempts must parse");
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].values, vec![1.5]);
     }
 
     #[test]

@@ -255,19 +255,19 @@ mod tests {
     #[test]
     fn human_rendering_matches_expected_shape() {
         let ev = Event {
-            level: Level::Warn,
+            level: Level::Error,
             target: "sim::sweep",
-            message: "slot failed; retrying once",
+            message: "slot failed",
             fields: &[
                 ("sweep", Value::from("headline")),
                 ("slot", Value::from("16x16")),
-                ("attempt", Value::from(1u64)),
+                ("secs", Value::from(1u64)),
             ],
         };
         assert_eq!(
             render_human(&ev),
-            "microbank[warn] sim::sweep: slot failed; retrying once \
-             (sweep=headline, slot=16x16, attempt=1)"
+            "microbank[error] sim::sweep: slot failed \
+             (sweep=headline, slot=16x16, secs=1)"
         );
         let bare = Event {
             level: Level::Info,

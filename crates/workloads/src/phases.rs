@@ -82,10 +82,6 @@ impl PhasedSource {
     pub fn current_phase(&self) -> usize {
         self.cur
     }
-
-    pub fn num_phases(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 impl InstrSource for PhasedSource {

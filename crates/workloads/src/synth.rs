@@ -1,6 +1,5 @@
 //! The synthetic instruction-stream generator: an
-//! [`InstrSource`](microbank_cpu::instr::InstrSource) driven by an
-//! [`AppProfile`](crate::profile::AppProfile).
+//! [`InstrSource`] driven by an [`AppProfile`].
 //!
 //! Every thread owns a private address region (assigned by the simulator)
 //! plus an optional process-shared region. Cold accesses follow a set of
