@@ -6,9 +6,10 @@
 //! exactly — every element is a function of simulated behavior only, never
 //! wall clock.
 //!
-//! If a PR deliberately changes simulated behavior, regenerate the table
-//! with the `golden_dump` binary (`cargo run --release -p microbank-bench
-//! --bin golden_dump`) and scrutinize the diff in review.
+//! When fingerprints drift, `golden_fingerprints_are_reproduced` fails
+//! with the complete regenerated `GOLDEN` table in its message. If the
+//! change deliberately alters simulated behavior, paste that table over
+//! the committed one and scrutinize the diff in review.
 
 use microbank_ctrl::policy::PolicyKind;
 use microbank_ctrl::predictor::PredictorKind;
@@ -85,6 +86,46 @@ const GOLDEN: &[(&str, &str, &str, [u64; 13])] = &[
     ),
     (
         "1x1",
+        "frfcfs",
+        "minopen",
+        [
+            7980,
+            2138,
+            0,
+            2149,
+            2142,
+            2,
+            0,
+            1582,
+            556,
+            17104,
+            2138,
+            1016024,
+            893861018469252275,
+        ],
+    ),
+    (
+        "1x1",
+        "frfcfs",
+        "tourn",
+        [
+            8039,
+            2148,
+            0,
+            2156,
+            2150,
+            2,
+            0,
+            1464,
+            684,
+            17184,
+            2148,
+            1016438,
+            12742907351939095494,
+        ],
+    ),
+    (
+        "1x1",
         "parbs",
         "open",
         [
@@ -144,6 +185,46 @@ const GOLDEN: &[(&str, &str, &str, [u64; 13])] = &[
         ],
     ),
     (
+        "1x1",
+        "parbs",
+        "minopen",
+        [
+            7966,
+            2135,
+            0,
+            2144,
+            2136,
+            2,
+            0,
+            1597,
+            538,
+            17080,
+            2135,
+            1011818,
+            3968273135841701865,
+        ],
+    ),
+    (
+        "1x1",
+        "parbs",
+        "tourn",
+        [
+            7972,
+            2137,
+            0,
+            2145,
+            2138,
+            2,
+            0,
+            1523,
+            614,
+            17096,
+            2137,
+            1012252,
+            5296887314084034763,
+        ],
+    ),
+    (
         "8x8",
         "frfcfs",
         "open",
@@ -197,6 +278,46 @@ const GOLDEN: &[(&str, &str, &str, [u64; 13])] = &[
             0,
             525,
             3027,
+            28416,
+            3552,
+            1069504,
+            2274558660540245059,
+        ],
+    ),
+    (
+        "8x8",
+        "frfcfs",
+        "minopen",
+        [
+            15240,
+            3552,
+            0,
+            3655,
+            3612,
+            2,
+            0,
+            269,
+            3283,
+            28416,
+            3552,
+            1069504,
+            2274558660540245059,
+        ],
+    ),
+    (
+        "8x8",
+        "frfcfs",
+        "tourn",
+        [
+            15240,
+            3552,
+            0,
+            3683,
+            3650,
+            2,
+            0,
+            236,
+            3316,
             28416,
             3552,
             1069504,
@@ -263,6 +384,46 @@ const GOLDEN: &[(&str, &str, &str, [u64; 13])] = &[
             7364169726719467890,
         ],
     ),
+    (
+        "8x8",
+        "parbs",
+        "minopen",
+        [
+            15177,
+            3551,
+            0,
+            3652,
+            3609,
+            2,
+            0,
+            274,
+            3277,
+            28408,
+            3551,
+            1068224,
+            14940451591944711862,
+        ],
+    ),
+    (
+        "8x8",
+        "parbs",
+        "tourn",
+        [
+            15235,
+            3550,
+            0,
+            3678,
+            3646,
+            2,
+            0,
+            240,
+            3310,
+            28400,
+            3550,
+            1068560,
+            85439036463650342,
+        ],
+    ),
 ];
 
 fn config_for(part: &str, sched: &str, policy: &str) -> SimConfig {
@@ -284,14 +445,27 @@ fn config_for(part: &str, sched: &str, policy: &str) -> SimConfig {
         "open" => PolicyKind::Open,
         "close" => PolicyKind::Close,
         "pred" => PolicyKind::Predictive(PredictorKind::Local),
+        "minopen" => PolicyKind::MinimalistOpen { window_cycles: 98 },
+        "tourn" => PolicyKind::Predictive(PredictorKind::Tournament),
         other => panic!("unknown policy {other}"),
     };
     cfg
 }
 
+/// One `GOLDEN` row laid out exactly as rustfmt formats the table.
+fn golden_row(part: &str, sched: &str, policy: &str, f: &[u64; 13]) -> String {
+    let mut row =
+        format!("    (\n        {part:?},\n        {sched:?},\n        {policy:?},\n        [\n");
+    for v in f {
+        row += &format!("            {v},\n");
+    }
+    row + "        ],\n    ),\n"
+}
+
 #[test]
 fn golden_fingerprints_are_reproduced() {
     let mut failures = Vec::new();
+    let mut table = String::new();
     for &(part, sched, policy, ref want) in GOLDEN {
         let r = run(&config_for(part, sched, policy));
         let got = golden_fingerprint(&r);
@@ -300,10 +474,12 @@ fn golden_fingerprints_are_reproduced() {
                 "{part}/{sched}/{policy}:\n  want {want:?}\n  got  {got:?}"
             ));
         }
+        table += &golden_row(part, sched, policy, &got);
     }
     assert!(
         failures.is_empty(),
-        "behavior drift in {} golden config(s):\n{}",
+        "behavior drift in {} golden config(s):\n{}\n\nregenerated table:\n\
+         const GOLDEN: &[(&str, &str, &str, [u64; 13])] = &[\n{table}];",
         failures.len(),
         failures.join("\n")
     );
@@ -378,6 +554,7 @@ fn per_cycle_reference_reproduces_golden_fingerprints() {
         ("1x1", "frfcfs", "open"),
         ("8x8", "parbs", "pred"),
         ("8x8", "frfcfs", "close"),
+        ("8x8", "parbs", "minopen"),
     ] {
         let want = GOLDEN
             .iter()
