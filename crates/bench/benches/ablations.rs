@@ -87,24 +87,6 @@ fn bench_organizations(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_write_drain(c: &mut Criterion) {
-    // Write-drain is a controller-level option exercised via the soak path
-    // in microbank-ctrl; here we measure its end-to-end cost proxy by
-    // comparing a write-heavy workload with small vs large queues (the
-    // drain watermarks scale with queue size).
-    let mut g = c.benchmark_group("ablation_write_heavy_queue");
-    g.sample_size(10);
-    for q in [16usize, 32] {
-        let mut cfg = base();
-        cfg.workload = microbank_workloads::suite::Workload::Radix;
-        cfg.mem = cfg.mem.with_queue_size(q);
-        g.bench_with_input(BenchmarkId::from_parameter(q), &cfg, |b, cfg| {
-            b.iter(|| black_box(run(cfg)).committed)
-        });
-    }
-    g.finish();
-}
-
 fn bench_prefetch(c: &mut Criterion) {
     // Stream prefetching (extension, off in the paper's platform) on a
     // streaming workload: prefetched lines are row hits under page
@@ -144,7 +126,6 @@ criterion_group!(
     bench_refresh,
     bench_scheduler,
     bench_organizations,
-    bench_write_drain,
     bench_prefetch,
     bench_xor_hash
 );

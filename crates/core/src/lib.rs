@@ -39,14 +39,15 @@
 //! let mut ch = Channel::new(&cfg);
 //! let map = AddressMap::new(&cfg);
 //! let loc = map.decode(0x4000);
+//! let flat = loc.ubank_flat(&cfg);
 //!
 //! // Activate a row, then read a column, respecting DRAM timing.
 //! let t0 = 0;
-//! assert!(ch.can_activate(&loc, t0));
-//! ch.activate(&loc, t0);
+//! assert!(ch.can_activate_row_flat(flat, loc.row, t0));
+//! ch.activate_flat(flat, loc.row, t0);
 //! let t1 = t0 + cfg.timings().t_rcd;
-//! assert!(ch.can_column(&loc, false, t1));
-//! let done = ch.read(&loc, t1);
+//! assert!(ch.can_column_flat(flat, loc.row, false, t1));
+//! let done = ch.read_flat(flat, t1);
 //! assert!(done > t1);
 //! ```
 

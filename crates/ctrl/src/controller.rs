@@ -28,8 +28,7 @@ use microbank_core::request::{MemRequest, TenantId};
 use microbank_core::Cycle;
 use microbank_faults::{AccessVerdict, FaultConfig, FaultEngine};
 use microbank_telemetry::{CmdKind, CmdRecord, CmdTrace};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// A finished memory request, reported back to the CPU model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +61,6 @@ pub struct CtrlStats {
     /// including static open/close treated as constant predictors (the
     /// Fig. 13 "prediction hit rate" series).
     pub policy_stats: PredictorStats,
-    /// Scheduling rounds in which write-drain mode constrained selection.
-    pub drain_selections: u64,
     /// Queue-occupancy distribution sampled every tick. §V's argument is
     /// exactly about this distribution: μbanks spread requests over more
     /// banks and drain queues faster, starving conventional policies of
@@ -97,26 +94,6 @@ enum PredictorImpl {
     Perfect,
 }
 
-/// Write-drain watermarks: when the number of queued writes reaches `hi`,
-/// the controller prioritizes writes until it falls to `lo`. Batching
-/// writes amortizes the read↔write bus turnaround (tWTR) that fine-grained
-/// interleaving pays on every switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteDrain {
-    pub hi: usize,
-    pub lo: usize,
-}
-
-impl WriteDrain {
-    /// Watermarks scaled to the paper's 32-entry queue.
-    pub fn default_for_queue(queue_size: usize) -> Self {
-        WriteDrain {
-            hi: (queue_size * 3) / 4,
-            lo: queue_size / 4,
-        }
-    }
-}
-
 /// One memory controller + its channel.
 pub struct MemoryController {
     pub cfg: MemConfig,
@@ -126,29 +103,18 @@ pub struct MemoryController {
     scheduler: Scheduler,
     policy: PolicyKind,
     predictor: PredictorImpl,
-    /// Optional write-drain watermark mode.
-    write_drain: Option<WriteDrain>,
-    /// Currently draining writes.
-    draining_writes: bool,
     /// Per-μbank pending speculative decision.
     pending: Vec<Option<PendingDecision>>,
-    /// Per-μbank policy-requested precharge not yet issued.
-    auto_pre: Vec<bool>,
     /// Per-μbank count of queued requests whose row is the μbank's open
     /// row (0 while it is closed): the scheduler's "does any queued
     /// request still want this open row?" check, answered without a scan.
     open_hits: Vec<u32>,
-    /// Minimalist-open close deadlines (Cycle::MAX = none).
-    close_deadline: Vec<Cycle>,
-    /// Flats with a policy precharge currently due: exactly the set
-    /// `{f : auto_pre[f] || now >= close_deadline[f]}`, maintained
-    /// incrementally. A BTreeSet so idle-slot service walks due flats in
-    /// ascending flat order — the same order the old full scan used.
-    pre_due: BTreeSet<usize>,
-    /// Min-heap of pending (deadline, flat) pairs feeding `pre_due`. An
-    /// entry is stale unless `close_deadline[flat]` still equals its
-    /// deadline (cleared or re-armed deadlines are dropped lazily on pop).
-    deadline_heap: BinaryHeap<Reverse<(Cycle, usize)>>,
+    /// Page-policy precharges: each μbank whose policy wants its row
+    /// closed, mapped to the cycle from which the close is due (a
+    /// predictor's Close at once, minimalist-open after its window).
+    /// Every close path removes the μbank's key. Ordered by flat so
+    /// idle-slot service closes the lowest due μbank first.
+    policy_pre: BTreeMap<usize, Cycle>,
     /// Ranks currently being drained for refresh.
     refresh_draining: Vec<bool>,
     completions: Vec<Completion>,
@@ -197,14 +163,9 @@ impl MemoryController {
             scheduler: Scheduler::new(scheduler),
             policy,
             predictor,
-            write_drain: None,
-            draining_writes: false,
             pending: vec![None; n],
-            auto_pre: vec![false; n],
             open_hits: vec![0; n],
-            close_deadline: vec![Cycle::MAX; n],
-            pre_due: BTreeSet::new(),
-            deadline_heap: BinaryHeap::new(),
+            policy_pre: BTreeMap::new(),
             refresh_draining: vec![false; cfg.ranks_per_channel],
             completions: Vec::new(),
             scratch: Vec::new(),
@@ -268,13 +229,6 @@ impl MemoryController {
         }
     }
 
-    /// Enable write-drain watermark scheduling (see [`WriteDrain`]).
-    pub fn with_write_drain(mut self, wd: WriteDrain) -> Self {
-        assert!(wd.lo < wd.hi && wd.hi <= self.queue.capacity());
-        self.write_drain = Some(wd);
-        self
-    }
-
     /// The controller's address map (shared decode logic).
     pub fn map(&self) -> &AddressMap {
         &self.map
@@ -328,6 +282,7 @@ impl MemoryController {
                         && self.channel.oracle_precharge_flat(flat, now)
                     {
                         self.open_hits[flat] = 0;
+                        self.policy_pre.remove(&flat);
                     }
                 }
                 PredictorImpl::None => {}
@@ -389,7 +344,7 @@ impl MemoryController {
     /// μbank actually closed, each with its open row (the scan is guarded
     /// so an untraced run never pays it).
     fn issue_prea(&mut self, rank: usize, now: Cycle) {
-        let per_rank = self.auto_pre.len() / self.refresh_draining.len();
+        let per_rank = self.open_hits.len() / self.refresh_draining.len();
         let lo = rank * per_rank;
         let hi = lo + per_rank;
         if self.trace.is_some() {
@@ -400,14 +355,8 @@ impl MemoryController {
             }
         }
         self.channel.precharge_all(rank, now);
-        for flat in lo..hi {
-            self.auto_pre[flat] = false;
-            self.close_deadline[flat] = Cycle::MAX;
-            self.open_hits[flat] = 0;
-        }
-        while let Some(&flat) = self.pre_due.range(lo..hi).next() {
-            self.pre_due.remove(&flat);
-        }
+        self.open_hits[lo..hi].fill(0);
+        self.policy_pre.retain(|&flat, _| !(lo..hi).contains(&flat));
     }
 
     /// Refresh management: when a rank's tREFI deadline passes, drain its
@@ -421,7 +370,7 @@ impl MemoryController {
             if !self.refresh_draining[rank] {
                 continue;
             }
-            let per_rank = self.auto_pre.len() / self.refresh_draining.len();
+            let per_rank = self.open_hits.len() / self.refresh_draining.len();
             if self.channel.rank_all_idle(rank) {
                 self.channel.refresh(rank, now);
                 self.refresh_draining[rank] = false;
@@ -469,25 +418,6 @@ impl MemoryController {
                 tenant: r.tenant,
             });
         }
-        // Write-drain watermark mode: batch writes to amortize tWTR.
-        if let Some(wd) = self.write_drain {
-            let writes = self.queue.writes_queued();
-            if writes >= wd.hi {
-                self.draining_writes = true;
-            } else if writes <= wd.lo {
-                self.draining_writes = false;
-            }
-            if self.draining_writes {
-                let has_write_candidate = self
-                    .scratch
-                    .iter()
-                    .any(|c| self.queue.get(c.idx).is_write());
-                if has_write_candidate {
-                    self.scratch.retain(|c| self.queue.get(c.idx).is_write());
-                    self.stats.drain_selections += 1;
-                }
-            }
-        }
         // QoS bandwidth regulation: candidates whose tenant's bucket is
         // empty are withheld from this round. If that would leave the
         // channel idle while demand is eligible and the configuration is
@@ -529,9 +459,7 @@ impl MemoryController {
                     .iter()
                     .filter(|q| q.flat == r.flat && q.loc.row == r.loc.row)
                     .count() as u32;
-                self.auto_pre[flat] = false;
-                self.close_deadline[flat] = Cycle::MAX;
-                self.pre_due.remove(&flat);
+                self.policy_pre.remove(&flat);
                 self.trace_cmd(now, CmdKind::Act, flat, r.loc.row);
             }
             Action::PrechargeConflict => {
@@ -539,9 +467,7 @@ impl MemoryController {
                 // conflicting request that triggered the close.
                 let closed = self.channel.open_row_flat(flat).unwrap_or(0);
                 self.channel.precharge_flat(flat, now);
-                self.auto_pre[flat] = false;
-                self.close_deadline[flat] = Cycle::MAX;
-                self.pre_due.remove(&flat);
+                self.policy_pre.remove(&flat);
                 self.trace_cmd(now, CmdKind::Pre, flat, closed);
             }
             Action::PrechargeVictim(victim) => {
@@ -551,9 +477,7 @@ impl MemoryController {
                 let victim = victim as usize;
                 let closed = self.channel.open_row_flat(victim).unwrap_or(0);
                 self.channel.precharge_flat(victim, now);
-                self.auto_pre[victim] = false;
-                self.close_deadline[victim] = Cycle::MAX;
-                self.pre_due.remove(&victim);
+                self.policy_pre.remove(&victim);
                 self.trace_cmd(now, CmdKind::Pre, victim, closed);
             }
             Action::Column => {
@@ -623,8 +547,8 @@ impl MemoryController {
                 // The assessment above may have retired this μbank (an
                 // uncorrectable error escalates through the degradation
                 // ladder). Any policy state left armed for it — including
-                // the close deadline `speculate` may have just re-armed —
-                // targets a μbank that no longer exists.
+                // the close `speculate` may have just armed — targets a
+                // μbank that no longer exists.
                 if self
                     .faults
                     .as_deref()
@@ -638,17 +562,12 @@ impl MemoryController {
     }
 
     /// Drop page-policy state still armed for a μbank the reliability
-    /// engine just retired: the pending decision, any predictor
-    /// auto-precharge, and the close deadline. Without this, a stale
-    /// deadline promotes the dead μbank back into `pre_due`, where
-    /// `next_event` keeps folding a precharge that can never issue.
-    /// Stale `deadline_heap` entries are dropped lazily by the
-    /// `close_deadline` equality check.
+    /// engine just retired: the pending decision and any policy
+    /// precharge. Without this, idle-slot service would issue a PRE
+    /// against a μbank that no longer exists.
     fn clear_retired_policy_state(&mut self, flat: usize) {
         self.pending[flat] = None;
-        self.auto_pre[flat] = false;
-        self.close_deadline[flat] = Cycle::MAX;
-        self.pre_due.remove(&flat);
+        self.policy_pre.remove(&flat);
     }
 
     /// Patrol scrubbing on otherwise-idle command slots: background
@@ -685,9 +604,7 @@ impl MemoryController {
             // unless demand traffic still wants it (hits always win).
             if self.open_hits[flat_us] == 0 && self.channel.can_precharge_flat(flat_us, now) {
                 self.channel.precharge_flat(flat_us, now);
-                self.auto_pre[flat_us] = false;
-                self.close_deadline[flat_us] = Cycle::MAX;
-                self.pre_due.remove(&flat_us);
+                self.policy_pre.remove(&flat_us);
                 self.trace_cmd(now, CmdKind::Pre, flat_us, open);
                 return true;
             }
@@ -723,16 +640,7 @@ impl MemoryController {
             (_, PolicyKind::Open) => PageDecision::KeepOpen,
             (_, PolicyKind::Close) => PageDecision::Close,
             (_, PolicyKind::MinimalistOpen { window_cycles }) => {
-                let deadline = now + window_cycles;
-                self.close_deadline[flat] = deadline;
-                self.deadline_heap.push(Reverse((deadline, flat)));
-                // Re-arming supersedes any already-elapsed deadline; the
-                // flat is only still due if a predictor precharge is also
-                // pending (disjoint policies in practice, but cheap to
-                // honor exactly).
-                if !self.auto_pre[flat] {
-                    self.pre_due.remove(&flat);
-                }
+                self.policy_pre.insert(flat, now + window_cycles);
                 PageDecision::KeepOpen
             }
             (PredictorImpl::Local(l), _) => l.predict(flat),
@@ -742,8 +650,7 @@ impl MemoryController {
             (PredictorImpl::None, _) => PageDecision::KeepOpen,
         };
         if decision == PageDecision::Close {
-            self.auto_pre[flat] = true;
-            self.pre_due.insert(flat);
+            self.policy_pre.insert(flat, now);
         }
         self.pending[flat] = Some(PendingDecision {
             predicted: decision,
@@ -752,35 +659,21 @@ impl MemoryController {
         });
     }
 
-    /// Issue policy-driven precharges on otherwise idle command slots.
-    /// Walks only the due set (lowest flat first, matching the old full
-    /// scan) instead of every μbank in the channel.
+    /// Issue a policy precharge on an otherwise idle command slot: the
+    /// lowest μbank whose close is due and may precharge now.
     fn service_policy_precharges(&mut self, now: Cycle) {
-        // Promote elapsed deadlines into the due set, dropping entries
-        // whose deadline was cleared or re-armed since they were pushed.
-        while let Some(&Reverse((deadline, flat))) = self.deadline_heap.peek() {
-            if deadline > now {
-                break;
-            }
-            self.deadline_heap.pop();
-            if self.close_deadline[flat] == deadline {
-                self.pre_due.insert(flat);
-            }
-        }
         let Some(flat) = self
-            .pre_due
+            .policy_pre
             .iter()
-            .copied()
-            .find(|&f| self.channel.can_precharge_flat(f, now))
+            .find(|&(&f, &due)| due <= now && self.channel.can_precharge_flat(f, now))
+            .map(|(&f, _)| f)
         else {
             return;
         };
         let row = self.channel.open_row_flat(flat).unwrap_or(0);
         self.channel.precharge_flat(flat, now);
         self.open_hits[flat] = 0;
-        self.auto_pre[flat] = false;
-        self.close_deadline[flat] = Cycle::MAX;
-        self.pre_due.remove(&flat);
+        self.policy_pre.remove(&flat);
         self.trace_cmd(now, CmdKind::Pre, flat, row);
     }
 
@@ -817,10 +710,7 @@ impl MemoryController {
     ///   cached next command, `max(local, rank floor)` (column for an open
     ///   row match, conflict or victim precharge unless another request
     ///   still hits the row it would close, activate when closed);
-    /// - pending policy precharges contribute their earliest PRE; armed
-    ///   close deadlines contribute `max(deadline, earliest PRE)` —
-    ///   promotion into `pre_due` is pure catch-up at the next executed
-    ///   tick, so deferring it across skipped cycles is invisible.
+    /// - each policy precharge contributes `max(due, earliest PRE)`.
     pub fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
         if self.cfg.powerdown_idle.is_some() {
             return None;
@@ -898,29 +788,8 @@ impl MemoryController {
             }
             next = next.min(at);
         }
-        // Policy precharges already promoted into the due set.
-        for &flat in &self.pre_due {
-            let at = self.channel.earliest_precharge_flat(flat);
-            if at <= now {
-                return None;
-            }
-            next = next.min(at);
-        }
-        // Armed close deadlines. Drop stale heads eagerly (cheap,
-        // amortized); deeper stale entries are filtered by the
-        // `close_deadline` equality check.
-        while let Some(&Reverse((deadline, flat))) = self.deadline_heap.peek() {
-            if self.close_deadline[flat] != deadline {
-                self.deadline_heap.pop();
-                continue;
-            }
-            break;
-        }
-        for &Reverse((deadline, flat)) in self.deadline_heap.iter() {
-            if self.close_deadline[flat] != deadline {
-                continue;
-            }
-            let at = deadline.max(self.channel.earliest_precharge_flat(flat));
+        for (&flat, &due) in &self.policy_pre {
+            let at = due.max(self.channel.earliest_precharge_flat(flat));
             if at <= now {
                 return None;
             }
@@ -1493,86 +1362,6 @@ mod tests {
     }
 
     #[test]
-    fn write_drain_batches_writes() {
-        // Interleaved reads and writes to different banks: with watermarks
-        // the controller services writes in bursts, reducing read/write
-        // alternation on the data bus.
-        let count_alternations = |use_drain: bool| -> (usize, Cycle) {
-            let cf = cfg(2, 2).with_queue_size(16);
-            let mut c = ctrl(&cf, PolicyKind::Open);
-            if use_drain {
-                c = c.with_write_drain(WriteDrain { hi: 8, lo: 2 });
-            }
-            let mut done: Vec<Completion> = Vec::new();
-            let mut order: Vec<bool> = Vec::new();
-            let mut next = 0u64;
-            let mut now = 0;
-            while done.len() < 64 && now < 200_000 {
-                while next < 64 && c.free_slots() > 0 {
-                    let kind = if next.is_multiple_of(2) {
-                        ReqKind::Read
-                    } else {
-                        ReqKind::Write
-                    };
-                    // One open row: every request is a column candidate, so
-                    // ordering is purely the scheduler/drain's choice.
-                    c.enqueue(mkreq(&c, next, (next % 32) * 64, kind, 0), now);
-                    next += 1;
-                }
-                c.tick(now);
-                let before = done.len();
-                c.take_completions(&mut done);
-                for d in &done[before..] {
-                    order.push(d.is_write);
-                }
-                now += 1;
-            }
-            assert_eq!(done.len(), 64);
-            let alternations = order.windows(2).filter(|w| w[0] != w[1]).count();
-            (alternations, now)
-        };
-        let (alt_plain, _) = count_alternations(false);
-        let (alt_drain, _) = count_alternations(true);
-        // tWTR already induces natural batching; drain mode must never be
-        // worse, and must actually engage (checked below via stats).
-        assert!(
-            alt_drain <= alt_plain,
-            "draining made alternation worse: {alt_drain} vs {alt_plain}"
-        );
-        // Engagement check on a fresh controller with a deep write burst.
-        let cf = cfg(1, 1).with_queue_size(16);
-        let mut c = ctrl(&cf, PolicyKind::Open).with_write_drain(WriteDrain { hi: 8, lo: 2 });
-        for i in 0..12u64 {
-            c.enqueue(mkreq(&c, i, (i % 32) * 64, ReqKind::Write, 0), 0);
-        }
-        for now in 0..20_000 {
-            c.tick(now);
-        }
-        assert!(c.stats.drain_selections > 0, "drain mode never engaged");
-    }
-
-    #[test]
-    fn write_drain_preserves_completion_set() {
-        let cf = cfg(1, 1).with_queue_size(8);
-        let mut c = ctrl(&cf, PolicyKind::Open).with_write_drain(WriteDrain { hi: 4, lo: 1 });
-        let mut done = Vec::new();
-        for i in 0..8u64 {
-            let kind = if i < 4 { ReqKind::Write } else { ReqKind::Read };
-            c.enqueue(mkreq(&c, i, i << 16, kind, 0), 0);
-        }
-        for now in 0..100_000 {
-            c.tick(now);
-            c.take_completions(&mut done);
-            if done.len() == 8 {
-                break;
-            }
-        }
-        assert_eq!(done.len(), 8, "all requests complete under drain mode");
-        let ids: std::collections::HashSet<u64> = done.iter().map(|d| d.id).collect();
-        assert_eq!(ids.len(), 8);
-    }
-
-    #[test]
     fn mean_queue_occupancy_reported() {
         let cf = cfg(1, 1);
         let mut c = ctrl(&cf, PolicyKind::Open);
@@ -1585,10 +1374,9 @@ mod tests {
     }
 
     /// Regression: retiring a μbank while its close deadline is armed must
-    /// drop that deadline (and any auto-precharge) with it. The failure
-    /// mode was a stale `deadline_heap` entry promoting the dead μbank back
-    /// into `pre_due`, issuing a policy PRE against a μbank the degradation
-    /// ladder had already removed.
+    /// drop that deadline with it. The failure mode was a stale deadline
+    /// issuing a policy PRE against a μbank the degradation ladder had
+    /// already removed.
     #[test]
     fn retiring_a_ubank_drops_its_pending_close_deadline() {
         let cf = cfg(4, 4);
@@ -1627,13 +1415,10 @@ mod tests {
             "the uncorrectable read retires the μbank"
         );
         // The deadline `speculate` armed on service must be gone, along
-        // with every other piece of policy state for the flat.
-        assert_eq!(c.close_deadline[flat], Cycle::MAX);
-        assert!(!c.auto_pre[flat]);
+        // with the pending decision for the flat.
+        assert!(!c.policy_pre.contains_key(&flat));
         assert!(c.pending[flat].is_none());
-        assert!(!c.pre_due.contains(&flat));
-        // And no policy PRE may fire once the window elapses: the heap's
-        // stale entry is discarded, not promoted.
+        // And no policy PRE may fire once the window elapses.
         let pres = c.channel.stats.precharges;
         let start = done[0].at;
         for now in start..start + 4 * window {
@@ -1643,7 +1428,6 @@ mod tests {
             c.channel.stats.precharges, pres,
             "policy precharge issued against a retired μbank"
         );
-        assert!(c.pre_due.is_empty());
     }
 
     // ---- multi-tenant QoS (DESIGN §5g) ----

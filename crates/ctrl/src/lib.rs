@@ -22,7 +22,7 @@ pub mod qos;
 pub mod queue;
 pub mod scheduler;
 
-pub use controller::{Completion, CtrlStats, MemoryController, WriteDrain};
+pub use controller::{Completion, CtrlStats, MemoryController};
 pub use policy::{PagePolicy, PolicyKind};
 pub use predictor::{
     BimodalCounter, GlobalPredictor, LocalPredictor, PageDecision, PredictorKind, PredictorStats,

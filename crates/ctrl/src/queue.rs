@@ -67,8 +67,6 @@ pub struct RequestQueue {
     per_bank: Vec<u32>,
     /// Pending-request count per rank (for the power-down path).
     per_rank: Vec<u32>,
-    /// Queued write (writeback) count, for write-drain watermarks.
-    writes: usize,
 }
 
 impl RequestQueue {
@@ -81,13 +79,7 @@ impl RequestQueue {
             capacity: cfg.queue_size,
             per_bank: vec![0; cfg.ubanks_per_channel()],
             per_rank: vec![0; cfg.ranks_per_channel],
-            writes: 0,
         }
-    }
-
-    /// Number of queued writes.
-    pub fn writes_queued(&self) -> usize {
-        self.writes
     }
 
     pub fn len(&self) -> usize {
@@ -117,7 +109,6 @@ impl RequestQueue {
         req.flat = flat_ubank as u32;
         self.per_bank[flat_ubank] += 1;
         self.per_rank[req.loc.rank as usize] += 1;
-        self.writes += req.is_write() as usize;
         self.next.push(NextCmd {
             local: Cycle::MAX,
             epoch: u64::MAX,
@@ -139,7 +130,6 @@ impl RequestQueue {
         self.next.swap_remove(idx);
         self.per_bank[req.flat as usize] -= 1;
         self.per_rank[req.loc.rank as usize] -= 1;
-        self.writes -= req.is_write() as usize;
         req
     }
 

@@ -15,9 +15,7 @@ use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, ReqKind};
 use microbank_core::stats::DramStats;
 use microbank_core::Cycle;
-use microbank_ctrl::{
-    Completion, MemoryController, PolicyKind, PredictorKind, SchedulerKind, WriteDrain,
-};
+use microbank_ctrl::{Completion, MemoryController, PolicyKind, PredictorKind, SchedulerKind};
 use microbank_faults::FaultConfig;
 use proptest::prelude::*;
 
@@ -44,7 +42,6 @@ struct Observable {
     served_reads: u64,
     served_writes: u64,
     rejected: u64,
-    drain_selections: u64,
     speculative_decisions: u64,
 }
 
@@ -55,7 +52,6 @@ fn observe(c: &MemoryController) -> Observable {
         served_reads: c.stats.served_reads,
         served_writes: c.stats.served_writes,
         rejected: c.stats.rejected,
-        drain_selections: c.stats.drain_selections,
         speculative_decisions: c.stats.speculative_decisions,
     }
 }
@@ -223,10 +219,9 @@ fn clean_armed_fault_engine_still_skips() {
 }
 
 /// Skip-vs-reference equivalence across the scheduler × policy grid,
-/// refresh on, including write-drain mode (the most defer-sensitive
-/// controller feature: the drain flag updates are queue-content
-/// deterministic, so deferring them across a skip stretch must be
-/// invisible).
+/// refresh on: every page policy's idle-slot precharge (due at once for a
+/// predictor's Close, after the window for minimalist-open) must fire on
+/// the same cycle whether or not the drive skips.
 #[test]
 fn skip_drive_matches_reference_across_policy_grid() {
     let grid: &[(SchedulerKind, PolicyKind, &str)] = &[
@@ -245,13 +240,10 @@ fn skip_drive_matches_reference_across_policy_grid() {
     ];
     for &(sched, policy, tag) in grid {
         let cf = cfg(4, 4, true);
-        let mk = || {
-            MemoryController::new(&cf, sched, policy, 4)
-                .with_write_drain(WriteDrain::default_for_queue(8))
-        };
+        let mk = || MemoryController::new(&cf, sched, policy, 4);
         let c = mk();
         // Bursty mixed traffic: clustered row hits, conflicting rows on
-        // the same μbank, and enough writes to trip the drain watermark.
+        // the same μbank, and reads interleaved with writes.
         let mut arrivals = Vec::new();
         let mut id = 0;
         for burst in 0..12u64 {

@@ -1,7 +1,7 @@
 //! Index-consistency tests for the incrementally-maintained scheduling
 //! state.
 //!
-//! The request queue keeps per-μbank, per-rank and write counts; the
+//! The request queue keeps per-μbank and per-rank counts; the
 //! controller keeps a per-μbank open-row hit count, the scheduler a PAR-BS
 //! marked count, the channel each rank's dual floors, and the queue every
 //! entry's cached next command, revalidated by bank epoch. The hot path
@@ -11,7 +11,8 @@
 //! the controller soak checks the rest after every enqueue, tick and
 //! `next_event` (which re-derives the commands the tick made stale),
 //! across device variants, with refresh (PREA), the perfect predictor
-//! (oracle precharge), a close-page policy (policy precharge) and patrol
+//! (oracle precharge), the close-page, minimalist-open and local-predictor
+//! policies (policy precharges, due at once or after a window) and patrol
 //! scrub.
 
 use microbank_core::address::AddressMap;
@@ -37,12 +38,10 @@ fn rescan(q: &RequestQueue, cfg: &MemConfig) -> Naive {
     let mut n = Naive {
         per_bank: vec![0; cfg.ubanks_per_channel()],
         per_rank: vec![0; cfg.ranks_per_channel],
-        writes: 0,
     };
     for r in q.iter() {
         n.per_bank[r.flat as usize] += 1;
         n.per_rank[r.loc.rank as usize] += 1;
-        n.writes += r.is_write() as usize;
     }
     n
 }
@@ -50,7 +49,6 @@ fn rescan(q: &RequestQueue, cfg: &MemConfig) -> Naive {
 struct Naive {
     per_bank: Vec<u32>,
     per_rank: Vec<u32>,
-    writes: usize,
 }
 
 fn check_agreement(q: &RequestQueue, cfg: &MemConfig) {
@@ -61,7 +59,6 @@ fn check_agreement(q: &RequestQueue, cfg: &MemConfig) {
     for (rank, &want) in naive.per_rank.iter().enumerate() {
         assert_eq!(q.pending_for_rank(rank), want, "per-rank[{rank}]");
     }
-    assert_eq!(q.writes_queued(), naive.writes, "write count");
 }
 
 proptest! {
@@ -98,7 +95,6 @@ proptest! {
             q.remove(0);
             check_agreement(&q, &c);
         }
-        prop_assert_eq!(q.writes_queued(), 0);
     }
 }
 
@@ -166,6 +162,8 @@ fn controller_indexes_match_recount_across_variants_and_policies() {
         PolicyKind::Predictive(PredictorKind::Perfect),
         PolicyKind::Close,
         PolicyKind::Open,
+        PolicyKind::MinimalistOpen { window_cycles: 98 },
+        PolicyKind::Predictive(PredictorKind::Local),
     ];
     for v in variants {
         let mem = MemConfig::lpddr_tsi()

@@ -1418,8 +1418,9 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
 /// histogram's (count, sum), and an order-sensitive FNV checksum of
 /// per-core committed counts. Every element is a function of *simulated*
 /// behavior only (never wall clock), so hot-path refactors must keep it
-/// bit-identical. Regenerate the committed table with the `golden_dump`
-/// binary when a PR deliberately changes simulated behavior.
+/// bit-identical. When they drift, the golden test prints the complete
+/// regenerated table to commit if the change to simulated behavior is
+/// deliberate.
 pub fn golden_fingerprint(r: &SimResult) -> [u64; 13] {
     let per_core = r
         .per_core_committed

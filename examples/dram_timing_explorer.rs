@@ -37,16 +37,21 @@ fn main() {
     });
     let c = map.decode(conflict_addr); // same μbank, different row
     let other = map.decode(0x4000_0000); // far away: different μbank
+                                         // The channel addresses μbanks by flat index; A and its conflicting
+                                         // row share one.
+    let fa = a.ubank_flat(&cfg);
+    let fb = b.ubank_flat(&cfg);
+    let fo = other.ubank_flat(&cfg);
 
     let mut now: Cycle = 0;
     let log = |ev: &str, at: Cycle| println!("t={at:>4}  {ev}");
 
-    assert!(ch.can_activate(&a, now));
-    ch.activate(&a, now);
+    assert!(ch.can_activate_row_flat(fa, a.row, now));
+    ch.activate_flat(fa, a.row, now);
     log("ACT   μbank A, row R", now);
 
     now += t.t_rcd;
-    let done = ch.read(&a, now);
+    let done = ch.read_flat(fa, now);
     log(
         &format!("RD    μbank A, col 0      (data done t={done})"),
         now,
@@ -54,9 +59,9 @@ fn main() {
 
     // Row hit: the second line needs only a column command.
     let hit_at = now + t.t_ccd;
-    assert!(ch.can_column(&b, false, hit_at));
+    assert!(ch.can_column_flat(fb, b.row, false, hit_at));
     now = hit_at;
-    let done = ch.read(&b, now);
+    let done = ch.read_flat(fb, now);
     log(
         &format!("RD    μbank A, col 1 (hit, data done t={done})"),
         now,
@@ -64,24 +69,25 @@ fn main() {
 
     // Independent μbank: overlaps freely while A is busy.
     let mut o = now + 2;
-    while !ch.can_activate(&other, o) {
+    while !ch.can_activate_row_flat(fo, other.row, o) {
         o += 1;
     }
-    ch.activate(&other, o);
+    ch.activate_flat(fo, other.row, o);
     log("ACT   μbank B (parallel)", o);
 
     // Conflict: row R must close before row R+1 opens — tRAS/tRP enforced.
     let mut p = now;
-    while !ch.can_precharge(&a, p) {
+    while !ch.can_precharge_flat(fa, p) {
         p += 1;
     }
-    ch.precharge(&a, p);
+    ch.precharge_flat(fa, p);
     log("PRE   μbank A (conflict: row R+1 wanted)", p);
     let mut q = p;
-    while !ch.can_activate(&c, q) {
+    assert_eq!(c.ubank_flat(&cfg), fa);
+    while !ch.can_activate_row_flat(fa, c.row, q) {
         q += 1;
     }
-    ch.activate(&c, q);
+    ch.activate_flat(fa, c.row, q);
     log("ACT   μbank A, row R+1", q);
     assert_eq!(q - p, t.t_rp, "PRE→ACT separated by exactly tRP");
 

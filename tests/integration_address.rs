@@ -57,14 +57,15 @@ proptest! {
 
     #[test]
     fn ubank_flat_round_trips_through_channel_model(cfg in any_cfg()) {
-        // Location-based channel API and flat-index API agree.
+        // A decoded location's flat index addresses the channel's μbank
+        // that an ACT to it opens.
         let map = AddressMap::new(&cfg);
         let mut ch = Channel::new(&cfg);
         let loc = map.decode(0x12340);
         let flat = loc.ubank_flat(&cfg);
         prop_assert!(flat < ch.num_ubanks());
-        prop_assert!(ch.can_activate(&loc, 0));
-        ch.activate(&loc, 0);
+        prop_assert!(ch.can_activate_row_flat(flat, loc.row, 0));
+        ch.activate_flat(flat, loc.row, 0);
         prop_assert_eq!(ch.open_row_flat(flat), Some(loc.row));
     }
 
