@@ -166,25 +166,17 @@ impl Uncore {
     }
 
     /// Apply write invalidations to every other cluster in `bitmap`.
-    fn apply_invalidations(&mut self, line: u64, bitmap: u64, now: Cycle, port: &mut dyn MemPort) {
+    fn apply_invalidations(&mut self, line: u64, bitmap: u64) {
         let mut bits = bitmap;
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let mut dirty = self.l2[c].invalidate(line).unwrap_or(false);
+            // A dirty invalidated copy migrates to the writer, which
+            // installs the line dirty, so nothing is written back here.
+            self.l2[c].invalidate(line);
             for core in self.cores_of(c) {
-                if let Some(d) = self.l1[core].invalidate(line) {
-                    dirty |= d;
-                }
+                self.l1[core].invalidate(line);
             }
-            // A dirty invalidated copy migrates to the writer, not memory;
-            // memory is updated when the new owner eventually evicts. The
-            // case only arises when the directory believed the line Shared
-            // (clean), so dirty here indicates an L1-only write: fold it
-            // into the writer's copy by ignoring (the writer installs
-            // dirty anyway).
-            let _ = dirty;
-            let _ = (now, &port);
         }
     }
 
@@ -278,7 +270,7 @@ impl Uncore {
                     latency += cfg.dir_latency + cfg.noc_latency;
                 }
                 let _ = action; // data already local
-                self.apply_invalidations(line, inv, now, port);
+                self.apply_invalidations(line, inv);
             }
             // `fill_hierarchy` specialized for a line we just probed in
             // this L2: its `l2.fill(line, false)` finds the line present
@@ -327,7 +319,7 @@ impl Uncore {
         } else {
             (self.dir.read_miss(line, cluster), 0)
         };
-        self.apply_invalidations(line, inv, now, port);
+        self.apply_invalidations(line, inv);
         match action {
             CoherenceAction::ForwardFromOwner {
                 owner,

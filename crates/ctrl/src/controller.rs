@@ -30,7 +30,9 @@ use microbank_faults::{AccessVerdict, FaultConfig, FaultEngine};
 use microbank_telemetry::{CmdKind, CmdRecord, CmdTrace};
 use std::collections::BTreeMap;
 
-/// A finished memory request, reported back to the CPU model.
+/// A finished memory request, reported back to the CPU model. It carries
+/// everything the drive attributes per read — enqueue cycle and tenant —
+/// so the drive keeps no per-request table keyed by id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     pub id: u64,
@@ -38,9 +40,10 @@ pub struct Completion {
     /// (writes). NoC return latency is added by the CPU side.
     pub at: Cycle,
     pub is_write: bool,
-    pub thread: u16,
-    /// Owning tenant (carried from the request) — lets the drive loops
-    /// attribute read latency per tenant without an id side-table.
+    /// Cycle the controller accepted the request (`enqueue` stamps it
+    /// once; ECC retries and fault remaps leave it alone).
+    pub arrival: Cycle,
+    /// Owning tenant (carried from the request).
     pub tenant: TenantId,
 }
 
@@ -61,11 +64,6 @@ pub struct CtrlStats {
     /// including static open/close treated as constant predictors (the
     /// Fig. 13 "prediction hit rate" series).
     pub policy_stats: PredictorStats,
-    /// Queue-occupancy distribution sampled every tick. §V's argument is
-    /// exactly about this distribution: μbanks spread requests over more
-    /// banks and drain queues faster, starving conventional policies of
-    /// the pending requests they need.
-    pub occupancy_hist: microbank_core::hist::Histogram,
 }
 
 impl CtrlStats {
@@ -307,7 +305,6 @@ impl MemoryController {
     pub fn tick(&mut self, now: Cycle) {
         self.stats.tick_calls += 1;
         self.stats.occupancy_acc += self.queue.len() as u64;
-        self.stats.occupancy_hist.record(self.queue.len() as u64);
 
         // Rank power management (no-op unless configured).
         if let Some(idle) = self.cfg.powerdown_idle {
@@ -536,7 +533,7 @@ impl MemoryController {
                     id: r.id,
                     at: done,
                     is_write: r.is_write(),
-                    thread: r.thread,
+                    arrival: r.arrival,
                     tenant: r.tenant,
                 });
                 // Speculative page management: only when the queue holds no
@@ -807,7 +804,6 @@ impl MemoryController {
         let qlen = self.queue.len() as u64;
         self.stats.tick_calls += n;
         self.stats.occupancy_acc += qlen * n;
-        self.stats.occupancy_hist.record_n(qlen, n);
     }
 
     /// Account `n` enqueue attempts that were rejected while the queue
@@ -1256,6 +1252,68 @@ mod tests {
         assert!(c.enqueue(mkreq(&c, 2, 64, ReqKind::Read, 0), 0));
         assert!(!c.enqueue(mkreq(&c, 3, 128, ReqKind::Read, 0), 0));
         assert_eq!(c.stats.rejected, 1);
+    }
+
+    #[test]
+    fn completion_arrival_is_the_accepting_enqueue_cycle() {
+        let cf = cfg(1, 1).with_queue_size(1);
+        let mut c = ctrl(&cf, PolicyKind::Open);
+        // Both requests carry a stale `arrival` stamp of 0 from `mkreq`.
+        assert!(c.enqueue(mkreq(&c, 1, 0, ReqKind::Read, 0), 5));
+        let t0 = 6;
+        assert!(!c.enqueue(mkreq(&c, 2, 64, ReqKind::Read, 0), t0));
+        let mut done = Vec::new();
+        let mut now = t0;
+        while done.is_empty() && now < 10_000 {
+            c.tick(now);
+            c.take_completions(&mut done);
+            now += 1;
+        }
+        assert_eq!((done[0].id, done[0].arrival), (1, 5));
+        // Request 2 is retried and accepted at t1 > t0: its arrival is
+        // the accepting cycle, not the rejected attempt nor its stamp.
+        let t1 = now;
+        assert!(t1 > t0);
+        assert!(c.enqueue(mkreq(&c, 2, 64, ReqKind::Read, 0), t1));
+        done.clear();
+        while done.is_empty() && now < 20_000 {
+            c.tick(now);
+            c.take_completions(&mut done);
+            now += 1;
+        }
+        assert_eq!((done[0].id, done[0].arrival), (2, t1));
+        assert!(done[0].at > t1);
+    }
+
+    #[test]
+    fn completion_arrival_survives_ecc_retry_and_remap() {
+        let cf = cfg(4, 4);
+        let mut c = ctrl(&cf, PolicyKind::Open);
+        c.enable_faults(&FaultConfig::stress(11), 0);
+        let mut accepted = std::collections::HashMap::new();
+        let mut done = Vec::new();
+        let (mut next_id, mut x) = (0u64, 1u64);
+        for now in 0..400_000 {
+            if now % 8 == 0 && next_id < 20_000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let addr = (x >> 20) % (1 << 24) * 64;
+                if c.enqueue(mkreq(&c, next_id, addr, ReqKind::Read, 0), now) {
+                    accepted.insert(next_id, now);
+                    next_id += 1;
+                }
+            }
+            c.tick(now);
+            c.take_completions(&mut done);
+        }
+        let s = c.faults.as_ref().unwrap().summary;
+        assert!(s.retries > 0, "no ECC retry exercised: {s:?}");
+        assert!(s.retired_rows + s.retired_ubanks > 0, "no remap: {s:?}");
+        assert!(done.len() > 1_000);
+        for d in &done {
+            assert_eq!(d.arrival, accepted[&d.id], "request {}", d.id);
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use microbank_telemetry::{
 };
 use microbank_workloads::suite::{build_sources, Workload};
 use serde::Serialize;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// One simulation run's configuration.
@@ -670,79 +671,6 @@ impl SimResult {
     }
 }
 
-/// Enqueue-time store for latency accounting. Request ids come from one
-/// monotone counter, so instead of hashing each id into a map, slot `id`
-/// lives at `id - base` in a dense ring. Backlogged requests can enqueue
-/// out of order (they keep their id across retries), so `base` advances
-/// only past slots whose request has *completed* — an empty slot may still
-/// be claimed later.
-struct EnqueueSlab {
-    base: u64,
-    slots: std::collections::VecDeque<Cycle>,
-}
-
-/// Slot never filled (id not yet enqueued, or a request class the caller
-/// doesn't track).
-const SLOT_EMPTY: Cycle = Cycle::MAX;
-/// Slot filled and consumed; safe for `base` to advance past.
-const SLOT_CONSUMED: Cycle = Cycle::MAX - 1;
-
-impl EnqueueSlab {
-    fn new() -> Self {
-        EnqueueSlab {
-            base: 0,
-            slots: std::collections::VecDeque::new(),
-        }
-    }
-
-    fn insert(&mut self, id: u64, at: Cycle) {
-        debug_assert!(at < SLOT_CONSUMED);
-        if self.slots.is_empty() {
-            self.base = id;
-        }
-        debug_assert!(id >= self.base, "slab advanced past a live id");
-        let Some(idx) = id.checked_sub(self.base) else {
-            return;
-        };
-        if idx as usize >= self.slots.len() {
-            self.slots.resize(idx as usize + 1, SLOT_EMPTY);
-        }
-        self.slots[idx as usize] = at;
-    }
-
-    /// Consume `id`'s recorded cycle (None if never inserted).
-    fn remove(&mut self, id: u64) -> Option<Cycle> {
-        let idx = id.checked_sub(self.base)? as usize;
-        let slot = self.slots.get_mut(idx)?;
-        let out = (*slot < SLOT_CONSUMED).then_some(*slot);
-        *slot = SLOT_CONSUMED;
-        while self.slots.front() == Some(&SLOT_CONSUMED) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        out
-    }
-}
-
-#[derive(PartialEq, Eq)]
-struct Delivery {
-    at: Cycle,
-    id: u64,
-}
-
-impl Ord for Delivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap via reversed comparison.
-        other.at.cmp(&self.at).then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for Delivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Run one simulation to completion. Honors `cfg.telemetry` for hook
 /// enablement but discards the collected report; use [`run_instrumented`]
 /// to keep it.
@@ -905,9 +833,7 @@ fn run_attempt(cfg: &SimConfig) -> Result<(SimResult, Option<TelemetryReport>), 
         per_core_at_warmup,
         dram_at_warmup,
         heat_at_warmup,
-        read_latency_acc,
         read_latency_hist,
-        read_lat_samples,
         tenant_hists,
         tenant_cols_at_warmup,
     } = out;
@@ -1056,11 +982,7 @@ fn run_attempt(cfg: &SimConfig) -> Result<(SimResult, Option<TelemetryReport>), 
             policy_hits.0 as f64 / policy_hits.1 as f64
         },
         mean_queue_occupancy: occupancy,
-        mean_read_latency: if read_lat_samples == 0 {
-            0.0
-        } else {
-            read_latency_acc as f64 / read_lat_samples as f64
-        },
+        mean_read_latency: read_latency_hist.mean(),
         read_latency_hist,
         per_core_committed: (0..cfg.cmp.cores)
             .map(|i| cmp.core(i).stats.committed - per_core_at_warmup[i])
@@ -1081,9 +1003,7 @@ struct DriveOutput {
     per_core_at_warmup: Vec<u64>,
     dram_at_warmup: DramStats,
     heat_at_warmup: Vec<HeatCounters>,
-    read_latency_acc: u64,
     read_latency_hist: microbank_core::hist::Histogram,
-    read_lat_samples: u64,
     /// Per-tenant read-latency histograms (one per tenant slot the run
     /// reports; empty when QoS is off — the hook stays a single branch).
     tenant_hists: Vec<microbank_core::hist::Histogram>,
@@ -1113,9 +1033,9 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
 
     let total = cfg.warmup_cycles + cfg.measure_cycles;
     let noc = cfg.cmp.noc_latency;
-    let mut deliveries: BinaryHeap<Delivery> = BinaryHeap::new();
+    // Fills in flight to the CMP, earliest `(at, id)` first.
+    let mut deliveries: BinaryHeap<Reverse<(Cycle, u64)>> = BinaryHeap::new();
     let mut completions: Vec<Completion> = Vec::new();
-    let mut read_latency_acc: u64 = 0;
     let mut read_latency_hist = microbank_core::hist::Histogram::new();
 
     // Per-tenant accounting, armed only with QoS (0 tenants otherwise).
@@ -1129,10 +1049,6 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
     let mut per_core_at_warmup: Vec<u64> = vec![0; cfg.cmp.cores];
     let mut dram_at_warmup = DramStats::default();
     let mut heat_at_warmup: Vec<HeatCounters> = Vec::new();
-
-    // Enqueue-time records for latency measurement (id → enqueue cycle).
-    let mut enqueue_time = EnqueueSlab::new();
-    let mut read_lat_samples: u64 = 0;
 
     // Event-skip state: `ctrl_wake[i]` is the first cycle at which
     // controller `i`'s tick could do anything beyond stats accounting
@@ -1218,33 +1134,20 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
                     now + 1
                 };
             }
-            for comp in completions.drain(..) {
-                if comp.is_write {
-                    // Consume the slot so the slab's base can advance.
-                    enqueue_time.remove(comp.id);
-                } else {
-                    if let Some(t0) = enqueue_time.remove(comp.id) {
-                        if now >= cfg.warmup_cycles {
-                            // A read enqueued during warmup but completed in
-                            // the window counts only its in-window portion;
-                            // latency accrued before measurement began is a
-                            // warmup artifact, not window behavior.
-                            let t0 = t0.max(cfg.warmup_cycles);
-                            let lat = comp.at.saturating_sub(t0);
-                            read_latency_acc += lat;
-                            read_latency_hist.record(lat);
-                            read_lat_samples += 1;
-                            if qos_nt > 0 {
-                                let t = tenant_slot(comp.tenant).min(qos_nt - 1);
-                                tenant_hists[t].record(lat);
-                            }
-                        }
+            for comp in completions.drain(..).filter(|c| !c.is_write) {
+                if now >= cfg.warmup_cycles {
+                    // A read enqueued during warmup but completed in the
+                    // window counts only its in-window portion; latency
+                    // accrued before measurement began is a warmup
+                    // artifact, not window behavior.
+                    let lat = comp.at.saturating_sub(comp.arrival.max(cfg.warmup_cycles));
+                    read_latency_hist.record(lat);
+                    if qos_nt > 0 {
+                        let t = tenant_slot(comp.tenant).min(qos_nt - 1);
+                        tenant_hists[t].record(lat);
                     }
-                    deliveries.push(Delivery {
-                        at: comp.at.max(now) + noc,
-                        id: comp.id,
-                    });
                 }
+                deliveries.push(Reverse((comp.at.max(now) + noc, comp.id)));
             }
             if let Some(t0) = t0 {
                 ctrl_ns += t0.elapsed().as_nanos() as u64;
@@ -1252,20 +1155,21 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
             }
         }
         // Deliver due fills to the CMP.
-        while deliveries.peek().is_some_and(|d| d.at <= now) {
-            let d = deliveries.pop().unwrap();
+        while let Some(&Reverse((at, id))) = deliveries.peek() {
+            if at > now {
+                break;
+            }
+            deliveries.pop();
             let mut router = TrackingRouter {
                 ctrls: &mut ctrls,
-                enqueue_time: &mut enqueue_time,
                 ctrl_wake: &mut ctrl_wake,
                 ctrl_skipped: &mut ctrl_skipped,
             };
-            cmp.on_fill(d.id, now, &mut router);
+            cmp.on_fill(id, now, &mut router);
         }
         // Advance the cores.
         let mut router = TrackingRouter {
             ctrls: &mut ctrls,
-            enqueue_time: &mut enqueue_time,
             ctrl_wake: &mut ctrl_wake,
             ctrl_skipped: &mut ctrl_skipped,
         };
@@ -1347,8 +1251,8 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
                 }
             }
             if h > next {
-                if let Some(d) = deliveries.peek() {
-                    h = h.min(d.at.max(next));
+                if let Some(&Reverse((at, _))) = deliveries.peek() {
+                    h = h.min(at.max(next));
                 }
                 for &w in &ctrl_wake {
                     let slot = w
@@ -1405,9 +1309,7 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
         per_core_at_warmup,
         dram_at_warmup,
         heat_at_warmup,
-        read_latency_acc,
         read_latency_hist,
-        read_lat_samples,
         tenant_hists,
         tenant_cols_at_warmup,
     })
@@ -1445,11 +1347,10 @@ pub fn golden_fingerprint(r: &SimResult) -> [u64; 13] {
     ]
 }
 
-/// Router that also records enqueue times for read-latency accounting and
-/// wakes event-skipped controllers on arrival.
+/// Router that wakes event-skipped controllers on arrival. Read latency
+/// needs nothing from it: each completion carries its enqueue cycle.
 struct TrackingRouter<'a> {
     ctrls: &'a mut [MemoryController],
-    enqueue_time: &'a mut EnqueueSlab,
     ctrl_wake: &'a mut [Cycle],
     ctrl_skipped: &'a mut [u64],
 }
@@ -1476,9 +1377,6 @@ impl MemPort for TrackingRouter<'_> {
         r.tenant = req.tenant;
         let ok = ctrl.enqueue(r, now);
         if ok {
-            // Writes are tracked too (and consumed at completion) so the
-            // slab's base is never pinned by an id that will never arrive.
-            self.enqueue_time.insert(req.id, now);
             // The arrival invalidates any previously proven horizon; the
             // wake value is the arrival cycle itself, never a sentinel.
             self.ctrl_wake[ch] = now;
@@ -1569,36 +1467,6 @@ pub fn run_many(cfgs: &[SimConfig]) -> Vec<SimResult> {
 mod tests {
     use super::*;
     use microbank_workloads::suite::Workload;
-
-    #[test]
-    fn enqueue_slab_roundtrips_in_order() {
-        let mut s = EnqueueSlab::new();
-        for id in 10..20u64 {
-            s.insert(id, id * 7);
-        }
-        for id in 10..20u64 {
-            assert_eq!(s.remove(id), Some(id * 7));
-            assert_eq!(s.remove(id), None, "double-remove yields nothing");
-        }
-        assert!(s.slots.is_empty(), "fully drained slab frees its slots");
-    }
-
-    #[test]
-    fn enqueue_slab_handles_gaps_and_stragglers() {
-        let mut s = EnqueueSlab::new();
-        // id 7 lags (backlogged); 6 and 8 land and complete first.
-        s.insert(6, 60);
-        s.insert(8, 80);
-        assert_eq!(s.remove(6), Some(60));
-        assert_eq!(s.remove(8), Some(80));
-        // Base must not advance past id 7's still-empty slot…
-        s.insert(7, 70);
-        assert_eq!(s.remove(7), Some(70));
-        assert!(s.slots.is_empty());
-        // …and never-inserted ids resolve to None.
-        assert_eq!(s.remove(4), None);
-        assert_eq!(s.remove(1_000), None);
-    }
 
     #[test]
     fn isolate_turns_str_and_string_panics_into_panic_errors() {

@@ -1,6 +1,7 @@
 //! Golden determinism suite: the hot-path refactors in the controller and
-//! simulator (incremental queue indexes, pending-precharge sets, idle-tick
-//! skipping, the enqueue slab, blocked-core skipping) are required to be
+//! simulator (incremental queue indexes, the policy-precharge map,
+//! idle-tick skipping, completion-carried enqueue cycles, blocked-core
+//! skipping) are required to be
 //! *behavior-preserving*. Each {scheduler} × {page policy} × {μbank
 //! partition} configuration below must reproduce its committed fingerprint
 //! exactly — every element is a function of simulated behavior only, never

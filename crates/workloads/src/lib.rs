@@ -17,16 +17,12 @@
 //! * [`mix`] — the mix-high / mix-blend multiprogrammed mixtures.
 
 pub mod mix;
-pub mod phases;
 pub mod profile;
 pub mod spec;
 pub mod suite;
 pub mod synth;
-pub mod trace;
 
-pub use phases::{phase_variants, PhasedSource};
 pub use profile::AppProfile;
 pub use spec::SpecGroup;
 pub use suite::{build_sources, Workload};
 pub use synth::SynthSource;
-pub use trace::{Trace, TraceRecord, TraceSource};
