@@ -1,82 +1,75 @@
-//! Validates the observability surfaces a sweep exposes: a captured
-//! `/status` (or `<name>.status.json`) document and a captured
-//! `/metrics` exposition. CI scrapes a live `sweep_smoke` run and hands
-//! the captures here; a human can point it at the files a finished
-//! sweep left behind.
+//! Validates the observability surfaces `sweepd` exposes: a captured
+//! `/status` document and a captured `/metrics` exposition. CI scrapes a
+//! live `sweepd` after a job finishes and hands the captures here.
 //!
 //! Checks:
-//!   * the status document parses as JSON and carries the progress
-//!     schema (`sweep`, `total_slots`, `done`, `slots[].state`, ...)
-//!     with internally consistent counts;
+//!   * the status document parses as JSON and carries the service
+//!     schema (`service`, `draining`, `queue_depth`, `active_slots`,
+//!     `jobs[]`), every job's state is a known lifecycle state, its
+//!     `pending` count is at most its `slots`, and `queue_depth` equals
+//!     the number of live (queued or running) jobs;
 //!   * the metrics exposition parses under the Prometheus 0.0.4 text
-//!     format, histograms are cumulative-monotone, and the sweep
-//!     progress metrics are present.
+//!     format, histograms are cumulative-monotone, and the job gauges
+//!     and the read-latency histogram of the executed slots are present.
 //!
 //! Usage: obs_check --status FILE [--metrics FILE]
 
-use microbank_telemetry::json::parse;
+use microbank_telemetry::json::{parse, JsonValue};
 use microbank_telemetry::metrics::validate_exposition;
+
+fn uint(doc: &JsonValue, key: &str) -> Result<u64, String> {
+    doc.get(key)
+        .and_then(|v| v.as_f64())
+        .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+        .map(|x| x as u64)
+        .ok_or_else(|| format!("{key:?} missing or not a non-negative integer"))
+}
 
 fn check_status(text: &str) -> Result<(), String> {
     let doc = parse(text).map_err(|off| format!("status is not JSON (byte {off})"))?;
-    for key in [
-        "sweep",
-        "total_slots",
-        "done",
-        "executed",
-        "failed",
-        "slots",
-    ] {
-        if doc.get(key).is_none() {
-            return Err(format!("status missing key {key:?}"));
-        }
+    if doc.get("service").and_then(|v| v.as_str()).is_none() {
+        return Err("status missing string key \"service\"".to_string());
     }
-    let total = doc
-        .get("total_slots")
-        .and_then(|v| v.as_f64())
-        .ok_or("total_slots not a number")? as usize;
-    let done = doc
-        .get("done")
-        .and_then(|v| v.as_f64())
-        .ok_or("done not a number")? as usize;
-    if done > total {
-        return Err(format!("done {done} exceeds total_slots {total}"));
+    if !matches!(doc.get("draining"), Some(JsonValue::Bool(_))) {
+        return Err("status missing boolean key \"draining\"".to_string());
     }
-    let slots = doc.get("slots").ok_or("missing slots")?.items();
-    if slots.len() != total {
-        return Err(format!(
-            "slots array has {} entries, total_slots says {total}",
-            slots.len()
-        ));
-    }
-    let mut settled = 0usize;
-    for s in slots {
-        let state = s
-            .get("state")
+    let queue_depth = uint(&doc, "queue_depth")?;
+    uint(&doc, "active_slots")?;
+    let jobs = doc
+        .get("jobs")
+        .ok_or("status missing key \"jobs\"")?
+        .items();
+    let mut live = 0u64;
+    for job in jobs {
+        let id = job
+            .get("id")
             .and_then(|v| v.as_str())
-            .ok_or("slot missing state")?;
-        match state {
-            "ok" | "failed" | "resumed" => settled += 1,
-            "running" | "pending" => {}
-            other => return Err(format!("unknown slot state {other:?}")),
+            .ok_or("job missing id")?;
+        match job.get("state").and_then(|v| v.as_str()) {
+            Some("queued" | "running") => live += 1,
+            Some("done" | "cancelled" | "timed-out") => {}
+            other => return Err(format!("job {id}: unknown state {other:?}")),
         }
-        if s.get("id").and_then(|v| v.as_str()).is_none() {
-            return Err("slot missing id".to_string());
+        let (slots, pending) = (uint(job, "slots")?, uint(job, "pending")?);
+        if pending > slots {
+            return Err(format!("job {id}: pending {pending} exceeds slots {slots}"));
         }
     }
-    if settled != done {
-        return Err(format!("{settled} settled slot states but done = {done}"));
+    if live != queue_depth {
+        return Err(format!("{live} live jobs but queue_depth = {queue_depth}"));
     }
     Ok(())
 }
 
 fn check_metrics(text: &str) -> Result<usize, String> {
     let n = validate_exposition(text)?;
-    if n == 0 {
-        return Err("exposition contains no samples".to_string());
-    }
-    if !text.contains("microbank_sweep_slots_done") {
-        return Err("exposition missing microbank_sweep_slots_done".to_string());
+    for needle in [
+        "microbank_service_jobs{",
+        "microbank_sim_read_latency_cycles_bucket{",
+    ] {
+        if !text.contains(needle) {
+            return Err(format!("exposition missing {needle}"));
+        }
     }
     Ok(n)
 }

@@ -2,13 +2,13 @@
 //!
 //! [`SimError`] is the error type of the fallible entry points
 //! ([`crate::simulator::try_run`], [`crate::simulator::run_many_checked`],
-//! [`crate::sweep::SweepRunner`]). The panicking wrappers
+//! [`crate::service::SweepService`]). The panicking wrappers
 //! ([`crate::simulator::run`] and friends) format these errors into their
 //! panic message, so existing callers keep their fail-fast behavior while
 //! harnesses get a value they can match on and record in a manifest.
 //! None of them retries: a run depends only on its config, so a second
 //! attempt would fail the same way. A failed sweep slot is recorded once,
-//! and only a later invocation re-runs it.
+//! and only a later job re-runs it.
 
 use microbank_core::validate::ConfigError;
 use std::fmt;
@@ -21,8 +21,8 @@ pub enum SimError {
     /// carrying the full list of diagnostics for that component.
     InvalidConfig { errors: Vec<ConfigError> },
     /// The run panicked (an internal invariant tripped). Captured only by
-    /// the harness entry points that isolate runs (`run_many_checked`,
-    /// `SweepRunner`, the sweep service); `try_run` lets panics unwind.
+    /// the harness entry points that isolate runs (`run_many_checked`
+    /// and the sweep service); `try_run` lets panics unwind.
     Panic { message: String },
     /// An artifact (manifest, CSV/JSON result file) could not be written
     /// or read.

@@ -319,10 +319,10 @@ pub fn organization_comparison(workload: Workload, quick: bool) -> Vec<(String, 
     orgs.iter().map(|o| o.label()).zip(results).collect()
 }
 
-/// The §I headline pair: (DDR3-PCB baseline, μbank LPDDR-TSI proposed).
-/// Shared between [`headline`] and the `headline` harness binary so the
-/// sweep-runner path runs exactly the same configurations.
-pub fn headline_cfgs(quick: bool) -> (SimConfig, SimConfig) {
+/// §I headline: best μbank LPDDR-TSI system vs the DDR3-PCB baseline on
+/// the memory-intensive third of SPEC (spec-high). Returns
+/// (IPC ratio, 1/EDP ratio, baseline result, μbank result).
+pub fn headline(quick: bool) -> (f64, f64, SimResult, SimResult) {
     // Full-system comparison (the §I summary compares complete memory
     // systems): 64 cores, rate-mode spec-high, DDR3-PCB with its 8
     // controllers vs the 16-channel LPDDR-TSI system with (4,4) μbanks.
@@ -335,17 +335,10 @@ pub fn headline_cfgs(quick: bool) -> (SimConfig, SimConfig) {
         base = base.quick();
         ub = ub.quick();
     }
-    (base, ub)
-}
-
-/// §I headline: best μbank LPDDR-TSI system vs the DDR3-PCB baseline on
-/// the memory-intensive third of SPEC (spec-high). Returns
-/// (IPC ratio, 1/EDP ratio).
-pub fn headline(quick: bool) -> (f64, f64, SimResult, SimResult) {
-    let (base, ub) = headline_cfgs(quick);
-    let results = run_many(&[base, ub]);
-    let (b, u) = (&results[0], &results[1]);
-    (u.ipc / b.ipc, u.inverse_edp_vs(b), b.clone(), u.clone())
+    let mut results = run_many(&[base, ub]);
+    let u = results.pop().expect("two runs");
+    let b = results.pop().expect("two runs");
+    (u.ipc / b.ipc, u.inverse_edp_vs(&b), b, u)
 }
 
 #[cfg(test)]

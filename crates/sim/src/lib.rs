@@ -14,14 +14,15 @@
 //!   binaries in `microbank-bench`.
 //! * [`error`] — the typed failure vocabulary ([`error::SimError`]) of the
 //!   fallible entry points; see DESIGN.md §5d.
-//! * [`sweep`] — crash-safe resumable sweep execution with per-slot
-//!   isolation, an atomic on-disk manifest, and a live status surface
-//!   (`<name>.status.json` + optional HTTP `/status` & `/metrics`). A run
-//!   depends only on its config, so a failed slot is recorded once and
-//!   only a later invocation re-runs it.
-//! * [`service`] — sweep-as-a-service: a fault-tolerant job daemon
-//!   (durable write-ahead queue, worker pool with deadlines, cooperative
-//!   cancellation, graceful drain) behind an HTTP job API (DESIGN.md §5i).
+//! * [`sweep`] — the sweep manifest format: per-slot records certified by
+//!   `(id, config fingerprint)`, written atomically and quarantined when
+//!   malformed.
+//! * [`service`] — sweep-as-a-service, the one resumable sweep executor:
+//!   a fault-tolerant job daemon (durable write-ahead queue, worker pool
+//!   with deadlines, cooperative cancellation, graceful drain, per-job
+//!   manifests) behind an HTTP job API with live `/status` and
+//!   `/metrics` (DESIGN.md §5i). A run depends only on its config, so a
+//!   failed slot is recorded once and only a later job re-runs it.
 
 pub mod error;
 pub mod experiment;
@@ -42,7 +43,7 @@ pub use simulator::{
     run, run_many, run_many_checked, try_run, CancelToken, QosReport, SimConfig, SimResult,
     TenantMetrics,
 };
-pub use sweep::{SlotRecord, SlotStatus, SweepRunner, SweepSlot};
+pub use sweep::{SlotRecord, SlotStatus};
 
 // QoS building blocks (DESIGN.md §5g), re-exported so harness binaries
 // can build a `QosConfig` without depending on `microbank-ctrl` directly.

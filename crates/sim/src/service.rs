@@ -1,5 +1,5 @@
-//! Sweep-as-a-service (DESIGN.md §5i): a fault-tolerant job daemon on
-//! top of the crash-safe sweep machinery.
+//! Sweep-as-a-service (DESIGN.md §5i): a fault-tolerant job daemon and
+//! the repo's one resumable sweep executor.
 //!
 //! [`SweepService`] accepts simulation jobs over HTTP (`POST /jobs`,
 //! arrays of slot specs validated through the [`SimConfig::validate`]
@@ -10,10 +10,11 @@
 //!   `<dir>/<name>.queue.json` (atomic rename) *before* the 202 goes
 //!   out, and every state transition rewrites it, so `kill -9` +
 //!   restart resumes every admitted job. Per-job results live in
-//!   SweepRunner-format manifests (`<dir>/<job-id>.manifest.json`);
+//!   [`crate::sweep`] manifests (`<dir>/<job-id>.manifest.json`);
 //!   resume re-executes only slots without a certified (`ok`, matching
 //!   config fingerprint) record, and completed jobs' artifacts are
-//!   byte-identical to an uninterrupted run.
+//!   byte-identical to an uninterrupted run. A manifest that does not
+//!   parse is quarantined with a warning, never silently overwritten.
 //! * **Deadlines and cancellation**: each job carries a
 //!   [`CancelToken`]; `DELETE /jobs/{id}` trips it as `Requested`, the
 //!   monitor thread trips it as `Deadline` past the job's wall-clock
@@ -31,6 +32,10 @@
 //!   for in-flight jobs, then trips their tokens as `Shutdown` — those
 //!   slots are *checkpointed* (left unrecorded, job restored to
 //!   `queued`), not failed — and exits with a clean queue manifest.
+//! * **Observability**: `/status` serves the queue document and
+//!   `/metrics` the service counters, each executed slot's run results
+//!   (labelled by workload only, so a long-lived daemon's series stay
+//!   bounded) and a slot wall-seconds histogram.
 
 use crate::error::{CancelKind, SimError};
 use crate::simulator::{golden_fingerprint, isolate, try_run, CancelToken, SimConfig, SimResult};
@@ -47,7 +52,7 @@ use microbank_telemetry::status::{HttpRequest, HttpResponse};
 use microbank_telemetry::{event, Level, MetricKind, MetricsRegistry, StatusServer, StatusShared};
 use microbank_workloads::{spec, suite::Workload};
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -798,35 +803,20 @@ fn persist_queue(inner: &ServiceInner, st: &ServiceState) -> Result<(), SimError
 
 /// Load the queue file into fresh state: terminal jobs keep their
 /// records (for `GET /jobs/{id}`), live jobs resume with only certified
-/// slots pre-filled. A malformed queue file is quarantined (same
-/// contract as sweep manifests).
+/// slots pre-filled. A malformed queue file or job manifest is
+/// quarantined with a warning.
 fn load_queue(inner: &ServiceInner) -> Result<(), SimError> {
     let path = inner.queue_path();
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(_) => return Ok(()),
     };
-    let root = match json::parse(&text) {
-        Ok(r) => r,
-        Err(_) => {
-            let quarantined = quarantine_manifest(&path);
-            event::emit(
-                Level::Warn,
-                "sim::service",
-                "queue file is malformed; quarantined, service starts empty",
-                &[
-                    ("path", path.display().to_string().into()),
-                    (
-                        "quarantined_to",
-                        quarantined
-                            .map(|p| p.display().to_string())
-                            .unwrap_or_else(|| "(rename failed)".into())
-                            .into(),
-                    ),
-                ],
-            );
-            return Ok(());
-        }
+    let Ok(root) = json::parse(&text) else {
+        quarantine(
+            &path,
+            "queue file is malformed; quarantined, service starts empty",
+        );
+        return Ok(());
     };
     let mut st = inner.lock();
     st.next_id = root.get("next_id").and_then(as_uint).unwrap_or(1);
@@ -895,21 +885,26 @@ fn load_queue(inner: &ServiceInner) -> Result<(), SimError> {
         // Rehydrate records from the job's manifest: all of them for a
         // terminal job, only certified (ok + matching fingerprint) ones
         // for a live job being resumed.
-        if let Ok(mtext) = std::fs::read_to_string(inner.manifest_path(&job.id)) {
-            if let Some(prior) = parse_manifest(&mtext) {
-                for (i, spec) in job.specs.iter().enumerate() {
-                    let fp = config_fingerprint(&spec.cfg);
-                    let hit = prior.iter().find(|r| {
-                        r.id == spec.id
-                            && r.config_fp == fp
-                            && (job.state.terminal() || r.status == SlotStatus::Ok)
-                    });
-                    if let Some(r) = hit {
-                        let mut rec = r.clone();
-                        rec.resumed = true;
-                        job.records[i] = Some(rec);
+        let mpath = inner.manifest_path(&job.id);
+        if let Ok(mtext) = std::fs::read_to_string(&mpath) {
+            match parse_manifest(&mtext) {
+                Some(prior) => {
+                    for (i, spec) in job.specs.iter().enumerate() {
+                        let fp = config_fingerprint(&spec.cfg);
+                        job.records[i] = prior
+                            .iter()
+                            .find(|r| {
+                                r.id == spec.id
+                                    && r.config_fp == fp
+                                    && (job.state.terminal() || r.status == SlotStatus::Ok)
+                            })
+                            .cloned();
                     }
                 }
+                None => quarantine(
+                    &mpath,
+                    "job manifest is malformed; quarantined, its slots re-execute",
+                ),
             }
         }
         if job.live() {
@@ -924,6 +919,27 @@ fn load_queue(inner: &ServiceInner) -> Result<(), SimError> {
         st.jobs.push(job);
     }
     Ok(())
+}
+
+/// Move the malformed file at `path` aside (see
+/// [`quarantine_manifest`]) and log where it went.
+fn quarantine(path: &Path, message: &str) {
+    let quarantined = quarantine_manifest(path);
+    event::emit(
+        Level::Warn,
+        "sim::service",
+        message,
+        &[
+            ("path", path.display().to_string().into()),
+            (
+                "quarantined_to",
+                quarantined
+                    .map(|p| p.display().to_string())
+                    .unwrap_or_else(|| "(rename failed)".into())
+                    .into(),
+            ),
+        ],
+    );
 }
 
 /// Queue every pending slot of every live job (start-up resume).
@@ -1284,10 +1300,22 @@ fn execute_slot(inner: &Arc<ServiceInner>, j: usize, s: usize) {
     // slots are finalized without running.
     let outcome = match token.tripped() {
         Some(kind) => Err(SimError::Cancelled { kind, at_cycle: 0 }),
-        None => isolate(|| try_run(&cfg)),
+        None => {
+            let start = Instant::now();
+            let outcome = isolate(|| try_run(&cfg));
+            inner.metrics.observe(
+                "microbank_sweep_slot_seconds",
+                &[],
+                start.elapsed().as_secs_f64(),
+            );
+            outcome
+        }
     };
     let rec = match outcome {
-        Ok(result) => SlotRecord::ok(&slot_id, &cfg, service_projection(&result), 0.0),
+        Ok(result) => {
+            result.record_metrics(&inner.metrics, &[]);
+            SlotRecord::ok(&slot_id, &cfg, service_projection(&result))
+        }
         Err(SimError::Cancelled {
             kind: CancelKind::Shutdown,
             ..
@@ -1297,7 +1325,7 @@ fn execute_slot(inner: &Arc<ServiceInner>, j: usize, s: usize) {
             // exactly it — never a certified one.
             return;
         }
-        Err(e) => SlotRecord::failed(&slot_id, &cfg, &e, 0.0),
+        Err(e) => SlotRecord::failed(&slot_id, &cfg, &e),
     };
     record_slot(inner, j, s, rec);
 }

@@ -1398,7 +1398,7 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 /// Run `f` behind a panic net: a panic becomes [`SimError::Panic`]
 /// carrying the payload's message, and whatever `f` returns passes
 /// through unchanged. Every harness that isolates runs from each other
-/// (`run_many_checked`, `SweepRunner`, the sweep service) goes through
+/// (`run_many_checked` and the sweep service) goes through
 /// here, passing `|| try_run(cfg)`.
 pub(crate) fn isolate<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|p| {

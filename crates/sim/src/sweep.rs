@@ -1,43 +1,29 @@
-//! Crash-safe, resumable sweep execution (DESIGN.md §5d).
+//! The sweep manifest format (DESIGN.md §5d): the durable record of which
+//! slots of a sweep have run, under which configuration, and with what
+//! outcome. The sweep service (`crate::service`, DESIGN.md §5i) writes one
+//! manifest per job and resumes from it on restart.
 //!
-//! [`SweepRunner`] executes a list of [`SweepSlot`]s — `(id, SimConfig)`
-//! pairs — with the guarantees a long figure sweep actually needs:
-//!
-//! * **Per-slot isolation**: a slot that panics or errors records a
-//!   `Failed` outcome in its slot; the rest of the sweep still runs.
-//!   A run depends only on its config, so a failed slot is recorded once
-//!   and not retried in the same invocation; only a later invocation
-//!   re-runs it.
-//! * **Crash-safe resume**: after every slot the runner atomically
-//!   rewrites `<dir>/<name>.manifest.json`, recording each slot's id, a
-//!   fingerprint of its configuration, its outcome, and its projected
-//!   values. A re-run skips any slot whose manifest entry matches
-//!   (same id, same config fingerprint, `ok` status) and reuses the
-//!   stored values — so a killed sweep continues where it stopped and
-//!   produces byte-identical final artifacts.
-//! * **Atomic artifacts**: every file written through the runner goes
-//!   through [`microbank_telemetry::atomic_write`].
+//! * A [`SlotRecord`] stores a slot's id, a fingerprint of its
+//!   configuration, its outcome, and its projected values. A record
+//!   *certifies* a slot when its status is `ok` and its fingerprint
+//!   matches the slot's current configuration; resume re-executes every
+//!   slot without a certified record.
+//! * Every manifest write goes through
+//!   [`microbank_telemetry::atomic_write`], and a manifest that exists but
+//!   does not parse is quarantined next to itself instead of silently
+//!   overwritten.
 //!
 //! The stored values survive the JSON round-trip exactly: the writer
 //! emits f64s via the shortest-roundtrip `Display` path and the parser
-//! reads them back with `str::parse::<f64>`, which inverts it bit-for-bit.
+//! reads them back with `str::parse::<f64>`, which inverts it bit-for-bit
+//! (integral values are written as integers, so `-0.0` reads back as the
+//! equal `0.0`).
 
 use crate::error::SimError;
-use crate::report::Table;
-use crate::simulator::{isolate, try_run, SimConfig, SimResult};
+use crate::simulator::SimConfig;
 use microbank_telemetry::artifact::atomic_write;
 use microbank_telemetry::json::{self, JsonWriter};
-use microbank_telemetry::{event, Level, MetricsRegistry, StatusServer, StatusShared};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Instant;
-
-/// One unit of sweep work: a stable identifier (the manifest key, also
-/// used as the row label) and the configuration to run.
-pub struct SweepSlot {
-    pub id: String,
-    pub cfg: SimConfig,
-}
 
 /// Outcome of one slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,448 +44,29 @@ pub struct SlotRecord {
     /// The error's rendering, for `Failed` records.
     pub error: Option<String>,
     pub values: Vec<f64>,
-    /// True when this record was satisfied from a prior run's manifest
-    /// instead of executed in this invocation.
-    pub resumed: bool,
-    /// Wall seconds this invocation spent executing the slot (0 for
-    /// resumed records). Observability only — never persisted to the
-    /// manifest, so resumed and uninterrupted sweeps stay byte-identical.
-    pub secs: f64,
 }
 
 impl SlotRecord {
     /// The record of slot `id`, run from `cfg`, that completed with the
-    /// projected `values` after `secs` wall seconds.
-    pub(crate) fn ok(id: &str, cfg: &SimConfig, values: Vec<f64>, secs: f64) -> Self {
+    /// projected `values`.
+    pub(crate) fn ok(id: &str, cfg: &SimConfig, values: Vec<f64>) -> Self {
         SlotRecord {
             id: id.to_string(),
             config_fp: config_fingerprint(cfg),
             status: SlotStatus::Ok,
             error: None,
             values,
-            resumed: false,
-            secs,
         }
     }
 
-    /// The record of slot `id`, run from `cfg`, that failed with `err`
-    /// after `secs` wall seconds.
-    pub(crate) fn failed(id: &str, cfg: &SimConfig, err: &SimError, secs: f64) -> Self {
+    /// The record of slot `id`, run from `cfg`, that failed with `err`.
+    pub(crate) fn failed(id: &str, cfg: &SimConfig, err: &SimError) -> Self {
         SlotRecord {
             id: id.to_string(),
             config_fp: config_fingerprint(cfg),
             status: SlotStatus::Failed,
             error: Some(err.to_string()),
             values: Vec::new(),
-            resumed: false,
-            secs,
-        }
-    }
-}
-
-/// Executes sweep slots with isolation and manifest-based resume.
-///
-/// # Observability
-///
-/// Every processed slot atomically rewrites `<dir>/<name>.status.json`
-/// (per-slot states, ETA, throughput) and updates a [`MetricsRegistry`].
-/// When `MICROBANK_STATUS_ADDR` is set (or [`serve_status`] is called),
-/// both are additionally served live over HTTP at `/status` and
-/// `/metrics` for the duration of the runner. The status surface is
-/// best-effort and read-only: it cannot fail the sweep, and it cannot
-/// change any simulated result or sweep artifact.
-///
-/// [`serve_status`]: SweepRunner::serve_status
-pub struct SweepRunner {
-    name: String,
-    dir: PathBuf,
-    /// Records accumulated by this invocation, in slot order.
-    records: Vec<SlotRecord>,
-    /// Records loaded from a prior manifest, consulted for resume.
-    prior: Vec<SlotRecord>,
-    metrics: Arc<MetricsRegistry>,
-    status_shared: Option<Arc<StatusShared>>,
-    /// Owned so the endpoint stays up as long as the runner lives.
-    server: Option<StatusServer>,
-    /// Test hook: abort (like a crash) after this many *executed* slots.
-    #[doc(hidden)]
-    pub kill_after: Option<usize>,
-}
-
-impl SweepRunner {
-    /// A runner for sweep `name` writing under `dir`. Loads the prior
-    /// manifest if one exists; an unreadable or malformed manifest is
-    /// treated as absent (every slot re-executes — safe, just slower).
-    /// If `MICROBANK_STATUS_ADDR` is set, the status endpoint is served
-    /// there (a bind failure logs a warning and the sweep proceeds).
-    pub fn new(name: impl Into<String>, dir: impl Into<PathBuf>) -> Self {
-        let mut r = SweepRunner {
-            name: name.into(),
-            dir: dir.into(),
-            records: Vec::new(),
-            prior: Vec::new(),
-            metrics: Arc::new(MetricsRegistry::new()),
-            status_shared: None,
-            server: None,
-            kill_after: None,
-        };
-        r.prior = r.load_manifest().unwrap_or_default();
-        if let Ok(addr) = std::env::var("MICROBANK_STATUS_ADDR") {
-            if let Err(e) = r.serve_status(&addr) {
-                event::emit(
-                    Level::Warn,
-                    "sim::sweep",
-                    "could not bind MICROBANK_STATUS_ADDR; continuing without endpoint",
-                    &[
-                        ("addr", addr.as_str().into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-            }
-        }
-        r
-    }
-
-    /// Serve `/status` and `/metrics` on `addr` (`127.0.0.1:0` picks an
-    /// ephemeral port; see [`status_addr`](Self::status_addr)) until the
-    /// runner is dropped.
-    pub fn serve_status(&mut self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        let shared = StatusShared::new(Arc::clone(&self.metrics));
-        let server = StatusServer::start(addr, Arc::clone(&shared))?;
-        let bound = server.local_addr();
-        event::emit(
-            Level::Info,
-            "sim::sweep",
-            "status endpoint listening",
-            &[
-                ("sweep", self.name.as_str().into()),
-                ("addr", bound.to_string().into()),
-            ],
-        );
-        self.status_shared = Some(shared);
-        self.server = Some(server);
-        Ok(bound)
-    }
-
-    /// Address the status endpoint is bound to, when serving.
-    pub fn status_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(|s| s.local_addr())
-    }
-
-    /// The metrics registry this runner feeds (shareable; also exposed
-    /// at `/metrics` when serving).
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
-    }
-
-    pub fn manifest_path(&self) -> PathBuf {
-        self.dir.join(format!("{}.manifest.json", self.name))
-    }
-
-    /// Live progress artifact, atomically rewritten after every slot.
-    pub fn status_path(&self) -> PathBuf {
-        self.dir.join(format!("{}.status.json", self.name))
-    }
-
-    /// Records produced so far this invocation (one per processed slot).
-    pub fn records(&self) -> &[SlotRecord] {
-        &self.records
-    }
-
-    /// Run every slot, resuming from the manifest where possible, and
-    /// return the records in slot order. `project` reduces a completed
-    /// run to the values the sweep's artifacts need; only those values
-    /// are stored, so resume never needs to re-run a completed slot.
-    ///
-    /// `Err` is reserved for harness-level failures (a manifest that
-    /// cannot be written, or the injected test kill) — slot failures are
-    /// reported in their records, not here.
-    pub fn run_slots(
-        &mut self,
-        slots: &[SweepSlot],
-        project: impl Fn(&SimResult) -> Vec<f64>,
-    ) -> Result<Vec<SlotRecord>, SimError> {
-        let sweep_start = Instant::now();
-        event::emit(
-            Level::Info,
-            "sim::sweep",
-            "sweep starting",
-            &[
-                ("sweep", self.name.as_str().into()),
-                ("slots", slots.len().into()),
-                ("prior_records", self.prior.len().into()),
-            ],
-        );
-        let mut executed = 0usize;
-        // Seed the progress gauges before the first slot so an early
-        // scrape already sees the sweep family (at zero).
-        self.note_slot_metrics(sweep_start);
-        self.publish_status(slots, sweep_start, None);
-        for slot in slots {
-            let fp = config_fingerprint(&slot.cfg);
-            let prior_hit = self
-                .prior
-                .iter()
-                .find(|r| r.id == slot.id && r.config_fp == fp && r.status == SlotStatus::Ok);
-            if let Some(prev) = prior_hit {
-                event::emit(
-                    Level::Debug,
-                    "sim::sweep",
-                    "slot resumed from manifest",
-                    &[
-                        ("sweep", self.name.as_str().into()),
-                        ("slot", slot.id.as_str().into()),
-                    ],
-                );
-                let mut rec = prev.clone();
-                rec.resumed = true;
-                rec.secs = 0.0;
-                self.records.push(rec);
-                self.write_manifest()?;
-                self.note_slot_metrics(sweep_start);
-                self.publish_status(slots, sweep_start, None);
-                continue;
-            }
-            if let Some(k) = self.kill_after {
-                if executed >= k {
-                    return Err(SimError::Panic {
-                        message: format!(
-                            "sweep '{}' killed after {k} executed slot(s) (test hook)",
-                            self.name
-                        ),
-                    });
-                }
-            }
-            self.publish_status(slots, sweep_start, Some(&slot.id));
-            let slot_start = Instant::now();
-            let outcome = isolate(|| try_run(&slot.cfg));
-            executed += 1;
-            let secs = slot_start.elapsed().as_secs_f64();
-            let rec = match outcome {
-                Ok(result) => {
-                    result.record_metrics(&self.metrics, &[("slot", slot.id.as_str())]);
-                    event::emit(
-                        Level::Debug,
-                        "sim::sweep",
-                        "slot completed",
-                        &[
-                            ("sweep", self.name.as_str().into()),
-                            ("slot", slot.id.as_str().into()),
-                            ("secs", secs.into()),
-                        ],
-                    );
-                    SlotRecord::ok(&slot.id, &slot.cfg, project(&result), secs)
-                }
-                Err(e) => {
-                    event::emit(
-                        Level::Error,
-                        "sim::sweep",
-                        "slot failed",
-                        &[
-                            ("sweep", self.name.as_str().into()),
-                            ("slot", slot.id.as_str().into()),
-                            ("error", e.to_string().into()),
-                        ],
-                    );
-                    SlotRecord::failed(&slot.id, &slot.cfg, &e, secs)
-                }
-            };
-            self.metrics
-                .observe("microbank_sweep_slot_seconds", &[], secs);
-            self.records.push(rec);
-            self.write_manifest()?;
-            self.note_slot_metrics(sweep_start);
-            self.publish_status(slots, sweep_start, None);
-        }
-        event::emit(
-            Level::Info,
-            "sim::sweep",
-            "sweep finished",
-            &[
-                ("sweep", self.name.as_str().into()),
-                ("slots", slots.len().into()),
-                ("executed", executed.into()),
-                ("secs", sweep_start.elapsed().as_secs_f64().into()),
-            ],
-        );
-        Ok(self.records.clone())
-    }
-
-    /// Refresh the sweep-progress metric family from `self.records`.
-    fn note_slot_metrics(&self, sweep_start: Instant) {
-        let done = self.records.len() as f64;
-        let ok = self
-            .records
-            .iter()
-            .filter(|r| r.status == SlotStatus::Ok && !r.resumed)
-            .count();
-        let failed = self
-            .records
-            .iter()
-            .filter(|r| r.status == SlotStatus::Failed)
-            .count();
-        let resumed = self.records.iter().filter(|r| r.resumed).count();
-        let m = &self.metrics;
-        m.register(
-            "microbank_sweep_slots_done",
-            microbank_telemetry::MetricKind::Gauge,
-            "Slots processed so far (executed or resumed)",
-        );
-        m.gauge_set("microbank_sweep_slots_done", &[], done);
-        m.gauge_set(
-            "microbank_sweep_elapsed_seconds",
-            &[],
-            sweep_start.elapsed().as_secs_f64(),
-        );
-        for (outcome, n) in [("ok", ok), ("failed", failed), ("resumed", resumed)] {
-            m.gauge_set(
-                "microbank_sweep_slots",
-                &[("sweep", self.name.as_str()), ("outcome", outcome)],
-                n as f64,
-            );
-        }
-    }
-
-    /// Atomically rewrite `<dir>/<name>.status.json` and push the same
-    /// document to the HTTP endpoint (when serving). Best-effort: status
-    /// is observation, so I/O failures here never fail the sweep.
-    fn publish_status(&self, slots: &[SweepSlot], sweep_start: Instant, running: Option<&str>) {
-        let json = self.render_status(slots, sweep_start, running);
-        let _ = atomic_write(self.status_path(), &json);
-        if let Some(shared) = &self.status_shared {
-            shared.set_status_json(json);
-        }
-    }
-
-    /// Render the live progress document: per-slot states, wall-clock
-    /// progress, throughput, and an ETA extrapolated from the mean
-    /// executed-slot time (resumed slots are free and excluded).
-    fn render_status(
-        &self,
-        slots: &[SweepSlot],
-        sweep_start: Instant,
-        running: Option<&str>,
-    ) -> String {
-        let elapsed = sweep_start.elapsed().as_secs_f64();
-        let done = self.records.len();
-        let failed = self
-            .records
-            .iter()
-            .filter(|r| r.status == SlotStatus::Failed)
-            .count();
-        let resumed = self.records.iter().filter(|r| r.resumed).count();
-        let exec_secs: f64 = self.records.iter().map(|r| r.secs).sum();
-        let executed = done - resumed;
-        let remaining = slots
-            .len()
-            .saturating_sub(done + usize::from(running.is_some()));
-        let eta = if executed > 0 {
-            Some(exec_secs / executed as f64 * (remaining + usize::from(running.is_some())) as f64)
-        } else {
-            None
-        };
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("sweep").string(&self.name);
-        w.key("total_slots").uint(slots.len() as u64);
-        w.key("done").uint(done as u64);
-        w.key("executed").uint(executed as u64);
-        w.key("resumed").uint(resumed as u64);
-        w.key("failed").uint(failed as u64);
-        w.key("elapsed_secs").num(elapsed);
-        match eta {
-            Some(eta) => w.key("eta_secs").num(eta),
-            None => w.key("eta_secs").null(),
-        };
-        w.key("slots_per_sec").num(if elapsed > 0.0 {
-            done as f64 / elapsed
-        } else {
-            0.0
-        });
-        match running {
-            Some(id) => w.key("running").string(id),
-            None => w.key("running").null(),
-        };
-        w.key("slots").begin_array();
-        for (i, slot) in slots.iter().enumerate() {
-            w.begin_object();
-            w.key("id").string(&slot.id);
-            let (state, rec) = match self.records.get(i) {
-                Some(r) if r.resumed => ("resumed", Some(r)),
-                Some(r) if r.status == SlotStatus::Ok => ("ok", Some(r)),
-                Some(r) => ("failed", Some(r)),
-                None if running == Some(slot.id.as_str()) => ("running", None),
-                None => ("pending", None),
-            };
-            w.key("state").string(state);
-            if let Some(r) = rec {
-                w.key("secs").num(r.secs);
-                if let Some(e) = &r.error {
-                    w.key("error").string(e);
-                }
-            }
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
-
-    /// Atomically write `bytes` as `<dir>/<file_name>`.
-    pub fn write_artifact(
-        &self,
-        file_name: &str,
-        bytes: impl AsRef<[u8]>,
-    ) -> Result<PathBuf, SimError> {
-        let path = self.dir.join(file_name);
-        write_atomic(&path, bytes)?;
-        Ok(path)
-    }
-
-    /// Write a [`Table`] as `<dir>/<name>.csv` and `<dir>/<name>.json`.
-    pub fn write_table(&self, table: &Table) -> Result<(), SimError> {
-        self.write_artifact(&format!("{}.csv", self.name), table.to_csv())?;
-        self.write_artifact(&format!("{}.json", self.name), table.to_json())?;
-        Ok(())
-    }
-
-    fn write_manifest(&self) -> Result<(), SimError> {
-        write_atomic(
-            &self.manifest_path(),
-            render_manifest(&self.name, &self.records),
-        )
-    }
-
-    /// Load the prior manifest. A missing file is a fresh start; a file
-    /// that exists but does not parse as a manifest is *quarantined* —
-    /// renamed to `<name>.manifest.corrupt-<n>.json` with a warning —
-    /// so a truncated write is visible instead of silently re-executing
-    /// the whole sweep as if nothing had ever run.
-    fn load_manifest(&self) -> Option<Vec<SlotRecord>> {
-        let path = self.manifest_path();
-        let text = std::fs::read_to_string(&path).ok()?;
-        match parse_manifest(&text) {
-            Some(records) => Some(records),
-            None => {
-                let quarantined = quarantine_manifest(&path);
-                event::emit(
-                    Level::Warn,
-                    "sim::sweep",
-                    "prior manifest is malformed; quarantined, sweep restarts from scratch",
-                    &[
-                        ("sweep", self.name.as_str().into()),
-                        ("path", path.display().to_string().into()),
-                        (
-                            "quarantined_to",
-                            quarantined
-                                .map(|p| p.display().to_string())
-                                .unwrap_or_else(|| "(rename failed)".into())
-                                .into(),
-                        ),
-                    ],
-                );
-                None
-            }
         }
     }
 }
@@ -507,8 +74,6 @@ impl SweepRunner {
 /// FNV-1a over the config's `Debug` rendering, with the fields that
 /// cannot change results (span tracing, time skip, cancellation token)
 /// normalized out so a resume on a different machine still matches.
-/// Shared with the sweep service, whose job manifests must certify slots
-/// with the same identity.
 pub(crate) fn config_fingerprint(cfg: &SimConfig) -> String {
     let mut c = cfg.clone();
     c.spans = false;
@@ -526,9 +91,8 @@ pub(crate) fn config_fingerprint(cfg: &SimConfig) -> String {
     format!("{h:016x}")
 }
 
-/// Render a manifest document for `records` — the format shared by
-/// [`SweepRunner`] and the sweep service's per-job manifests. Byte-stable:
-/// the same records always render identically.
+/// Render a manifest document for `records`. Byte-stable: the same
+/// records always render identically.
 pub(crate) fn render_manifest(name: &str, records: &[SlotRecord]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -581,8 +145,6 @@ pub(crate) fn parse_manifest(text: &str) -> Option<Vec<SlotRecord>> {
                 .iter()
                 .map(|v| v.as_f64())
                 .collect::<Option<Vec<f64>>>()?,
-            resumed: false,
-            secs: 0.0,
         });
     }
     Some(out)
@@ -704,20 +266,13 @@ mod tests {
 
     #[test]
     fn values_roundtrip_exactly_through_the_manifest() {
-        let dir = std::env::temp_dir().join(format!("microbank_sweep_unit_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let values = vec![0.1 + 0.2, 1.0 / 3.0, -0.0, 12345.0, 6.02e23];
-        {
-            let mut r = SweepRunner::new("roundtrip", &dir);
-            let cfg = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
-            r.records
-                .push(SlotRecord::ok("a", &cfg, values.clone(), 0.0));
-            r.write_manifest().unwrap();
-        }
-        let loaded = SweepRunner::new("roundtrip", &dir).prior;
+        let cfg = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
+        let text = render_manifest("roundtrip", &[SlotRecord::ok("a", &cfg, values.clone())]);
+        let loaded = parse_manifest(&text).expect("a rendered manifest must parse");
         assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].values, values, "bit-exact f64 round-trip");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(loaded[0].values, values, "exact f64 round-trip");
+        assert_eq!(render_manifest("roundtrip", &loaded), text, "byte-stable");
     }
 
     #[test]
@@ -726,28 +281,5 @@ mod tests {
         let records = parse_manifest(text).expect("a manifest with attempts must parse");
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].values, vec![1.5]);
-    }
-
-    #[test]
-    fn malformed_manifest_is_quarantined_not_silently_dropped() {
-        let dir =
-            std::env::temp_dir().join(format!("microbank_sweep_corrupt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let manifest = dir.join("crashy.manifest.json");
-        // A truncated write: valid prefix, cut mid-document.
-        std::fs::write(&manifest, r#"{"sweep":"crashy","slots":[{"id":"a","#).unwrap();
-        let r = SweepRunner::new("crashy", &dir);
-        assert!(r.prior.is_empty(), "malformed manifest must not resume");
-        assert!(!manifest.exists(), "original must be moved aside");
-        let quarantined = dir.join("crashy.manifest.corrupt-1.json");
-        assert!(quarantined.exists(), "quarantine file must exist");
-        // A second corrupt manifest lands in the next slot, preserving
-        // the first for inspection.
-        std::fs::write(&manifest, "not json at all").unwrap();
-        let _ = SweepRunner::new("crashy", &dir);
-        assert!(dir.join("crashy.manifest.corrupt-2.json").exists());
-        assert!(quarantined.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,18 +1,25 @@
 //! Integration tests for the sweep service daemon (DESIGN.md §5i).
 //!
-//! Everything here drives the real job API through [`SweepService::route`]
-//! (no sockets — the HTTP listener has its own fuzz suite in the
-//! telemetry crate) and asserts the service-level contracts: admission
-//! validation, golden-fingerprint identity with direct `try_run`,
-//! cancellation, deadlines, bounded admission, and checkpoint/resume
-//! byte-identity of the durable artifacts.
+//! Almost everything here drives the real job API through
+//! [`SweepService::route`] (no sockets — the HTTP listener has its own
+//! fuzz suite in the telemetry crate) and asserts the service-level
+//! contracts: admission validation, golden-fingerprint identity with
+//! direct `try_run`, cancellation, deadlines, bounded admission,
+//! checkpoint/resume byte-identity of the durable artifacts, resume of
+//! exactly the uncertified slots, and quarantine of a corrupt manifest.
+//! One test binds the listener to scrape the live `/status` and
+//! `/metrics` while a job runs.
 
 use microbank_sim::service::{golden_fp_from_values, ServiceConfig, SweepService};
 use microbank_sim::simulator::{golden_fingerprint, try_run, SimConfig};
 use microbank_telemetry::json::{self, JsonValue};
+use microbank_telemetry::metrics::validate_exposition;
+use microbank_telemetry::status::http_get;
 use microbank_telemetry::{HttpRequest, HttpResponse};
 use microbank_workloads::suite::Workload;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -301,4 +308,179 @@ fn drain_checkpoint_then_restart_resumes_byte_identically() {
         control, resumed,
         "resumed manifest must be byte-identical to the uninterrupted run"
     );
+}
+
+/// Three short slots: enough work for a scraper to watch, cheap enough
+/// to run several times per test.
+const SHORT_JOB: &str = r#"{"name":"short","slots":[
+    {"id":"s0","workload":"mix-high","warmup_cycles":2000,"measure_cycles":8000},
+    {"id":"s1","workload":"mix-high","warmup_cycles":2000,"measure_cycles":8000,"seed":11},
+    {"id":"s2","workload":"429.mcf","warmup_cycles":2000,"measure_cycles":8000}
+]}"#;
+
+/// Start a one-worker service over `dir`, wait for `job-1` to finish,
+/// and return its detail. The service drains when it goes out of scope.
+fn run_until_done(dir: &Path, admit: Option<&str>) -> JsonValue {
+    let mut cfg = ServiceConfig::new(dir);
+    cfg.workers = 1;
+    let service = SweepService::start(cfg).expect("start");
+    if let Some(body) = admit {
+        assert_eq!(send(&service, "POST", "/jobs", body).code, 202);
+    }
+    wait_for_state(&service, "job-1", "done", Duration::from_secs(60))
+}
+
+/// Mark the finished `job-1` live again in the durable queue, as if the
+/// daemon had died before persisting it terminal: the next start
+/// resumes the job from whatever its manifest holds.
+fn revive_job(dir: &Path) {
+    let path = dir.join("sweepd.queue.json");
+    let queue = std::fs::read_to_string(&path).expect("queue file");
+    assert!(queue.contains("\"state\":\"done\""), "{queue}");
+    std::fs::write(
+        &path,
+        queue.replace("\"state\":\"done\"", "\"state\":\"queued\""),
+    )
+    .unwrap();
+}
+
+/// `job-1`'s manifest records, in manifest order.
+fn manifest_slots(dir: &Path) -> Vec<JsonValue> {
+    let text = std::fs::read_to_string(dir.join("job-1.manifest.json")).expect("manifest");
+    let doc = json::parse(&text).expect("manifest is JSON");
+    doc.get("slots").expect("slots").items().to_vec()
+}
+
+/// A live job's manifest that does not parse is moved aside to the next
+/// free `corrupt-<n>` name and the job re-executes, instead of the
+/// daemon silently overwriting the evidence.
+#[test]
+fn malformed_manifest_is_quarantined_not_silently_dropped() {
+    let dir = test_dir("corrupt");
+    let manifest = dir.join("job-1.manifest.json");
+    run_until_done(&dir, Some(SHORT_JOB));
+    let complete = std::fs::read(&manifest).expect("manifest");
+
+    // A truncated write: valid prefix, cut mid-document.
+    revive_job(&dir);
+    let truncated = r#"{"sweep":"job-1","slots":[{"id":"s0","#;
+    std::fs::write(&manifest, truncated).unwrap();
+    run_until_done(&dir, None);
+    let quarantined = dir.join("job-1.manifest.corrupt-1.json");
+    assert_eq!(
+        std::fs::read_to_string(&quarantined).expect("quarantine file must exist"),
+        truncated
+    );
+    assert_eq!(
+        std::fs::read(&manifest).expect("re-executed manifest"),
+        complete,
+        "the re-executed job rebuilds the same manifest"
+    );
+
+    // A second corrupt manifest lands in the next slot, preserving the
+    // first for inspection.
+    revive_job(&dir);
+    std::fs::write(&manifest, "not json at all").unwrap();
+    run_until_done(&dir, None);
+    assert!(dir.join("job-1.manifest.corrupt-2.json").exists());
+    assert_eq!(std::fs::read_to_string(&quarantined).unwrap(), truncated);
+}
+
+/// Restart re-executes exactly the uncertified slots: a record that is
+/// `ok` under the slot's current config fingerprint is kept as stored
+/// (its sentinel values prove it was not re-run), while an `ok` record
+/// under a stale fingerprint and a `failed` record are both replaced by
+/// real results.
+#[test]
+fn restart_reexecutes_exactly_the_uncertified_slots() {
+    let dir = test_dir("uncertified");
+    run_until_done(&dir, Some(SHORT_JOB));
+    let original = manifest_slots(&dir);
+    let fp = |i: usize| original[i].get("config_fp").unwrap().as_str().unwrap();
+
+    revive_job(&dir);
+    let doctored = format!(
+        r#"{{"sweep":"job-1","slots":[{{"id":"s0","config_fp":"{}","status":"ok","values":[1.5,-2.25]}},{{"id":"s1","config_fp":"0000000000000000","status":"ok","values":[7]}},{{"id":"s2","config_fp":"{}","status":"failed","error":"injected","values":[]}}]}}"#,
+        fp(0),
+        fp(2)
+    );
+    std::fs::write(dir.join("job-1.manifest.json"), doctored).unwrap();
+    let detail = run_until_done(&dir, None);
+
+    let resumed = manifest_slots(&dir);
+    assert_eq!(resumed.len(), 3);
+    assert_eq!(
+        resumed[0].get("values").unwrap().render(),
+        "[1.5,-2.25]",
+        "s0 is certified and must not re-run"
+    );
+    assert_eq!(resumed[0].get("config_fp"), original[0].get("config_fp"));
+    for i in [1, 2] {
+        assert_eq!(
+            resumed[i].render(),
+            original[i].render(),
+            "slot s{i} must be re-executed to its real result"
+        );
+    }
+    let s0 = &detail.get("slots").unwrap().items()[0];
+    assert_eq!(s0.get("values").unwrap().render(), "[1.5,-2.25]");
+}
+
+/// The live endpoints: while a multi-slot job runs, a concurrent
+/// scraper fetches `/status` and `/metrics`; every status document
+/// parses, every exposition validates, and the final exposition carries
+/// the job count and the executed slots' run results.
+#[test]
+fn status_endpoint_serves_parseable_documents_during_a_live_sweep() {
+    let mut cfg = ServiceConfig::new(test_dir("live"));
+    cfg.workers = 1;
+    let mut service = SweepService::start(cfg).expect("start");
+    let addr = service
+        .serve("127.0.0.1:0")
+        .expect("ephemeral bind must succeed");
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let scraper = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut snapshots = Vec::new();
+            loop {
+                if let (Ok(s), Ok(m)) = (http_get(&addr, "/status"), http_get(&addr, "/metrics")) {
+                    snapshots.push((s, m));
+                }
+                if stop.load(Ordering::Acquire) {
+                    return snapshots;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        })
+    };
+
+    assert_eq!(send(&service, "POST", "/jobs", SHORT_JOB).code, 202);
+    wait_for_state(&service, "job-1", "done", Duration::from_secs(60));
+
+    let status = json::parse(&http_get(&addr, "/status").unwrap()).expect("final status is JSON");
+    assert_eq!(status.get("service").unwrap().as_str(), Some("sweepd"));
+    assert_eq!(status.get("queue_depth").unwrap().as_f64(), Some(0.0));
+    let job = &status.get("jobs").unwrap().items()[0];
+    assert_eq!(job.get("state").unwrap().as_str(), Some("done"));
+    assert_eq!(job.get("pending").unwrap().as_f64(), Some(0.0));
+    let metrics = http_get(&addr, "/metrics").unwrap();
+    validate_exposition(&metrics).expect("final exposition valid");
+    for needle in [
+        "microbank_service_jobs{state=\"done\"} 1",
+        "microbank_sim_ipc{workload=\"mix-high\"}",
+        "microbank_sim_read_latency_cycles_bucket",
+        "microbank_sweep_slot_seconds_count 3",
+    ] {
+        assert!(metrics.contains(needle), "missing {needle}:\n{metrics}");
+    }
+
+    stop.store(true, Ordering::Release);
+    let snapshots = scraper.join().unwrap();
+    assert!(!snapshots.is_empty(), "the scraper never got a response");
+    for (status, metrics) in &snapshots {
+        json::parse(status).expect("every scraped status parses");
+        validate_exposition(metrics).expect("every scraped exposition parses");
+    }
 }

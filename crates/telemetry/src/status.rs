@@ -105,7 +105,7 @@ fn reason(code: u16) -> &'static str {
 /// `None` to fall through to the built-in `/status`-`/metrics` routes.
 pub type Handler = dyn Fn(&HttpRequest) -> Option<HttpResponse> + Send + Sync;
 
-/// State shared between the producer (e.g. `SweepRunner`) and the
+/// State shared between the producer (e.g. the sweep service) and the
 /// server thread.
 pub struct StatusShared {
     status_json: Mutex<String>,
