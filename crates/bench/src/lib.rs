@@ -1,57 +1,155 @@
 //! # microbank-bench
 //!
-//! Shared plumbing for the paper-reproduction harness binaries (`fig*`,
-//! `table*`, `headline`) and the Criterion micro/macro benchmarks. The
-//! heavy lifting lives in `microbank-sim`; this crate holds output
-//! formatting helpers shared by the binaries.
+//! The paper-reproduction harness and the Criterion micro/macro
+//! benchmarks. The heavy lifting lives in `microbank-sim`; this crate
+//! turns it into the committed artifacts in `results/`.
+//!
+//! [`ARTIFACTS`] is the one table of those artifacts: each entry names
+//! the files it writes and the function that returns their bytes. The
+//! `reproduce` binary is the one entry point that runs the table and
+//! writes the files:
+//!
+//! ```text
+//! reproduce [--quick] [--out DIR] [NAME...]
+//! ```
 
-/// Format a 5×5 (nW, nB) matrix the way the paper's heatmap figures print:
-/// rows are `nB` ∈ {1,2,4,8,16} (top = 1), columns `nW` ∈ {1,2,4,8,16}.
-pub fn format_matrix(title: &str, m: &[Vec<f64>]) -> String {
-    let degrees = [1usize, 2, 4, 8, 16];
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    out.push_str("nB\\nW ");
-    for d in degrees {
-        out.push_str(&format!("{d:>8}"));
+pub mod figures;
+pub mod qos;
+pub mod reliability;
+pub mod timeline;
+pub mod variants;
+
+use microbank_sim::simulator::SimConfig;
+use microbank_workloads::suite::Workload;
+
+/// The 16-core, 4-channel platform of the QoS and device-variant studies,
+/// at full or `--quick` length.
+fn lab_platform(workload: Workload, quick: bool) -> SimConfig {
+    let mut cfg = SimConfig::paper_default(workload);
+    cfg.cmp.cores = 16;
+    cfg.mem = cfg.mem.with_channels(4);
+    if quick {
+        cfg.warmup_cycles = 5_000;
+        cfg.measure_cycles = 15_000;
+    } else {
+        cfg.warmup_cycles = 20_000;
+        cfg.measure_cycles = 60_000;
     }
-    out.push('\n');
-    for (i, row) in m.iter().enumerate() {
-        out.push_str(&format!("{:>5} ", degrees[i]));
-        for v in row {
-            out.push_str(&format!("{v:>8.3}"));
-        }
-        out.push('\n');
-    }
-    out
+    cfg
 }
 
-/// Format a labelled series as `label: v1 v2 v3 …`.
-pub fn format_series(label: &str, values: &[f64]) -> String {
-    let mut out = format!("{label:<24}");
-    for v in values {
-        out.push_str(&format!("{v:>9.3}"));
-    }
-    out
+/// One committed artifact: the files it writes and their producer.
+pub struct Artifact {
+    /// Selects the artifact on the `reproduce` command line.
+    pub name: &'static str,
+    /// File names under the output directory.
+    pub files: &'static [&'static str],
+    /// Returns one body per entry of `files`, in order; the argument is
+    /// `--quick` (a shortened run for smoke tests, never committed).
+    pub produce: fn(bool) -> Vec<String>,
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn matrix_formatting_includes_all_cells() {
-        let m: Vec<Vec<f64>> = (0..5)
-            .map(|i| (0..5).map(|j| (i * 5 + j) as f64).collect())
-            .collect();
-        let s = super::format_matrix("t", &m);
-        assert!(s.contains("24.000"));
-        assert_eq!(s.lines().count(), 7);
-    }
-
-    #[test]
-    fn series_formatting() {
-        let s = super::format_series("spec-high", &[1.0, 1.5]);
-        assert!(s.starts_with("spec-high"));
-        assert!(s.contains("1.500"));
-    }
-}
+/// Every artifact in `results/` except `BENCH_hotpath.json`, whose
+/// fields are wall-clock measurements.
+pub const ARTIFACTS: &[Artifact] = &[
+    Artifact {
+        name: "table1_params",
+        files: &["table1_params.txt"],
+        produce: |_| vec![figures::table1_params()],
+    },
+    Artifact {
+        name: "table2_groups",
+        files: &["table2_groups.txt"],
+        produce: |_| vec![figures::table2_groups()],
+    },
+    Artifact {
+        name: "fig01_energy_breakdown",
+        files: &["fig01_energy_breakdown.txt"],
+        produce: |_| vec![figures::fig01_energy_breakdown()],
+    },
+    Artifact {
+        name: "fig06_area_energy",
+        files: &["fig06_area_energy.txt"],
+        produce: |_| vec![figures::fig06_area_energy()],
+    },
+    Artifact {
+        name: "fig08_ipc_heatmap",
+        files: &["fig08_ipc_heatmap.txt"],
+        produce: |q| vec![figures::fig08_ipc_heatmap(q)],
+    },
+    Artifact {
+        name: "fig09_edp_heatmap",
+        files: &["fig09_edp_heatmap.txt"],
+        produce: |q| vec![figures::fig09_edp_heatmap(q)],
+    },
+    Artifact {
+        name: "fig10_representative",
+        files: &["fig10_representative.txt"],
+        produce: |q| vec![figures::fig10_representative(q)],
+    },
+    Artifact {
+        name: "fig11_interleaving",
+        files: &["fig11_interleaving.txt"],
+        produce: |_| vec![figures::fig11_interleaving()],
+    },
+    Artifact {
+        name: "fig12_policy_interleave",
+        files: &["fig12_policy_interleave.txt"],
+        produce: |q| vec![figures::fig12_policy_interleave(q)],
+    },
+    Artifact {
+        name: "fig13_predictors",
+        files: &["fig13_predictors.txt"],
+        produce: |q| vec![figures::fig13_predictors(q)],
+    },
+    Artifact {
+        name: "fig14_interfaces",
+        files: &["fig14_interfaces.txt"],
+        produce: |q| vec![figures::fig14_interfaces(q)],
+    },
+    Artifact {
+        name: "headline",
+        files: &["headline.txt", "headline.csv", "headline.json"],
+        produce: figures::headline,
+    },
+    Artifact {
+        name: "related_work",
+        files: &["related_work.txt"],
+        produce: |q| vec![figures::related_work(q)],
+    },
+    Artifact {
+        name: "timeline",
+        // `trace_*` and `spans_*` carry wall-clock fields and are
+        // gitignored.
+        files: &[
+            "timeline_1x1.csv",
+            "timeline_1x1.json",
+            "heat_1x1.csv",
+            "heat_1x1.json",
+            "trace_1x1.json",
+            "spans_1x1.json",
+            "timeline_4x4.csv",
+            "timeline_4x4.json",
+            "heat_4x4.csv",
+            "heat_4x4.json",
+            "trace_4x4.json",
+            "spans_4x4.json",
+        ],
+        produce: timeline::artifacts,
+    },
+    Artifact {
+        name: "reliability",
+        files: &["reliability.txt", "reliability.json"],
+        produce: |_| reliability::artifacts(),
+    },
+    Artifact {
+        name: "bench_qos",
+        files: &["BENCH_qos.txt", "BENCH_qos.json"],
+        produce: qos::artifacts,
+    },
+    Artifact {
+        name: "bench_variants",
+        files: &["BENCH_variants.txt", "BENCH_variants.json"],
+        produce: variants::artifacts,
+    },
+];

@@ -9,19 +9,15 @@
 //! Geometries: the unpartitioned (1,1) baseline vs the paper's (16,16)
 //! μbank partition, where "per-bank" regulation becomes per-μbank.
 //!
-//! The headline gate: at (16,16), regulating the batch tenant must not
+//! The headline [`gate`]: at (16,16), regulating the batch tenant must not
 //! worsen — and is expected to improve — the latency-critical tenant's
-//! p99 read latency relative to the unregulated baseline. The harness
-//! fails loudly if the gate breaks.
-//!
-//! Usage: `bench_qos [--quick] [--out DIR]`
+//! p99 read latency relative to the unregulated baseline.
 
-use microbank_sim::simulator::{run, SimConfig};
+use microbank_sim::simulator::run;
 use microbank_sim::{QosConfig, QosGranularity};
 use microbank_telemetry::json::JsonWriter;
 use microbank_workloads::suite::Workload;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Cores given to the latency-critical tenant (the rest run batch).
 const LC_CORES: u16 = 4;
@@ -30,7 +26,8 @@ const BATCH_BUDGET: u32 = 4;
 /// Replenishment window, memory-controller cycles.
 const WINDOW: u64 = 1_000;
 
-struct Point {
+/// One (geometry, mode) point of the study.
+pub struct Point {
     geometry: String,
     mode: &'static str,
     ipc: f64,
@@ -43,20 +40,6 @@ struct Point {
     batch_cols_per_kcycle: f64,
     throttled: u64,
     reclaimed: u64,
-}
-
-fn base_cfg(nw: usize, nb: usize, quick: bool) -> SimConfig {
-    let mut cfg = SimConfig::paper_default(Workload::TenantMix { lc_cores: LC_CORES });
-    cfg.cmp.cores = 16;
-    cfg.mem = cfg.mem.with_channels(4).with_ubanks(nw, nb);
-    if quick {
-        cfg.warmup_cycles = 5_000;
-        cfg.measure_cycles = 15_000;
-    } else {
-        cfg.warmup_cycles = 20_000;
-        cfg.measure_cycles = 60_000;
-    }
-    cfg
 }
 
 fn mode_cfg(mode: &str) -> QosConfig {
@@ -80,7 +63,9 @@ fn mode_cfg(mode: &str) -> QosConfig {
 }
 
 fn measure(nw: usize, nb: usize, mode: &'static str, quick: bool) -> Point {
-    let cfg = base_cfg(nw, nb, quick).with_qos(mode_cfg(mode));
+    let mut cfg = crate::lab_platform(Workload::TenantMix { lc_cores: LC_CORES }, quick)
+        .with_qos(mode_cfg(mode));
+    cfg.mem = cfg.mem.with_ubanks(nw, nb);
     let measure_cycles = cfg.measure_cycles;
     let r = run(&cfg);
     let q = r.qos.expect("QoS was armed");
@@ -99,6 +84,32 @@ fn measure(nw: usize, nb: usize, mode: &'static str, quick: bool) -> Point {
         throttled: q.throttled,
         reclaimed: q.reclaimed,
     }
+}
+
+/// Run the regulation-mode × geometry grid.
+pub fn study(quick: bool) -> Vec<Point> {
+    let mut points = Vec::new();
+    for (nw, nb) in [(1, 1), (16, 16)] {
+        for mode in ["unregulated", "priority", "regulated"] {
+            points.push(measure(nw, nb, mode, quick));
+        }
+    }
+    points
+}
+
+/// The headline gate: per-μbank regulation at (16,16) must not worsen the
+/// latency-critical tenant's p99 vs the unregulated contention baseline.
+/// Returns the regulated and unregulated (16,16) points and whether the
+/// gate holds.
+pub fn gate(points: &[Point]) -> (&Point, &Point, bool) {
+    let pick = |mode: &str| {
+        points
+            .iter()
+            .find(|p| p.geometry == "16x16" && p.mode == mode)
+            .expect("the study covers 16x16 in every mode")
+    };
+    let (reg, base) = (pick("regulated"), pick("unregulated"));
+    (reg, base, reg.lc_p99 <= base.lc_p99)
 }
 
 fn to_json(points: &[Point], quick: bool) -> String {
@@ -146,20 +157,9 @@ fn to_json(points: &[Point], quick: bool) -> String {
     w.finish()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out: PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&out).expect("create output dir");
-
-    let geometries = [(1usize, 1usize), (16, 16)];
-    let modes = ["unregulated", "priority", "regulated"];
-
+/// `BENCH_qos.txt` (the table plus the gate verdict) and `BENCH_qos.json`.
+pub fn artifacts(quick: bool) -> Vec<String> {
+    let points = study(quick);
     let mut text = String::new();
     let _ = writeln!(
         text,
@@ -182,46 +182,29 @@ fn main() {
         "throttled",
         "reclaimed"
     );
-
-    let mut points = Vec::new();
-    for (nw, nb) in geometries {
-        for mode in modes {
-            let p = measure(nw, nb, mode, quick);
-            let _ = writeln!(
-                text,
-                "{:>7} {:>12} {:>7.3} {:>8.0} {:>8.0} {:>8.1} {:>6.1}% {:>6.1}% {:>10.1} {:>9} {:>9}",
-                p.geometry,
-                p.mode,
-                p.ipc,
-                p.lc_p50,
-                p.lc_p99,
-                p.lc_mean,
-                p.lc_share * 100.0,
-                p.batch_share * 100.0,
-                p.batch_cols_per_kcycle,
-                p.throttled,
-                p.reclaimed
-            );
-            points.push(p);
-        }
+    for p in &points {
+        let _ = writeln!(
+            text,
+            "{:>7} {:>12} {:>7.3} {:>8.0} {:>8.0} {:>8.1} {:>6.1}% {:>6.1}% {:>10.1} {:>9} {:>9}",
+            p.geometry,
+            p.mode,
+            p.ipc,
+            p.lc_p50,
+            p.lc_p99,
+            p.lc_mean,
+            p.lc_share * 100.0,
+            p.batch_share * 100.0,
+            p.batch_cols_per_kcycle,
+            p.throttled,
+            p.reclaimed
+        );
     }
-
-    // Headline gate: per-μbank regulation at (16,16) must not worsen the
-    // latency-critical tenant's p99 vs the unregulated contention baseline.
-    let pick = |geom: &str, mode: &str| {
-        points
-            .iter()
-            .find(|p| p.geometry == geom && p.mode == mode)
-            .unwrap()
-    };
-    let base = pick("16x16", "unregulated");
-    let reg = pick("16x16", "regulated");
-    let gate_ok = reg.lc_p99 <= base.lc_p99;
+    let (reg, base, ok) = gate(&points);
     let _ = writeln!(
         text,
         "\nqos gate {}: 16x16 regulated lc-p99 {:.0} <= unregulated {:.0}  \
          (batch throughput kept {:.0}% of baseline)",
-        if gate_ok { "OK" } else { "FAIL" },
+        if ok { "OK" } else { "FAIL" },
         reg.lc_p99,
         base.lc_p99,
         if base.batch_cols_per_kcycle > 0.0 {
@@ -230,26 +213,5 @@ fn main() {
             0.0
         }
     );
-
-    print!("{text}");
-    let json = to_json(&points, quick);
-    // Self-validate the artifact before writing it.
-    let parsed = microbank_telemetry::json::parse(&json).expect("artifact must parse");
-    assert_eq!(
-        parsed.get("points").expect("points").items().len(),
-        points.len()
-    );
-    let write = |name: &str, bytes: &[u8]| {
-        if let Err(e) = microbank_telemetry::atomic_write(out.join(name), bytes) {
-            eprintln!("bench_qos: failed to write {name}: {e}");
-            std::process::exit(1);
-        }
-    };
-    write("BENCH_qos.txt", text.as_bytes());
-    write("BENCH_qos.json", json.as_bytes());
-    println!("artifacts written to {}", out.display());
-    if !gate_ok {
-        eprintln!("FAIL: regulation worsened the latency-critical p99 (see table)");
-        std::process::exit(1);
-    }
+    vec![text, to_json(&points, quick)]
 }

@@ -1,31 +1,31 @@
 //! Reliability study: fault rate × μbank geometry × ECC mode.
 //!
-//! For each μbank partition the harness first runs fault-free to establish
+//! For each μbank partition the study first runs fault-free to establish
 //! the IPC baseline, then sweeps {low, high} fault loads × {SEC-DED,
 //! chipkill} ECC, reporting error/retirement counters, effective-capacity
-//! loss, and IPC loss relative to that geometry's own clean baseline.
+//! loss, and IPC loss relative to that geometry's own clean baseline. The
+//! configuration is fixed (429.mcf quick, one seed); runs are
+//! deterministic, so one repetition suffices.
 //!
 //! The headline is the paper-adjacent *blast-radius* claim: hard defects
 //! are sampled in physical device coordinates from the same seed, so every
 //! geometry sees the *same* defects — but finer μbank partitions retire
 //! smaller units around them. At equal fault load, (8,8) and (16,16) must
 //! lose strictly less effective capacity and IPC to retirement than the
-//! unpartitioned (1,1) baseline; the harness checks this and fails loudly
-//! if the ordering breaks.
-//!
-//! Usage: `reliability [--reps N] [--out DIR]`   (reps reserved; runs are
-//! deterministic so one rep suffices)
+//! unpartitioned (1,1) baseline ([`blast_radius`]).
 
 use microbank_faults::{EccMode, FaultConfig};
 use microbank_sim::simulator::{run, SimConfig, SimResult};
 use microbank_telemetry::json::JsonWriter;
 use microbank_workloads::suite::Workload;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const SEED: u64 = 0xFA_017;
+const LOADS: [&str; 2] = ["low", "high"];
+const ECCS: [EccMode; 2] = [EccMode::SecDed, EccMode::Chipkill];
 
-struct Point {
+/// One (geometry, load, ECC) point of the sweep.
+pub struct Point {
     geometry: String,
     load: String,
     ecc: String,
@@ -40,6 +40,12 @@ struct Point {
     scrubs: u64,
     retired_rows: u64,
     retired_ubanks: u64,
+}
+
+/// The whole sweep: each geometry's clean baseline IPC and every point.
+pub struct Study {
+    baselines: Vec<(String, f64)>,
+    pub points: Vec<Point>,
 }
 
 fn base_cfg(nw: usize, nb: usize) -> SimConfig {
@@ -97,7 +103,49 @@ fn measure(nw: usize, nb: usize, load: &str, ecc: EccMode, base_ipc: f64) -> Poi
     }
 }
 
-fn to_json(baselines: &[(String, f64)], points: &[Point]) -> String {
+/// Run the sweep over (1,1), (8,8), (16,16).
+pub fn study() -> Study {
+    let mut baselines = Vec::new();
+    let mut points = Vec::new();
+    for (nw, nb) in [(1, 1), (8, 8), (16, 16)] {
+        let base = run(&base_cfg(nw, nb));
+        baselines.push((format!("{nw}x{nb}"), base.ipc));
+        for load in LOADS {
+            for ecc in ECCS {
+                points.push(measure(nw, nb, load, ecc, base.ipc));
+            }
+        }
+    }
+    Study { baselines, points }
+}
+
+/// The blast-radius gate: at equal fault load and ECC mode, each finer
+/// partition must lose strictly less capacity and IPC than the
+/// unpartitioned baseline. Returns every (fine, coarse) comparison and
+/// whether it holds.
+pub fn blast_radius(points: &[Point]) -> Vec<(&Point, &Point, bool)> {
+    let pick = |geom: &str, load: &str, ecc: EccMode| {
+        points
+            .iter()
+            .find(|p| p.geometry == geom && p.load == load && p.ecc == ecc.name())
+            .expect("the sweep covers every geometry × load × ECC")
+    };
+    let mut checks = Vec::new();
+    for load in LOADS {
+        for ecc in ECCS {
+            let coarse = pick("1x1", load, ecc);
+            for fine_geom in ["8x8", "16x16"] {
+                let fine = pick(fine_geom, load, ecc);
+                let ok = fine.cap_lost_bytes < coarse.cap_lost_bytes
+                    && fine.ipc_loss_pct < coarse.ipc_loss_pct;
+                checks.push((fine, coarse, ok));
+            }
+        }
+    }
+    checks
+}
+
+fn to_json(study: &Study) -> String {
     let mut w = JsonWriter::new();
     w.begin_object()
         .key("bench")
@@ -108,7 +156,7 @@ fn to_json(baselines: &[(String, f64)], points: &[Point]) -> String {
         .uint(SEED)
         .key("baselines")
         .begin_array();
-    for (geom, ipc) in baselines {
+    for (geom, ipc) in &study.baselines {
         w.begin_object()
             .key("geometry")
             .string(geom)
@@ -117,7 +165,7 @@ fn to_json(baselines: &[(String, f64)], points: &[Point]) -> String {
             .end_object();
     }
     w.end_array().key("points").begin_array();
-    for p in points {
+    for p in &study.points {
         w.begin_object()
             .key("geometry")
             .string(&p.geometry)
@@ -153,20 +201,10 @@ fn to_json(baselines: &[(String, f64)], points: &[Point]) -> String {
     w.finish()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out: PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&out).expect("create output dir");
-
-    let geometries = [(1usize, 1usize), (8, 8), (16, 16)];
-    let loads = ["low", "high"];
-    let eccs = [EccMode::SecDed, EccMode::Chipkill];
-
+/// `reliability.txt` (the table plus one blast-radius verdict per
+/// comparison) and `reliability.json`.
+pub fn artifacts() -> Vec<String> {
+    let study = study();
     let mut text = String::new();
     let _ = writeln!(
         text,
@@ -190,88 +228,50 @@ fn main() {
         "r.rows",
         "r.ubank"
     );
-
-    let mut baselines = Vec::new();
-    let mut points = Vec::new();
-    for (nw, nb) in geometries {
-        let base = run(&base_cfg(nw, nb));
+    let per_geometry = LOADS.len() * ECCS.len();
+    for ((geom, base_ipc), points) in study
+        .baselines
+        .iter()
+        .zip(study.points.chunks(per_geometry))
+    {
         let _ = writeln!(
             text,
             "{:>7} {:>5} {:>9} {:>7.3}   (clean baseline)",
-            format!("{nw}x{nb}"),
-            "-",
-            "-",
-            base.ipc
+            geom, "-", "-", base_ipc
         );
-        baselines.push((format!("{nw}x{nb}"), base.ipc));
-        for load in loads {
-            for ecc in eccs {
-                let p = measure(nw, nb, load, ecc, base.ipc);
-                let _ = writeln!(
-                    text,
-                    "{:>7} {:>5} {:>9} {:>7.3} {:>7.2}% {:>10} {:>7.3}% {:>9} {:>6} {:>6} {:>7} {:>7} {:>7}",
-                    p.geometry,
-                    p.load,
-                    p.ecc,
-                    p.ipc,
-                    p.ipc_loss_pct,
-                    p.cap_lost_bytes,
-                    p.cap_lost_pct,
-                    p.corrected,
-                    p.detected,
-                    p.miscorrected,
-                    p.retries,
-                    p.retired_rows,
-                    p.retired_ubanks
-                );
-                points.push(p);
-            }
+        for p in points {
+            let _ = writeln!(
+                text,
+                "{:>7} {:>5} {:>9} {:>7.3} {:>7.2}% {:>10} {:>7.3}% {:>9} {:>6} {:>6} {:>7} {:>7} {:>7}",
+                p.geometry,
+                p.load,
+                p.ecc,
+                p.ipc,
+                p.ipc_loss_pct,
+                p.cap_lost_bytes,
+                p.cap_lost_pct,
+                p.corrected,
+                p.detected,
+                p.miscorrected,
+                p.retries,
+                p.retired_rows,
+                p.retired_ubanks
+            );
         }
     }
-
-    // Blast-radius gate: at equal fault load + ECC, finer partitions must
-    // lose strictly less capacity and IPC than the unpartitioned baseline.
-    let pick = |geom: &str, load: &str, ecc: &str| {
-        points
-            .iter()
-            .find(|p| p.geometry == geom && p.load == load && p.ecc == ecc)
-            .unwrap()
-    };
-    let mut gate_ok = true;
-    for load in loads {
-        for ecc in ["secded", "chipkill"] {
-            let coarse = pick("1x1", load, ecc);
-            for fine_geom in ["8x8", "16x16"] {
-                let fine = pick(fine_geom, load, ecc);
-                let cap_ok = fine.cap_lost_bytes < coarse.cap_lost_bytes;
-                let ipc_ok = fine.ipc_loss_pct < coarse.ipc_loss_pct;
-                let verdict = if cap_ok && ipc_ok { "OK" } else { "FAIL" };
-                gate_ok &= cap_ok && ipc_ok;
-                let _ = writeln!(
-                    text,
-                    "blast-radius {verdict}: {fine_geom} vs 1x1 ({load}/{ecc})  \
-                     cap {} < {}  ipc-loss {:.2}% < {:.2}%",
-                    fine.cap_lost_bytes,
-                    coarse.cap_lost_bytes,
-                    fine.ipc_loss_pct,
-                    coarse.ipc_loss_pct
-                );
-            }
-        }
+    for (fine, coarse, ok) in blast_radius(&study.points) {
+        let _ = writeln!(
+            text,
+            "blast-radius {}: {} vs 1x1 ({}/{})  cap {} < {}  ipc-loss {:.2}% < {:.2}%",
+            if ok { "OK" } else { "FAIL" },
+            fine.geometry,
+            fine.load,
+            fine.ecc,
+            fine.cap_lost_bytes,
+            coarse.cap_lost_bytes,
+            fine.ipc_loss_pct,
+            coarse.ipc_loss_pct
+        );
     }
-
-    print!("{text}");
-    let write = |name: &str, bytes: &[u8]| {
-        if let Err(e) = microbank_telemetry::atomic_write(out.join(name), bytes) {
-            eprintln!("reliability: failed to write {name}: {e}");
-            std::process::exit(1);
-        }
-    };
-    write("reliability.txt", text.as_bytes());
-    write("reliability.json", to_json(&baselines, &points).as_bytes());
-    println!("artifacts written to {}", out.display());
-    if !gate_ok {
-        eprintln!("FAIL: blast-radius ordering violated (see table above)");
-        std::process::exit(1);
-    }
+    vec![text, to_json(&study)]
 }

@@ -6,27 +6,25 @@
 //! This is the paper's Related Work argument (§VII) made executable: SALP
 //! adds row buffers but keeps full-row activation energy; Sectored cuts
 //! activation energy but shares one row decoder per bank; μbank partitions
-//! both directions and should win the energy-delay product. The harness
-//! gates on exactly that: μbank's EDP must not exceed conventional's.
+//! both directions and should win the energy-delay product. The [`gate`]
+//! is exactly that: μbank's EDP must not exceed conventional's.
 //!
 //! EDP here is per-instruction energy × per-instruction delay (CPI), so a
 //! fixed measurement window cannot mask a throughput loss as an energy win.
-//!
-//! Usage: `bench_variants [--quick] [--out DIR]`
 
 use microbank_core::variant::DeviceVariant;
-use microbank_sim::simulator::{run, SimConfig};
+use microbank_sim::simulator::run;
 use microbank_telemetry::json::JsonWriter;
 use microbank_workloads::suite::Workload;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Representative μbank partition the `Microbank` variant runs at (the
 /// paper's sweet-spot region; SALP/Sectored derive their own geometry).
 const UBANK_NW: usize = 8;
 const UBANK_NB: usize = 8;
 
-struct Point {
+/// One variant's measurements.
+pub struct Point {
     label: String,
     ubank: String,
     ipc: f64,
@@ -44,23 +42,9 @@ struct Point {
     edp: f64,
 }
 
-fn base_cfg(quick: bool) -> SimConfig {
-    let mut cfg = SimConfig::paper_default(Workload::MixHigh);
-    cfg.cmp.cores = 16;
-    cfg.mem = cfg.mem.with_channels(4).with_ubanks(UBANK_NW, UBANK_NB);
-    if quick {
-        cfg.warmup_cycles = 5_000;
-        cfg.measure_cycles = 15_000;
-    } else {
-        cfg.warmup_cycles = 20_000;
-        cfg.measure_cycles = 60_000;
-    }
-    cfg
-}
-
 fn measure(v: DeviceVariant, quick: bool) -> Point {
-    let mut cfg = base_cfg(quick);
-    cfg.mem = cfg.mem.with_variant(v);
+    let mut cfg = crate::lab_platform(Workload::MixHigh, quick);
+    cfg.mem = cfg.mem.with_ubanks(UBANK_NW, UBANK_NB).with_variant(v);
     cfg.validate().expect("variant config must validate");
     let u = cfg.mem.ubank;
     let r = run(&cfg);
@@ -80,6 +64,28 @@ fn measure(v: DeviceVariant, quick: bool) -> Point {
         cpi,
         edp: epki_nj / 1000.0 * cpi,
     }
+}
+
+/// Run every variant of [`DeviceVariant::comparison_set`].
+pub fn study(quick: bool) -> Vec<Point> {
+    DeviceVariant::comparison_set()
+        .into_iter()
+        .map(|v| measure(v, quick))
+        .collect()
+}
+
+/// The headline gate (the paper's thesis): μbank's energy-delay product
+/// must not exceed the conventional baseline's on the same workload.
+/// Returns the μbank and conventional points and whether the gate holds.
+pub fn gate(points: &[Point]) -> (&Point, &Point, bool) {
+    let pick = |label: &str| {
+        points
+            .iter()
+            .find(|p| p.label == label)
+            .unwrap_or_else(|| panic!("comparison set must include {label}"))
+    };
+    let (ubank, conv) = (pick("microbank"), pick("conventional"));
+    (ubank, conv, ubank.edp <= conv.edp)
 }
 
 fn to_json(points: &[Point], quick: bool) -> String {
@@ -123,17 +129,10 @@ fn to_json(points: &[Point], quick: bool) -> String {
     w.finish()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out: PathBuf = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&out).expect("create output dir");
-
+/// `BENCH_variants.txt` (the table plus the gate verdict) and
+/// `BENCH_variants.json`.
+pub fn artifacts(quick: bool) -> Vec<String> {
+    let points = study(quick);
     let mut text = String::new();
     let _ = writeln!(
         text,
@@ -146,10 +145,7 @@ fn main() {
         "{:>16} {:>6} {:>7} {:>6} {:>7} {:>9} {:>7} {:>9} {:>7} {:>9}",
         "variant", "ubank", "ipc", "rhit", "reads", "nJ/read", "act%", "nJ/kinst", "cpi", "edp"
     );
-
-    let mut points = Vec::new();
-    for v in DeviceVariant::comparison_set() {
-        let p = measure(v, quick);
+    for p in &points {
         let _ = writeln!(
             text,
             "{:>16} {:>6} {:>7.3} {:>6.3} {:>7} {:>9.2} {:>6.1}% {:>9.1} {:>7.3} {:>9.4}",
@@ -164,50 +160,17 @@ fn main() {
             p.cpi,
             p.edp
         );
-        points.push(p);
     }
-
-    // Headline gate (the paper's thesis): μbank's energy-delay product
-    // must not exceed the conventional baseline's on the same workload.
-    let pick = |label: &str| {
-        points
-            .iter()
-            .find(|p| p.label == label)
-            .unwrap_or_else(|| panic!("comparison set must include {label}"))
-    };
-    let conv = pick("conventional");
-    let ubank = pick("microbank");
-    let gate_ok = ubank.edp <= conv.edp;
+    let (ubank, conv, ok) = gate(&points);
     let _ = writeln!(
         text,
         "\nvariant gate {}: microbank edp {:.4} <= conventional edp {:.4}  \
          (ipc {:+.1}%, energy/read {:+.1}%)",
-        if gate_ok { "OK" } else { "FAIL" },
+        if ok { "OK" } else { "FAIL" },
         ubank.edp,
         conv.edp,
         (ubank.ipc / conv.ipc - 1.0) * 100.0,
         (ubank.energy_per_read_nj / conv.energy_per_read_nj - 1.0) * 100.0
     );
-
-    print!("{text}");
-    let json = to_json(&points, quick);
-    // Self-validate the artifact before writing it.
-    let parsed = microbank_telemetry::json::parse(&json).expect("artifact must parse");
-    assert_eq!(
-        parsed.get("points").expect("points").items().len(),
-        points.len()
-    );
-    let write = |name: &str, bytes: &[u8]| {
-        if let Err(e) = microbank_telemetry::atomic_write(out.join(name), bytes) {
-            eprintln!("bench_variants: failed to write {name}: {e}");
-            std::process::exit(1);
-        }
-    };
-    write("BENCH_variants.txt", text.as_bytes());
-    write("BENCH_variants.json", json.as_bytes());
-    println!("artifacts written to {}", out.display());
-    if !gate_ok {
-        eprintln!("FAIL: microbank EDP exceeds the conventional baseline (see table)");
-        std::process::exit(1);
-    }
+    vec![text, to_json(&points, quick)]
 }

@@ -8,7 +8,7 @@
 //! `Option` branch and the golden fingerprints are bit-identical to a
 //! build without this crate.
 //!
-//! The headline experiment (`cargo run --release --bin reliability`) is
+//! The headline experiment (the `reliability` artifact of `reproduce`) is
 //! the blast-radius claim: the *same physical defects* cost a (16,16)
 //! partitioning 1/256 of the capacity they cost a (1,1) baseline, because
 //! retirement granularity shrinks with the μbank size.

@@ -1,6 +1,6 @@
-//! Directional checks of the paper's headline claims at test scale (the
-//! full-scale numbers live in EXPERIMENTS.md, produced by the `fig*`
-//! harness binaries).
+//! Directional checks of the paper's headline claims at test scale. The
+//! full-scale numbers live in `results/` and EXPERIMENTS.md; the
+//! `reproduce` binary in `microbank-bench` regenerates them.
 
 use microbank::core::config::MemConfig;
 use microbank::energy::area::{AreaModel, PAPER_FIG6A};
@@ -68,6 +68,65 @@ fn fig8_shape_mcf_gains_most_tpch_prefers_nb() {
         tw.row_hit_rate
     );
     assert!(tb.ipc > t0.ipc * 1.2);
+}
+
+#[test]
+fn fig9_shape_mcf_edp_favors_wordline_partitions() {
+    // Smaller activations pay off along nW: (16,1) beats (1,16) on 1/EDP
+    // at equal μbank count (full length: 4.908 vs 2.543).
+    let run = |nw: usize, nb: usize| {
+        let mut c = SimConfig::spec_single_channel(Workload::Spec("429.mcf")).quick();
+        c.cmp.cores = 16;
+        c.mem = c.mem.with_ubanks(nw, nb);
+        sim::run(&c)
+    };
+    let base = run(1, 1);
+    let w = run(16, 1).inverse_edp_vs(&base);
+    let b = run(1, 16).inverse_edp_vs(&base);
+    assert!(w > b, "(16,1) 1/EDP {w} vs (1,16) {b}");
+}
+
+#[test]
+fn fig12_shape_open_beats_close_at_row_interleaving_with_ubanks() {
+    // (2,8) on spec-high at iB=12, the row-granularity maximum: open page
+    // keeps the restored locality, close throws it away (full length:
+    // relIPC 1.578 vs 1.492).
+    let run = |policy: PolicyKind| {
+        let mut c =
+            sim::experiment::policy_study_cfg(Workload::SpecGroupAvg(SpecGroup::High), true);
+        c.mem = c.mem.with_ubanks(2, 8).with_interleave_base(12);
+        c.policy = policy;
+        sim::run(&c)
+    };
+    let open = run(PolicyKind::Open);
+    let close = run(PolicyKind::Close);
+    assert!(
+        open.ipc > close.ipc,
+        "open {} vs close {}",
+        open.ipc,
+        close.ipc
+    );
+}
+
+#[test]
+fn fig13_shape_tournament_matches_or_beats_open_on_mcf_with_ubanks() {
+    // 429.mcf at (2,8): with drained queues every page decision is
+    // speculative, and the tournament predictor beats static open (full
+    // length: relIPC 1.756 vs 1.552).
+    let run = |policy: PolicyKind| {
+        let mut c = sim::experiment::policy_study_cfg(Workload::Spec("429.mcf"), true);
+        c.mem = c.mem.with_ubanks(2, 8);
+        c.policy = policy;
+        sim::run(&c)
+    };
+    let open = run(PolicyKind::Open);
+    let tour = run(PolicyKind::Predictive(PredictorKind::Tournament));
+    assert!(
+        tour.ipc >= open.ipc,
+        "tournament {} vs open {}",
+        tour.ipc,
+        open.ipc
+    );
 }
 
 #[test]
