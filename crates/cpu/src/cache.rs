@@ -22,15 +22,20 @@ pub struct Victim {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
-
 /// One set-associative cache.
+///
+/// All state lives in one zero-initialised word array, one contiguous
+/// block of `stride` words per set:
+///
+/// * `assoc` tag words, each holding `tag + 1` (0 marks an invalid way);
+/// * `assoc.div_ceil(2)` stamp words, two 32-bit LRU stamps per word;
+/// * `assoc.div_ceil(64)` dirty words, one bit per way.
+///
+/// A fresh cache is therefore one zeroed allocation, and a probe scans
+/// only the set's tag words. Stamps are compared only within a set, so
+/// when the 32-bit clock would wrap every set's stamps are renumbered
+/// `1..=assoc` in their current order and the clock restarts above them;
+/// replacement decisions never change.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
@@ -38,8 +43,10 @@ pub struct Cache {
     /// asserted to be a power of two).
     set_shift: u32,
     assoc: usize,
-    ways: Vec<Way>,
-    tick: u64,
+    /// Words per set.
+    stride: usize,
+    words: Vec<u64>,
+    clock: u32,
     pub hits: u64,
     pub misses: u64,
 }
@@ -52,12 +59,14 @@ impl Cache {
         assert!(lines.is_multiple_of(assoc), "capacity/assoc mismatch");
         let sets = lines / assoc;
         assert!(sets.is_power_of_two(), "sets must be a power of two");
+        let stride = assoc + assoc.div_ceil(2) + assoc.div_ceil(64);
         Cache {
             sets,
             set_shift: sets.trailing_zeros(),
             assoc,
-            ways: vec![Way::default(); sets * assoc],
-            tick: 0,
+            stride,
+            words: vec![0; sets * stride],
+            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -67,61 +76,130 @@ impl Cache {
         self.sets
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        ((addr >> CACHE_LINE_BITS) as usize) & (self.sets - 1)
+    /// Locate `addr`: its set, its stored tag (`tag + 1`) and the way
+    /// holding it, if any.
+    fn find(&self, addr: u64) -> (usize, u64, Option<usize>) {
+        let line = addr >> CACHE_LINE_BITS;
+        let set = (line as usize) & (self.sets - 1);
+        let key = (line >> self.set_shift) + 1;
+        let base = set * self.stride;
+        let way = self.words[base..base + self.assoc]
+            .iter()
+            .position(|&t| t == key);
+        (set, key, way)
     }
 
-    fn tag_of(&self, addr: u64) -> u64 {
-        (addr >> CACHE_LINE_BITS) >> self.set_shift
+    fn stamp_word(&self, set: usize, way: usize) -> usize {
+        set * self.stride + self.assoc + way / 2
     }
 
-    fn line_addr(&self, set: usize, tag: u64) -> u64 {
-        ((tag << self.set_shift) + set as u64) << CACHE_LINE_BITS
+    fn stamp(&self, set: usize, way: usize) -> u32 {
+        (self.words[self.stamp_word(set, way)] >> (32 * (way & 1))) as u32
+    }
+
+    fn set_stamp(&mut self, set: usize, way: usize, stamp: u32) {
+        let i = self.stamp_word(set, way);
+        let shift = 32 * (way & 1);
+        self.words[i] =
+            (self.words[i] & !(u64::from(u32::MAX) << shift)) | (u64::from(stamp) << shift);
+    }
+
+    /// Word and bit of `way`'s dirty flag.
+    fn dirty_bit(&self, set: usize, way: usize) -> (usize, u64) {
+        let i = set * self.stride + self.assoc + self.assoc.div_ceil(2) + way / 64;
+        (i, 1 << (way % 64))
+    }
+
+    fn is_dirty(&self, set: usize, way: usize) -> bool {
+        let (i, bit) = self.dirty_bit(set, way);
+        self.words[i] & bit != 0
+    }
+
+    fn set_dirty(&mut self, set: usize, way: usize, dirty: bool) {
+        let (i, bit) = self.dirty_bit(set, way);
+        if dirty {
+            self.words[i] |= bit;
+        } else {
+            self.words[i] &= !bit;
+        }
+    }
+
+    fn or_dirty(&mut self, set: usize, way: usize, dirty: bool) {
+        if dirty {
+            self.set_dirty(set, way, true);
+        }
+    }
+
+    /// The next LRU stamp. Before the clock would wrap, each set's stamps
+    /// are renumbered `1..=assoc` in their current order and the clock
+    /// restarts at `assoc`, so every later stamp is still newer than every
+    /// earlier one within its set. Every valid way holds a distinct stamp
+    /// (each was stamped when installed), so their order is exact; only
+    /// never-stamped invalid ways tie, and replacement takes invalid ways
+    /// before comparing stamps.
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            let mut order: Vec<(u32, usize)> = Vec::with_capacity(self.assoc);
+            for set in 0..self.sets {
+                order.clear();
+                order.extend((0..self.assoc).map(|w| (self.stamp(set, w), w)));
+                order.sort_by_key(|&(stamp, _)| stamp);
+                for (rank, &(_, w)) in order.iter().enumerate() {
+                    self.set_stamp(set, w, rank as u32 + 1);
+                }
+            }
+            self.clock = self.assoc as u32;
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    fn touch(&mut self, set: usize, way: usize) {
+        let stamp = self.tick();
+        self.set_stamp(set, way, stamp);
+    }
+
+    fn line_addr(&self, set: usize, key: u64) -> u64 {
+        (((key - 1) << self.set_shift) + set as u64) << CACHE_LINE_BITS
+    }
+
+    /// Allocate `key` in `set`: the first invalid way, else the least
+    /// recently stamped one. Returns the evicted line, if any.
+    fn install(&mut self, set: usize, key: u64, dirty: bool) -> Option<Victim> {
+        let base = set * self.stride;
+        let way = self.words[base..base + self.assoc]
+            .iter()
+            .position(|&t| t == 0)
+            .unwrap_or_else(|| {
+                (0..self.assoc)
+                    .min_by_key(|&w| self.stamp(set, w))
+                    .expect("a set has at least one way")
+            });
+        let old = self.words[base + way];
+        let victim = (old != 0).then(|| Victim {
+            addr: self.line_addr(set, old),
+            dirty: self.is_dirty(set, way),
+        });
+        self.words[base + way] = key;
+        self.set_dirty(set, way, dirty);
+        self.touch(set, way);
+        victim
     }
 
     /// Access the line holding `addr`; on a hit, update LRU and dirtiness.
     /// On a miss, allocate (evicting the LRU way) and return the victim.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
-        self.tick += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.assoc;
-        // Hit path.
-        for w in &mut self.ways[base..base + self.assoc] {
-            if w.valid && w.tag == tag {
-                w.lru = self.tick;
-                w.dirty |= is_write;
-                self.hits += 1;
-                return AccessResult::Hit;
-            }
+        let (set, key, way) = self.find(addr);
+        if let Some(way) = way {
+            self.touch(set, way);
+            self.or_dirty(set, way, is_write);
+            self.hits += 1;
+            return AccessResult::Hit;
         }
         self.misses += 1;
-        // Victim: invalid way if any, else LRU.
-        let victim_idx = (base..base + self.assoc)
-            .min_by_key(|&i| {
-                if self.ways[i].valid {
-                    self.ways[i].lru
-                } else {
-                    0
-                }
-            })
-            .unwrap();
-        let w = self.ways[victim_idx];
-        let victim = if w.valid {
-            Some(Victim {
-                addr: self.line_addr(set, w.tag),
-                dirty: w.dirty,
-            })
-        } else {
-            None
-        };
-        self.ways[victim_idx] = Way {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: self.tick,
-        };
-        AccessResult::Miss { victim }
+        AccessResult::Miss {
+            victim: self.install(set, key, is_write),
+        }
     }
 
     /// Insert a line that arrived from the next level (a fill). Does not
@@ -129,42 +207,13 @@ impl Cache {
     /// No-op returning `None` if the line is already present (its dirty bit
     /// is OR-ed).
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Victim> {
-        self.tick += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.assoc;
-        for w in &mut self.ways[base..base + self.assoc] {
-            if w.valid && w.tag == tag {
-                w.lru = self.tick;
-                w.dirty |= dirty;
-                return None;
-            }
+        let (set, key, way) = self.find(addr);
+        if let Some(way) = way {
+            self.touch(set, way);
+            self.or_dirty(set, way, dirty);
+            return None;
         }
-        let victim_idx = (base..base + self.assoc)
-            .min_by_key(|&i| {
-                if self.ways[i].valid {
-                    self.ways[i].lru
-                } else {
-                    0
-                }
-            })
-            .unwrap();
-        let w = self.ways[victim_idx];
-        let victim = if w.valid {
-            Some(Victim {
-                addr: self.line_addr(set, w.tag),
-                dirty: w.dirty,
-            })
-        } else {
-            None
-        };
-        self.ways[victim_idx] = Way {
-            tag,
-            valid: true,
-            dirty,
-            lru: self.tick,
-        };
-        victim
+        self.install(set, key, dirty)
     }
 
     /// Hit-or-nothing access: one way scan. On a hit, update LRU and
@@ -174,19 +223,12 @@ impl Cache {
     /// `contains` + `access` pair it replaces, where the miss path never
     /// called `access`. The caller classifies the miss itself.
     pub fn probe_hit(&mut self, addr: u64, is_write: bool) -> Option<usize> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.assoc;
-        for (i, w) in self.ways[base..base + self.assoc].iter_mut().enumerate() {
-            if w.valid && w.tag == tag {
-                self.tick += 1;
-                w.lru = self.tick;
-                w.dirty |= is_write;
-                self.hits += 1;
-                return Some(base + i);
-            }
-        }
-        None
+        let (set, _, way) = self.find(addr);
+        let way = way?;
+        self.touch(set, way);
+        self.or_dirty(set, way, is_write);
+        self.hits += 1;
+        Some(set * self.assoc + way)
     }
 
     /// Bump the LRU clock on a way returned by [`Cache::probe_hit`] with no
@@ -194,42 +236,28 @@ impl Cache {
     /// [`Cache::fill`]`(addr, false)` that finds the line present, minus
     /// the way scan.
     pub fn retouch(&mut self, way: usize) {
-        self.tick += 1;
-        self.ways[way].lru = self.tick;
+        self.touch(way / self.assoc, way % self.assoc);
     }
 
     /// Probe without modifying state.
     pub fn contains(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.ways[set * self.assoc..(set + 1) * self.assoc]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        self.find(addr).2.is_some()
     }
 
     /// Invalidate a line (coherence); returns whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.assoc;
-        for w in &mut self.ways[base..base + self.assoc] {
-            if w.valid && w.tag == tag {
-                w.valid = false;
-                return Some(w.dirty);
-            }
-        }
-        None
+        let (set, _, way) = self.find(addr);
+        let way = way?;
+        let dirty = self.is_dirty(set, way);
+        self.words[set * self.stride + way] = 0;
+        self.set_dirty(set, way, false);
+        Some(dirty)
     }
 
     /// Mark a present line clean (after a writeback) — no-op if absent.
     pub fn clean(&mut self, addr: u64) {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let base = set * self.assoc;
-        for w in &mut self.ways[base..base + self.assoc] {
-            if w.valid && w.tag == tag {
-                w.dirty = false;
-            }
+        if let (set, _, Some(way)) = self.find(addr) {
+            self.set_dirty(set, way, false);
         }
     }
 
@@ -340,6 +368,65 @@ mod tests {
             }
         }
         panic!("no eviction");
+    }
+
+    /// One pseudo-random operation stream over a few hot sets, recording
+    /// every observable result.
+    fn replay(c: &mut Cache, ops: usize) -> Vec<(Option<Victim>, bool)> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..ops)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // 3 sets x 12 tags per set: a 4-way set evicts often.
+                let addr = ((x % 12) * 64 + (x >> 8) % 3) * 64;
+                match (x >> 20) % 4 {
+                    0 => (c.fill(addr, x & 1 == 0), false),
+                    1 => match c.access(addr, x & 2 == 0) {
+                        AccessResult::Hit => (None, true),
+                        AccessResult::Miss { victim } => (victim, false),
+                    },
+                    2 => match c.probe_hit(addr, false) {
+                        Some(way) => {
+                            c.retouch(way);
+                            (None, true)
+                        }
+                        None => (None, false),
+                    },
+                    _ => (None, c.invalidate(addr).is_some()),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stamp_clock_wrap_keeps_victims() {
+        let mut fresh = l1();
+        let mut wrapping = l1();
+        wrapping.clock = u32::MAX - 100;
+        assert_eq!(replay(&mut fresh, 2000), replay(&mut wrapping, 2000));
+        assert!(wrapping.clock < 3000, "the clock renumbered and restarted");
+        assert_eq!((fresh.hits, fresh.misses), (wrapping.hits, wrapping.misses));
+    }
+
+    #[test]
+    fn dirty_bits_cover_every_way_beyond_64() {
+        // One 128-way set: way 100's dirty bit lives in the second word.
+        let mut c = Cache::new(128 * 64, 128);
+        assert_eq!(c.num_sets(), 1);
+        for i in 0..128u64 {
+            c.access(i * 64, i == 100);
+        }
+        for i in 0..128u64 {
+            match c.access((128 + i) * 64, false) {
+                AccessResult::Miss { victim: Some(v) } => {
+                    assert_eq!(v.addr, i * 64);
+                    assert_eq!(v.dirty, i == 100, "way {i}");
+                }
+                other => panic!("expected eviction of line {i}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

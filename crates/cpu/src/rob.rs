@@ -10,7 +10,6 @@
 
 use crate::instr::{Instr, InstrSource};
 use microbank_core::Cycle;
-use std::collections::VecDeque;
 
 /// Outcome of handing a memory instruction to the cache hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,11 +35,8 @@ pub enum StallKind {
     MshrReplay,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct RobEntry {
-    /// `Some(c)`: ready to commit at cycle `c`. `None`: waiting on memory.
-    ready_at: Option<Cycle>,
-}
+/// A ROB entry's ready cycle while it waits on memory.
+const PENDING: Cycle = Cycle::MAX;
 
 /// Per-core statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -59,10 +55,14 @@ pub struct CoreStats {
 #[derive(Debug)]
 pub struct Core {
     pub id: u16,
-    rob: VecDeque<RobEntry>,
+    /// The reorder buffer as a ring of ready cycles ([`PENDING`] while
+    /// waiting on memory): `len` entries starting at slot `head`, the
+    /// oldest being sequence number `head_seq`.
+    rob: Box<[Cycle]>,
+    head: usize,
+    len: usize,
     head_seq: u64,
     next_seq: u64,
-    rob_capacity: usize,
     issue_width: usize,
     alu_latency: u64,
     /// Instruction buffered after an MSHR stall, replayed next cycle.
@@ -74,10 +74,11 @@ impl Core {
     pub fn new(id: u16, rob_capacity: usize, issue_width: usize, alu_latency: u64) -> Self {
         Core {
             id,
-            rob: VecDeque::with_capacity(rob_capacity),
+            rob: vec![PENDING; rob_capacity].into_boxed_slice(),
+            head: 0,
+            len: 0,
             head_seq: 0,
             next_seq: 0,
-            rob_capacity,
             issue_width,
             alu_latency,
             replay: None,
@@ -86,22 +87,45 @@ impl Core {
     }
 
     pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
+        self.len
+    }
+
+    fn rob_full(&self) -> bool {
+        self.len >= self.rob.len()
+    }
+
+    /// Ring slot of the entry `offset` places behind the head
+    /// (`offset <= capacity`).
+    fn slot(&self, offset: usize) -> usize {
+        let i = self.head + offset;
+        if i >= self.rob.len() {
+            i - self.rob.len()
+        } else {
+            i
+        }
+    }
+
+    /// The head entry's ready cycle, if the ROB is not empty.
+    fn head_ready(&self) -> Option<Cycle> {
+        (self.len > 0).then(|| self.rob[self.head])
+    }
+
+    fn push(&mut self, ready_at: Cycle) {
+        let tail = self.slot(self.len);
+        self.rob[tail] = ready_at;
+        self.len += 1;
+        self.next_seq += 1;
     }
 
     /// Commit up to `issue_width` ready instructions from the ROB head.
     pub fn commit(&mut self, now: Cycle) -> usize {
         let mut n = 0;
-        while n < self.issue_width {
-            match self.rob.front() {
-                Some(e) if e.ready_at.is_some_and(|r| r <= now) => {
-                    self.rob.pop_front();
-                    self.head_seq += 1;
-                    self.stats.committed += 1;
-                    n += 1;
-                }
-                _ => break,
-            }
+        while n < self.issue_width && self.head_ready().is_some_and(|r| r <= now) {
+            self.head = self.slot(1);
+            self.len -= 1;
+            self.head_seq += 1;
+            self.stats.committed += 1;
+            n += 1;
         }
         n
     }
@@ -115,12 +139,12 @@ impl Core {
         source: &mut S,
         mut mem: impl FnMut(u64, bool, u64) -> MemOutcome,
     ) {
-        if self.rob.len() >= self.rob_capacity {
+        if self.rob_full() {
             self.stats.rob_full_cycles += 1;
             return;
         }
         for _ in 0..self.issue_width {
-            if self.rob.len() >= self.rob_capacity {
+            if self.rob_full() {
                 break;
             }
             let instr = match self.replay.take() {
@@ -128,23 +152,16 @@ impl Core {
                 None => source.next_instr(),
             };
             match instr {
-                Instr::Compute => {
-                    self.rob.push_back(RobEntry {
-                        ready_at: Some(now + self.alu_latency),
-                    });
-                    self.next_seq += 1;
-                }
+                Instr::Compute => self.push(now + self.alu_latency),
                 Instr::Mem { addr, is_write } => {
                     let seq = self.next_seq;
                     match mem(addr, is_write, seq) {
                         MemOutcome::ReadyAt(c) => {
-                            self.rob.push_back(RobEntry { ready_at: Some(c) });
-                            self.next_seq += 1;
+                            self.push(c);
                             self.note_mem(is_write);
                         }
                         MemOutcome::Pending => {
-                            self.rob.push_back(RobEntry { ready_at: None });
-                            self.next_seq += 1;
+                            self.push(PENDING);
                             self.note_mem(is_write);
                         }
                         MemOutcome::Stall => {
@@ -189,19 +206,16 @@ impl Core {
     /// re-evaluate on any event that can unwedge the core (a fill to its
     /// cluster may free an MSHR without completing one of its own loads).
     pub fn quiesced_until(&self) -> (Cycle, StallKind) {
-        if self.rob.len() >= self.rob_capacity {
-            let w = match self.rob.front() {
-                Some(e) => e.ready_at.unwrap_or(Cycle::MAX),
-                None => 0, // capacity 0 cannot happen; be conservative
-            };
-            return (w, StallKind::RobFull);
+        if self.rob_full() {
+            // Capacity 0 cannot happen; be conservative.
+            return (self.head_ready().unwrap_or(0), StallKind::RobFull);
         }
         if self.replay.is_some() {
-            let w = match self.rob.front() {
-                Some(e) => e.ready_at.unwrap_or(Cycle::MAX),
-                None => Cycle::MAX, // drained ROB; MSHRs held by posted writes
-            };
-            return (w, StallKind::MshrReplay);
+            // A drained ROB waits too: its MSHRs are held by posted writes.
+            return (
+                self.head_ready().unwrap_or(Cycle::MAX),
+                StallKind::MshrReplay,
+            );
         }
         (0, StallKind::RobFull)
     }
@@ -220,10 +234,11 @@ impl Core {
         if seq < self.head_seq {
             return; // already committed (possible only for posted ops)
         }
-        let idx = (seq - self.head_seq) as usize;
-        if let Some(e) = self.rob.get_mut(idx) {
-            debug_assert!(e.ready_at.is_none(), "double completion for seq {seq}");
-            e.ready_at = Some(now);
+        let offset = seq - self.head_seq;
+        if offset < self.len as u64 {
+            let i = self.slot(offset as usize);
+            debug_assert!(self.rob[i] == PENDING, "double completion for seq {seq}");
+            self.rob[i] = now;
         }
     }
 
@@ -286,6 +301,29 @@ mod tests {
         assert_eq!(core.commit(5), 0);
         core.complete_load(0, 6);
         assert_eq!(core.commit(6), 2, "both commit once the head is ready");
+    }
+
+    #[test]
+    fn completions_find_their_entry_after_the_ring_wraps() {
+        let mut core = Core::new(0, 3, 2, 1);
+        let mut src = FixedSource::new(vec![0x40], 1);
+        let mut now = 0;
+        for round in 0..10u64 {
+            // Fill the ROB with three pending loads, complete them youngest
+            // first, and commit them: the ring head moves 3 slots per round.
+            core.dispatch(now, &mut src, |_, _, _| MemOutcome::Pending);
+            core.dispatch(now, &mut src, |_, _, _| MemOutcome::Pending);
+            assert_eq!(core.rob_occupancy(), 3);
+            assert_eq!(core.quiesced_until(), (Cycle::MAX, StallKind::RobFull));
+            for seq in (3 * round..3 * round + 3).rev() {
+                core.complete_load(seq, now + 1);
+            }
+            assert_eq!(core.quiesced_until(), (now + 1, StallKind::RobFull));
+            assert_eq!(core.commit(now + 1), 2);
+            assert_eq!(core.commit(now + 2), 1);
+            now += 3;
+        }
+        assert_eq!(core.stats.committed, 30);
     }
 
     #[test]

@@ -107,7 +107,13 @@ impl Uncore {
     }
 
     /// Send (or queue) a posted memory write.
-    fn post_write(&mut self, line: u64, thread: u16, now: Cycle, port: &mut dyn MemPort) {
+    fn post_write<P: MemPort + ?Sized>(
+        &mut self,
+        line: u64,
+        thread: u16,
+        now: Cycle,
+        port: &mut P,
+    ) {
         let req = SubmittedReq {
             id: self.next_id,
             addr: line,
@@ -124,14 +130,14 @@ impl Uncore {
 
     /// An L2 slice evicted `victim`: keep inclusion (drop L1 copies, OR in
     /// their dirtiness), update the directory, write back if needed.
-    fn handle_l2_victim(
+    fn handle_l2_victim<P: MemPort + ?Sized>(
         &mut self,
         cluster: usize,
         addr: u64,
         mut dirty: bool,
         thread: u16,
         now: Cycle,
-        port: &mut dyn MemPort,
+        port: &mut P,
     ) {
         for core in self.cores_of(cluster) {
             if let Some(l1_dirty) = self.l1[core].invalidate(addr) {
@@ -144,14 +150,14 @@ impl Uncore {
     }
 
     /// Install a line into a cluster's L2 and one core's L1.
-    fn fill_hierarchy(
+    fn fill_hierarchy<P: MemPort + ?Sized>(
         &mut self,
         core: usize,
         cluster: usize,
         line: u64,
         dirty: bool,
         now: Cycle,
-        port: &mut dyn MemPort,
+        port: &mut P,
     ) {
         if let Some(v) = self.l2[cluster].fill(line, dirty) {
             self.handle_l2_victim(cluster, v.addr, v.dirty, core as u16, now, port);
@@ -184,13 +190,13 @@ impl Uncore {
     /// Prefetches fetch only directory-uncached lines (never disturbing a
     /// remote owner), carry no waiters, and bypass the MSHR budget the way
     /// a hardware prefetch queue does.
-    fn issue_prefetches(
+    fn issue_prefetches<P: MemPort + ?Sized>(
         &mut self,
         core: usize,
         cluster: usize,
         line: u64,
         now: Cycle,
-        port: &mut dyn MemPort,
+        port: &mut P,
     ) {
         if !self.prefetchers[core].enabled() {
             return;
@@ -234,16 +240,14 @@ impl Uncore {
 
     /// The full memory-access path for one instruction. Returns how the
     /// core should treat it.
-    #[allow(clippy::too_many_arguments)]
-    fn mem_access(
+    fn mem_access<P: MemPort + ?Sized>(
         &mut self,
         core: usize,
-        cluster: usize,
         addr: u64,
         is_write: bool,
         seq: u64,
         now: Cycle,
-        port: &mut dyn MemPort,
+        port: &mut P,
     ) -> MemOutcome {
         let cfg = self.cfg;
         let line = Self::line_of(addr);
@@ -253,10 +257,10 @@ impl Uncore {
             return MemOutcome::ReadyAt(now + cfg.l1_latency);
         }
         self.l1[core].misses += 1; // classified miss (fill path below)
-                                   // L2 hit (single way scan; the LRU/dirty
-                                   // update commutes with the directory
-                                   // calls below, which never touch this
-                                   // cluster's own caches).
+        let cluster = core / cfg.cores_per_cluster;
+        // L2 hit (single way scan; the LRU/dirty update commutes with the
+        // directory calls below, which never touch this cluster's own
+        // caches).
         if let Some(way) = self.l2[cluster].probe_hit(line, is_write) {
             if self.prefetched.remove(&(cluster, line)) {
                 self.stats.prefetch_hits += 1;
@@ -474,7 +478,7 @@ impl<S: InstrSource> CmpSystem<S> {
     /// `port`. Quiesced cores are not visited: a core whose timed wake
     /// has come rejoins the awake set here, and its stalled cycles are
     /// charged when it ticks.
-    pub fn tick(&mut self, now: Cycle, port: &mut dyn MemPort) {
+    pub fn tick<P: MemPort + ?Sized>(&mut self, now: Cycle, port: &mut P) {
         // Retry backlogged submissions first (bounded by MSHRs).
         while let Some(&req) = self.uncore.backlog.front() {
             if port.submit(req, now) {
@@ -503,10 +507,9 @@ impl<S: InstrSource> CmpSystem<S> {
                 let core = &mut self.cores[i];
                 core.account_stall_cycles(self.core_stall[i], now - self.stall_since[i]);
                 core.commit(now);
-                let cluster = i / uncore.cfg.cores_per_cluster;
                 let src = &mut self.sources[i];
                 core.dispatch(now, src, |addr, w, seq| {
-                    uncore.mem_access(i, cluster, addr, w, seq, now, port)
+                    uncore.mem_access(i, addr, w, seq, now, port)
                 });
                 let (wake, stall) = core.quiesced_until();
                 self.core_wake[i] = wake;
@@ -578,7 +581,7 @@ impl<S: InstrSource> CmpSystem<S> {
 
     /// A main-memory read for request `id` completed; install the line and
     /// wake its waiters. Unknown ids (posted writes) are ignored.
-    pub fn on_fill(&mut self, id: u64, now: Cycle, port: &mut dyn MemPort) {
+    pub fn on_fill<P: MemPort + ?Sized>(&mut self, id: u64, now: Cycle, port: &mut P) {
         let Some(p) = self.uncore.inflight.remove(&id) else {
             return;
         };

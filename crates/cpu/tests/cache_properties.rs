@@ -2,17 +2,20 @@
 //! checked against a naive reference model, and the MESI directory is
 //! soaked with random transactions under permanent invariant checking.
 
-use microbank_cpu::cache::{AccessResult, Cache};
+use microbank_cpu::cache::{AccessResult, Cache, Victim};
 use microbank_cpu::coherence::{Directory, LineState};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// Naive reference model: fully explicit per-set LRU lists.
+/// Naive reference model: one explicit MRU-first list of `(tag, dirty)`
+/// per set. A set with fewer than `assoc` entries has a free way, so an
+/// insertion evicts only when the list overflows.
 struct RefCache {
     sets: usize,
     assoc: usize,
-    // set -> ordered (MRU first) list of (tag, dirty)
-    data: HashMap<usize, Vec<(u64, bool)>>,
+    data: Vec<Vec<(u64, bool)>>,
+    hits: u64,
+    misses: u64,
 }
 
 impl RefCache {
@@ -21,44 +24,146 @@ impl RefCache {
         RefCache {
             sets,
             assoc,
-            data: HashMap::new(),
+            data: vec![Vec::new(); sets],
+            hits: 0,
+            misses: 0,
         }
     }
 
-    fn access(&mut self, addr: u64, is_write: bool) -> bool {
+    fn locate(&self, addr: u64) -> (usize, u64, Option<usize>) {
         let line = addr >> 6;
         let set = (line as usize) % self.sets;
         let tag = line / self.sets as u64;
-        let list = self.data.entry(set).or_default();
-        if let Some(pos) = list.iter().position(|&(t, _)| t == tag) {
-            let (t, d) = list.remove(pos);
-            list.insert(0, (t, d || is_write));
-            true
-        } else {
-            list.insert(0, (tag, is_write));
-            if list.len() > self.assoc {
-                list.pop();
+        let pos = self.data[set].iter().position(|&(t, _)| t == tag);
+        (set, tag, pos)
+    }
+
+    /// Make a present line most recent, OR-ing in `dirty`; whether it was
+    /// present.
+    fn touch(&mut self, addr: u64, dirty: bool) -> bool {
+        let (set, _, pos) = self.locate(addr);
+        let Some(pos) = pos else { return false };
+        let (t, d) = self.data[set].remove(pos);
+        self.data[set].insert(0, (t, d || dirty));
+        true
+    }
+
+    /// Insert an absent line as most recent, evicting the least recent
+    /// line of a full set.
+    fn insert(&mut self, addr: u64, dirty: bool) -> Option<Victim> {
+        let (set, tag, _) = self.locate(addr);
+        let list = &mut self.data[set];
+        list.insert(0, (tag, dirty));
+        (list.len() > self.assoc).then(|| {
+            let (t, d) = list.pop().unwrap();
+            Victim {
+                addr: (t * self.sets as u64 + set as u64) << 6,
+                dirty: d,
             }
-            false
+        })
+    }
+
+    fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
+        if self.touch(addr, is_write) {
+            self.hits += 1;
+            return AccessResult::Hit;
+        }
+        self.misses += 1;
+        AccessResult::Miss {
+            victim: self.insert(addr, is_write),
         }
     }
+
+    fn fill(&mut self, addr: u64, dirty: bool) -> Option<Victim> {
+        if self.touch(addr, dirty) {
+            None
+        } else {
+            self.insert(addr, dirty)
+        }
+    }
+
+    fn probe_hit(&mut self, addr: u64, is_write: bool) -> bool {
+        let hit = self.touch(addr, is_write);
+        self.hits += u64::from(hit);
+        hit
+    }
+
+    fn invalidate(&mut self, addr: u64) -> Option<bool> {
+        let (set, _, pos) = self.locate(addr);
+        pos.map(|pos| self.data[set].remove(pos).1)
+    }
+
+    fn clean(&mut self, addr: u64) {
+        if let (set, _, Some(pos)) = self.locate(addr) {
+            self.data[set][pos].1 = false;
+        }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        self.locate(addr).2.is_some()
+    }
+}
+
+/// Drive `Cache` and the reference model through the same operations and
+/// require identical results, victims (address and dirtiness) and
+/// hit/miss counters after every step.
+fn check_against_reference(assoc: usize, ops: &[(u8, u64, bool)]) {
+    let mut cache = Cache::new(4096, assoc); // small cache stresses eviction
+    let mut reference = RefCache::new(4096, assoc);
+    for (step, &(op, addr, flag)) in ops.iter().enumerate() {
+        let addr = addr & !63;
+        let at = format!("{assoc}-way, step {step}: op {op} at {addr:#x}");
+        match op {
+            0 | 1 => assert_eq!(
+                cache.access(addr, flag),
+                reference.access(addr, flag),
+                "{at}"
+            ),
+            2 => assert_eq!(cache.fill(addr, flag), reference.fill(addr, flag), "{at}"),
+            3 | 4 => {
+                let way = cache.probe_hit(addr, flag);
+                assert_eq!(way.is_some(), reference.probe_hit(addr, flag), "{at}");
+                // `retouch` right after a hit is a present-line fill.
+                if let (4, Some(way)) = (op, way) {
+                    cache.retouch(way);
+                    assert_eq!(reference.fill(addr, false), None, "{at}");
+                }
+            }
+            5 => assert_eq!(cache.invalidate(addr), reference.invalidate(addr), "{at}"),
+            6 => {
+                cache.clean(addr);
+                reference.clean(addr);
+            }
+            _ => assert_eq!(cache.contains(addr), reference.contains(addr), "{at}"),
+        }
+        assert_eq!(
+            (cache.hits, cache.misses),
+            (reference.hits, reference.misses),
+            "{at}"
+        );
+    }
+}
+
+fn ops() -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
+    prop::collection::vec((0u8..8, 0u64..(1 << 16), any::<bool>()), 1..600)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn cache_matches_reference_lru_model(
-        accesses in prop::collection::vec((0u64..(1 << 16), any::<bool>()), 1..600)
-    ) {
-        let mut cache = Cache::new(4096, 4); // small cache stresses eviction
-        let mut reference = RefCache::new(4096, 4);
-        for (addr, w) in accesses {
-            let addr = addr & !63;
-            let got_hit = matches!(cache.access(addr, w), AccessResult::Hit);
-            let want_hit = reference.access(addr, w);
-            prop_assert_eq!(got_hit, want_hit, "divergence at {:#x}", addr);
-        }
+    fn direct_mapped_cache_matches_reference_lru_model(ops in ops()) {
+        check_against_reference(1, &ops);
+    }
+
+    #[test]
+    fn cache_matches_reference_lru_model(ops in ops()) {
+        check_against_reference(4, &ops);
+    }
+
+    #[test]
+    fn sixteen_way_cache_matches_reference_lru_model(ops in ops()) {
+        check_against_reference(16, &ops);
     }
 
     #[test]

@@ -51,8 +51,6 @@ pub struct SynthSource {
     hot_addrs: Vec<u64>,
     /// Fractional accumulator implementing `mem_fraction`.
     acc: f64,
-    /// Instructions generated (diagnostics).
-    pub generated: u64,
     /// Tenant this stream belongs to (multi-tenant mixes only; 0 default).
     tenant: TenantId,
 }
@@ -91,7 +89,6 @@ impl SynthSource {
             recent_rows: std::collections::VecDeque::with_capacity(profile.reuse_window + 1),
             hot_addrs,
             acc: 0.0,
-            generated: 0,
             tenant: TenantId::default(),
         }
     }
@@ -163,7 +160,6 @@ impl InstrSource for SynthSource {
     }
 
     fn next_instr(&mut self) -> Instr {
-        self.generated += 1;
         self.acc += self.profile.mem_fraction;
         if self.acc < 1.0 {
             return Instr::Compute;
