@@ -1,9 +1,12 @@
 //! Regenerates the committed paper artifacts from the
 //! [`microbank_bench::ARTIFACTS`] table: every table and figure, the
 //! headline, the telemetry exports, and the reliability, QoS and
-//! device-variant studies. Each `.json` must parse before it is written,
-//! each file is written with `atomic_write`, and each `.txt` is echoed to
-//! stdout.
+//! device-variant studies. The selected artifacts' plans are unioned and
+//! each distinct config is simulated once, in one parallel batch; then
+//! every artifact renders from those runs. Each `.json` must parse before
+//! it is written, each file is written with `atomic_write`, and each
+//! `.txt` is echoed to stdout. One stderr line reports the planned and
+//! distinct config counts and the wall time.
 //!
 //! Usage: `reproduce [--quick] [--out DIR] [NAME...]`
 //!
@@ -13,9 +16,11 @@
 //! Usage errors exit with status 2, write failures with 1.
 
 use microbank_bench::ARTIFACTS;
+use microbank_sim::Runs;
 use microbank_telemetry::atomic_write;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 fn usage(msg: &str) -> ExitCode {
     let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
@@ -51,11 +56,16 @@ fn main() -> ExitCode {
         }
     };
 
-    let selected = ARTIFACTS
+    let start = Instant::now();
+    let selected: Vec<_> = ARTIFACTS
         .iter()
-        .filter(|a| names.is_empty() || names.iter().any(|n| n == a.name));
+        .filter(|a| names.is_empty() || names.iter().any(|n| n == a.name))
+        .collect();
+    let plan: Vec<_> = selected.iter().flat_map(|a| (a.plan)(quick)).collect();
+    let distinct = Runs::distinct(&plan);
+    let runs = Runs::simulate(&distinct);
     for artifact in selected {
-        let bodies = (artifact.produce)(quick);
+        let bodies = (artifact.render)(quick, &runs);
         assert_eq!(
             bodies.len(),
             artifact.files.len(),
@@ -79,5 +89,11 @@ fn main() -> ExitCode {
         }
         eprintln!("reproduce: wrote {} to {}", artifact.name, out.display());
     }
+    eprintln!(
+        "reproduce: {} planned configs, {} distinct run, {:.1} s wall",
+        plan.len(),
+        distinct.len(),
+        start.elapsed().as_secs_f64()
+    );
     ExitCode::SUCCESS
 }

@@ -1,20 +1,22 @@
-//! The paper's tables and figures as text: one function per artifact,
-//! each returning the bytes of its file(s) in `results/`. The simulator
-//! drivers live in `microbank_sim::experiment`; this module only runs
-//! them with the figure's workload set and formats the rows.
+//! The paper's tables and figures as text. A simulating figure is two
+//! functions: its plan (`*_plan`, the configs it needs) and its render,
+//! which reads those configs' results from a [`Runs`] set and returns the
+//! bytes of its file(s) in `results/`. Renders never simulate, and every
+//! ratio is computed straight from the runs' [`SimResult`]s.
 
 use microbank_core::address::AddressMap;
 use microbank_core::config::{Interface, MemConfig};
+use microbank_core::organization::Organization;
 use microbank_ctrl::policy::PolicyKind;
 use microbank_energy::area::{AreaModel, PAPER_FIG6A};
 use microbank_energy::breakdown::figure1;
 use microbank_energy::energy::figure6b_matrix;
 use microbank_energy::params::EnergyParams;
 use microbank_sim::experiment::{
-    headline as headline_study, interface_study, interleave_policy_study, organization_comparison,
-    predictor_study, representative_study, ubank_grid,
+    base_cfg, policy_study_cfg, Runs, DEGREES, FIG13_POLICIES, REPRESENTATIVE,
 };
 use microbank_sim::report::{summarize, summary_columns, Table};
+use microbank_sim::simulator::{SimConfig, SimResult};
 use microbank_workloads::spec::{group, SpecGroup};
 use microbank_workloads::suite::Workload;
 use std::fmt::Write as _;
@@ -23,14 +25,13 @@ use std::fmt::Write as _;
 /// rows are `nB` ∈ {1,2,4,8,16} (top = 1), columns `nW` ∈ {1,2,4,8,16}.
 /// The matrix is followed by a blank line.
 fn format_matrix(title: &str, m: &[Vec<f64>]) -> String {
-    let degrees = [1usize, 2, 4, 8, 16];
     let mut out = format!("{title}\nnB\\nW ");
-    for d in degrees {
+    for d in DEGREES {
         let _ = write!(out, "{d:>8}");
     }
     out.push('\n');
     for (i, row) in m.iter().enumerate() {
-        let _ = write!(out, "{:>5} ", degrees[i]);
+        let _ = write!(out, "{:>5} ", DEGREES[i]);
         for v in row {
             let _ = write!(out, "{v:>8.3}");
         }
@@ -153,6 +154,43 @@ pub fn fig06_area_energy() -> String {
     o
 }
 
+/// `base_cfg(w, quick)` partitioned into `(nW, nB)` μbanks.
+fn ubank_cfg(w: Workload, (nw, nb): (usize, usize), quick: bool) -> SimConfig {
+    let mut c = base_cfg(w, quick);
+    c.mem = c.mem.with_ubanks(nw, nb);
+    c
+}
+
+/// `policy_study_cfg(w, quick)` at `(nW, nB)` under `policy`.
+fn policy_cfg(w: Workload, (nw, nb): (usize, usize), policy: PolicyKind, quick: bool) -> SimConfig {
+    let mut c = policy_study_cfg(w, quick);
+    c.mem = c.mem.with_ubanks(nw, nb);
+    c.policy = policy;
+    c
+}
+
+/// A figure's plan: the configs `cfgs` builds for each workload.
+fn plan_of(
+    ws: &[Workload],
+    quick: bool,
+    cfgs: fn(Workload, bool) -> Vec<SimConfig>,
+) -> Vec<SimConfig> {
+    ws.iter().flat_map(|&w| cfgs(w, quick)).collect()
+}
+
+/// Power breakdown in watts in the Fig. 10/14 stacking order: processor,
+/// ACT/PRE, DRAM static (+refresh), RD/WR, I/O.
+pub fn power_w(r: &SimResult) -> [f64; 5] {
+    let p = r.memory_power_w();
+    [
+        r.processor_power_w(),
+        p.act_pre_w,
+        p.static_w + p.refresh_w,
+        p.rdwr_w,
+        p.io_w,
+    ]
+}
+
 /// The Fig. 8/9 workloads: 429.mcf, the spec-high average, and TPC-H.
 const GRID_WORKLOADS: [(&str, Workload); 3] = [
     ("(a) 429.mcf", Workload::Spec("429.mcf")),
@@ -160,14 +198,42 @@ const GRID_WORKLOADS: [(&str, Workload); 3] = [
     ("(c) TPC-H", Workload::TpcH),
 ];
 
+/// The 5×5 (nW, nB) grid of `w`, nB-major over [`DEGREES`]: the (1,1)
+/// baseline comes first.
+pub fn grid_cfgs(w: Workload, quick: bool) -> Vec<SimConfig> {
+    DEGREES
+        .iter()
+        .flat_map(|&nb| DEGREES.iter().map(move |&nw| ubank_cfg(w, (nw, nb), quick)))
+        .collect()
+}
+
+/// `metric(cell, (1,1) cell)` over `w`'s grid, indexed `[iB][iW]`.
+pub fn grid(
+    w: Workload,
+    quick: bool,
+    runs: &Runs,
+    metric: fn(&SimResult, &SimResult) -> f64,
+) -> Vec<Vec<f64>> {
+    let cfgs = grid_cfgs(w, quick);
+    let base = runs.get(&cfgs[0]);
+    cfgs.chunks(DEGREES.len())
+        .map(|row| row.iter().map(|c| metric(runs.get(c), base)).collect())
+        .collect()
+}
+
+/// Figs. 8 and 9 plot the same runs: the three workloads' grids.
+pub fn grid_plan(quick: bool) -> Vec<SimConfig> {
+    plan_of(&GRID_WORKLOADS.map(|(_, w)| w), quick, grid_cfgs)
+}
+
 /// Fig. 8: relative IPC of 429.mcf, the spec-high average, and TPC-H over
 /// the full (nW, nB) μbank grid, normalized to the unpartitioned baseline.
-pub fn fig08_ipc_heatmap(quick: bool) -> String {
+pub fn fig08_ipc_heatmap(quick: bool, runs: &Runs) -> String {
     GRID_WORKLOADS
         .iter()
         .map(|&(tag, w)| {
-            let g = ubank_grid(w, quick);
-            format_matrix(&format!("Fig. 8{tag}: relative IPC"), &g.rel_ipc)
+            let m = grid(w, quick, runs, |r, base| r.ipc / base.ipc);
+            format_matrix(&format!("Fig. 8{tag}: relative IPC"), &m)
         })
         .collect()
 }
@@ -175,50 +241,68 @@ pub fn fig08_ipc_heatmap(quick: bool) -> String {
 /// Fig. 9: relative 1/EDP of 429.mcf, the spec-high average, and TPC-H
 /// over the full (nW, nB) μbank grid (higher is better), normalized to the
 /// unpartitioned baseline.
-pub fn fig09_edp_heatmap(quick: bool) -> String {
+pub fn fig09_edp_heatmap(quick: bool, runs: &Runs) -> String {
     GRID_WORKLOADS
         .iter()
         .map(|&(tag, w)| {
-            let g = ubank_grid(w, quick);
-            format_matrix(&format!("Fig. 9{tag}: relative 1/EDP"), &g.rel_inv_edp)
+            let m = grid(w, quick, runs, SimResult::inverse_edp_vs);
+            format_matrix(&format!("Fig. 9{tag}: relative 1/EDP"), &m)
         })
         .collect()
+}
+
+/// The Fig. 10 workloads: single-threaded, multiprogrammed, and
+/// multithreaded.
+const FIG10_WORKLOADS: [Workload; 8] = [
+    Workload::Spec("429.mcf"),
+    Workload::Spec("450.soplex"),
+    Workload::SpecGroupAvg(SpecGroup::High),
+    Workload::SpecAll,
+    Workload::MixHigh,
+    Workload::MixBlend,
+    Workload::Radix,
+    Workload::Fft,
+];
+
+/// `w` on each [`REPRESENTATIVE`] configuration, (1,1) first.
+pub fn representative_cfgs(w: Workload, quick: bool) -> Vec<SimConfig> {
+    REPRESENTATIVE.map(|u| ubank_cfg(w, u, quick)).to_vec()
+}
+
+pub fn fig10_plan(quick: bool) -> Vec<SimConfig> {
+    plan_of(&FIG10_WORKLOADS, quick, representative_cfgs)
 }
 
 /// Fig. 10: relative IPC, relative 1/EDP, and power breakdown of the
 /// <3%-area-overhead μbank configurations (1,1), (2,8), (4,4), (8,2) on
 /// single-threaded, multiprogrammed, and multithreaded workloads.
-pub fn fig10_representative(quick: bool) -> String {
-    let workloads = [
-        Workload::Spec("429.mcf"),
-        Workload::Spec("450.soplex"),
-        Workload::SpecGroupAvg(SpecGroup::High),
-        Workload::SpecAll,
-        Workload::MixHigh,
-        Workload::MixBlend,
-        Workload::Radix,
-        Workload::Fft,
-    ];
+pub fn fig10_representative(quick: bool, runs: &Runs) -> String {
     let mut o = String::new();
     let _ = writeln!(
         o,
         "{:<12}{:>7}{:>9}{:>9} | {:>9}{:>9}{:>9}{:>8}{:>7}  (power, W)",
         "workload", "(nW,nB)", "relIPC", "rel1/EDP", "proc", "ACT/PRE", "static", "RD/WR", "I/O"
     );
-    for r in representative_study(&workloads, quick) {
-        let _ = writeln!(
-            o,
-            "{:<12}{:>7}{:>9.3}{:>9.3} | {:>9.2}{:>9.2}{:>9.2}{:>8.2}{:>7.2}",
-            r.workload,
-            format!("({},{})", r.ubank.0, r.ubank.1),
-            r.rel_ipc,
-            r.rel_inv_edp,
-            r.power_w[0],
-            r.power_w[1],
-            r.power_w[2],
-            r.power_w[3],
-            r.power_w[4],
-        );
+    for w in FIG10_WORKLOADS {
+        let cfgs = representative_cfgs(w, quick);
+        let base = runs.get(&cfgs[0]);
+        for c in &cfgs {
+            let r = runs.get(c);
+            let p = power_w(r);
+            let _ = writeln!(
+                o,
+                "{:<12}{:>7}{:>9.3}{:>9.3} | {:>9.2}{:>9.2}{:>9.2}{:>8.2}{:>7.2}",
+                w.label(),
+                format!("({},{})", c.mem.ubank.n_w, c.mem.ubank.n_b),
+                r.ipc / base.ipc,
+                r.inverse_edp_vs(base),
+                p[0],
+                p[1],
+                p[2],
+                p[3],
+                p[4],
+            );
+        }
     }
     o
 }
@@ -254,83 +338,145 @@ pub fn fig11_interleaving() -> String {
     o
 }
 
+/// The Fig. 12 workloads.
+const FIG12_WORKLOADS: [Workload; 2] = [Workload::SpecAll, Workload::SpecGroupAvg(SpecGroup::High)];
+
+/// `w`'s Fig. 12 points in print order: each representative
+/// configuration, iB ∈ {6, 8, 10, …, max}, open then close.
+fn fig12_cfgs(w: Workload, quick: bool) -> Vec<SimConfig> {
+    let mut cfgs = Vec::new();
+    for u in REPRESENTATIVE {
+        let max_ib = policy_cfg(w, u, PolicyKind::Open, quick)
+            .mem
+            .max_interleave_base();
+        for ib in (6..max_ib).step_by(2).chain([max_ib]) {
+            for policy in [PolicyKind::Open, PolicyKind::Close] {
+                let mut c = policy_cfg(w, u, policy, quick);
+                c.mem = c.mem.with_interleave_base(ib);
+                cfgs.push(c);
+            }
+        }
+    }
+    cfgs
+}
+
+pub fn fig12_plan(quick: bool) -> Vec<SimConfig> {
+    plan_of(&FIG12_WORKLOADS, quick, fig12_cfgs)
+}
+
 /// Fig. 12: relative IPC and 1/EDP as the page-management policy (open vs
 /// close) and the interleaving base bit iB vary over the representative
 /// μbank configurations, for spec-all and spec-high. Baseline:
 /// (1,1)/open/iB=13.
-pub fn fig12_policy_interleave(quick: bool) -> String {
-    let workloads = [Workload::SpecAll, Workload::SpecGroupAvg(SpecGroup::High)];
+pub fn fig12_policy_interleave(quick: bool, runs: &Runs) -> String {
     let mut o = String::new();
     let _ = writeln!(
         o,
         "{:<12}{:>8}{:>5}{:>4}{:>10}{:>10}",
         "workload", "(nW,nB)", "iB", "pol", "relIPC", "rel1/EDP"
     );
-    for r in interleave_policy_study(&workloads, quick) {
-        let _ = writeln!(
-            o,
-            "{:<12}{:>8}{:>5}{:>4}{:>10.3}{:>10.3}",
-            r.workload,
-            format!("({},{})", r.ubank.0, r.ubank.1),
-            r.interleave_base,
-            match r.policy {
-                PolicyKind::Open => "O",
-                PolicyKind::Close => "C",
-                _ => "?",
-            },
-            r.rel_ipc,
-            r.rel_inv_edp,
-        );
+    for w in FIG12_WORKLOADS {
+        let mut base = policy_cfg(w, (1, 1), PolicyKind::Open, quick);
+        base.mem = base.mem.with_interleave_base(13);
+        let base = runs.get(&base);
+        for c in fig12_cfgs(w, quick) {
+            let r = runs.get(&c);
+            let _ = writeln!(
+                o,
+                "{:<12}{:>8}{:>5}{:>4}{:>10.3}{:>10.3}",
+                w.label(),
+                format!("({},{})", c.mem.ubank.n_w, c.mem.ubank.n_b),
+                c.mem.interleave_base,
+                c.policy.mnemonic(),
+                r.ipc / base.ipc,
+                r.inverse_edp_vs(base),
+            );
+        }
     }
     o
+}
+
+/// The Fig. 13 workloads.
+const FIG13_WORKLOADS: [Workload; 7] = [
+    Workload::Spec("471.omnetpp"),
+    Workload::Spec("429.mcf"),
+    Workload::SpecGroupAvg(SpecGroup::High),
+    Workload::Canneal,
+    Workload::Radix,
+    Workload::MixHigh,
+    Workload::MixBlend,
+];
+
+/// `w` under each [`FIG13_POLICIES`] scheme at (1,1), (2,8) and (4,4).
+fn fig13_cfgs(w: Workload, quick: bool) -> Vec<SimConfig> {
+    [(1, 1), (2, 8), (4, 4)]
+        .into_iter()
+        .flat_map(|u| FIG13_POLICIES.map(|policy| policy_cfg(w, u, policy, quick)))
+        .collect()
+}
+
+pub fn fig13_plan(quick: bool) -> Vec<SimConfig> {
+    plan_of(&FIG13_WORKLOADS, quick, fig13_cfgs)
 }
 
 /// Fig. 13: relative IPC and prediction hit rate of the page-management
 /// schemes — close (C), open (O), local bimodal (L), tournament (T), and
 /// the perfect oracle (P) — across workloads and μbank configurations.
 /// IPC is normalized to open at (1,1) per workload.
-pub fn fig13_predictors(quick: bool) -> String {
-    let workloads = [
-        Workload::Spec("471.omnetpp"),
-        Workload::Spec("429.mcf"),
-        Workload::SpecGroupAvg(SpecGroup::High),
-        Workload::Canneal,
-        Workload::Radix,
-        Workload::MixHigh,
-        Workload::MixBlend,
-    ];
+pub fn fig13_predictors(quick: bool, runs: &Runs) -> String {
     let mut o = String::new();
     let _ = writeln!(
         o,
         "{:<14}{:>8}{:>4}{:>10}{:>10}",
         "workload", "(nW,nB)", "pol", "relIPC", "hit-rate"
     );
-    for r in predictor_study(&workloads, &[(1, 1), (2, 8), (4, 4)], quick) {
-        let _ = writeln!(
-            o,
-            "{:<14}{:>8}{:>4}{:>10.3}{:>10.3}",
-            r.workload,
-            format!("({},{})", r.ubank.0, r.ubank.1),
-            r.policy.mnemonic(),
-            r.rel_ipc,
-            r.hit_rate,
-        );
+    for w in FIG13_WORKLOADS {
+        let base = runs.get(&policy_cfg(w, (1, 1), PolicyKind::Open, quick));
+        for c in fig13_cfgs(w, quick) {
+            let r = runs.get(&c);
+            let _ = writeln!(
+                o,
+                "{:<14}{:>8}{:>4}{:>10.3}{:>10.3}",
+                w.label(),
+                format!("({},{})", c.mem.ubank.n_w, c.mem.ubank.n_b),
+                c.policy.mnemonic(),
+                r.ipc / base.ipc,
+                r.policy_hit_rate,
+            );
+        }
     }
     o
+}
+
+/// The Fig. 14 workloads.
+const FIG14_WORKLOADS: [Workload; 6] = [
+    Workload::MixHigh,
+    Workload::MixBlend,
+    Workload::Canneal,
+    Workload::Fft,
+    Workload::Radix,
+    Workload::SpecGroupAvg(SpecGroup::High),
+];
+
+/// `w` on DDR3-PCB (the baseline, first), DDR3-TSI and LPDDR-TSI, without
+/// μbanks.
+pub fn interface_cfgs(w: Workload, quick: bool) -> Vec<SimConfig> {
+    [Interface::Ddr3Pcb, Interface::Ddr3Tsi, Interface::LpddrTsi]
+        .map(|i| SimConfig {
+            mem: MemConfig::for_interface(i),
+            ..base_cfg(w, quick)
+        })
+        .to_vec()
+}
+
+pub fn fig14_plan(quick: bool) -> Vec<SimConfig> {
+    plan_of(&FIG14_WORKLOADS, quick, interface_cfgs)
 }
 
 /// Fig. 14: IPC, power breakdown, and relative 1/EDP of the three
 /// processor–memory interfaces — DDR3-PCB, DDR3-TSI, LPDDR-TSI — without
 /// μbanks, across multiprogrammed and multithreaded workloads.
-pub fn fig14_interfaces(quick: bool) -> String {
-    let workloads = [
-        Workload::MixHigh,
-        Workload::MixBlend,
-        Workload::Canneal,
-        Workload::Fft,
-        Workload::Radix,
-        Workload::SpecGroupAvg(SpecGroup::High),
-    ];
+pub fn fig14_interfaces(quick: bool, runs: &Runs) -> String {
     let mut o = String::new();
     let _ = writeln!(
         o,
@@ -347,33 +493,55 @@ pub fn fig14_interfaces(quick: bool) -> String {
         "I/O",
         "AP-frac"
     );
-    for r in interface_study(&workloads, quick) {
-        let _ = writeln!(
-            o,
-            "{:<12}{:<11}{:>7.2}{:>8.3}{:>9.3} | {:>8.2}{:>9.2}{:>8.2}{:>7.2}{:>7.2}  {:>8.1}%",
-            r.workload,
-            r.interface.name(),
-            r.ipc,
-            r.rel_ipc,
-            r.rel_inv_edp,
-            r.power_w[0],
-            r.power_w[1],
-            r.power_w[2],
-            r.power_w[3],
-            r.power_w[4],
-            100.0 * r.act_pre_fraction,
-        );
+    for w in FIG14_WORKLOADS {
+        let cfgs = interface_cfgs(w, quick);
+        let base = runs.get(&cfgs[0]);
+        for c in &cfgs {
+            let r = runs.get(c);
+            let p = power_w(r);
+            let _ = writeln!(
+                o,
+                "{:<12}{:<11}{:>7.2}{:>8.3}{:>9.3} | {:>8.2}{:>9.2}{:>8.2}{:>7.2}{:>7.2}  {:>8.1}%",
+                w.label(),
+                c.mem.interface.name(),
+                r.ipc,
+                r.ipc / base.ipc,
+                r.inverse_edp_vs(base),
+                p[0],
+                p[1],
+                p[2],
+                p[3],
+                p[4],
+                100.0 * r.mem_energy.act_pre_fraction(),
+            );
+        }
     }
     o
+}
+
+/// The §I headline pair on spec-high, compared as complete memory
+/// systems: 64 cores in rate mode on DDR3-PCB with its 8 controllers
+/// (the baseline, first) vs the 16-channel LPDDR-TSI system with (4,4)
+/// μbanks.
+pub fn headline_plan(quick: bool) -> Vec<SimConfig> {
+    let w = Workload::SpecGroupAvg(SpecGroup::High);
+    let (mut base, mut ub) = (SimConfig::paper_default(w), SimConfig::paper_default(w));
+    base.mem = MemConfig::ddr3_pcb();
+    ub.mem = ub.mem.with_ubanks(4, 4);
+    [base, ub]
+        .map(|c| if quick { c.quick() } else { c })
+        .to_vec()
 }
 
 /// §I / §VI headline numbers: the μbank LPDDR-TSI system vs the DDR3-PCB
 /// baseline on the memory-intensive spec-high applications (the paper
 /// reports 1.62× IPC and 4.80× energy-delay product). Returns, from one
-/// run, the printed report (`headline.txt`) and the summary rows as CSV
-/// and JSON (`headline.csv`, `headline.json`).
-pub fn headline(quick: bool) -> Vec<String> {
-    let (ipc_ratio, edp_ratio, base, ub) = headline_study(quick);
+/// run each, the printed report (`headline.txt`) and the summary rows as
+/// CSV and JSON (`headline.csv`, `headline.json`).
+pub fn headline(quick: bool, runs: &Runs) -> Vec<String> {
+    let cfgs = headline_plan(quick);
+    let (base, ub) = (runs.get(&cfgs[0]), runs.get(&cfgs[1]));
+    let (ipc_ratio, edp_ratio) = (ub.ipc / base.ipc, ub.inverse_edp_vs(base));
     let report = [
         "Headline (spec-high average):".to_string(),
         format!(
@@ -390,9 +558,22 @@ pub fn headline(quick: bool) -> Vec<String> {
     ]
     .join("\n");
     let mut t = Table::new("headline", &summary_columns());
-    t.push("ddr3_pcb_1x1", summarize(&base));
-    t.push("lpddr_tsi_4x4", summarize(&ub));
+    t.push("ddr3_pcb_1x1", summarize(base));
+    t.push("lpddr_tsi_4x4", summarize(ub));
     vec![report, t.to_csv(), t.to_json()]
+}
+
+/// 429.mcf on each organization of [`Organization::comparison_set`]
+/// (conventional first), all on the LPDDR-TSI substrate.
+pub fn related_work_plan(quick: bool) -> Vec<SimConfig> {
+    Organization::comparison_set()
+        .into_iter()
+        .map(|o| {
+            let mut c = base_cfg(Workload::Spec("429.mcf"), quick);
+            c.mem = c.mem.with_organization(o);
+            c
+        })
+        .collect()
 }
 
 /// Related-work comparison (paper §VII): conventional banks vs SALP
@@ -400,9 +581,9 @@ pub fn headline(quick: bool) -> Vec<String> {
 /// all on the LPDDR-TSI substrate with 429.mcf. μbank subsumes SALP and
 /// Half-DRAM: equal bank-level parallelism at equal row-buffer count, plus
 /// activation-energy savings whenever nW > 1.
-pub fn related_work(quick: bool) -> String {
-    let rows = organization_comparison(Workload::Spec("429.mcf"), quick);
-    let base = &rows[0].1;
+pub fn related_work(quick: bool, runs: &Runs) -> String {
+    let cfgs = related_work_plan(quick);
+    let base = runs.get(&cfgs[0]);
     let mut o = String::new();
     let _ = writeln!(o, "Related work (§VII) — 429.mcf on LPDDR-TSI:");
     let _ = writeln!(
@@ -410,12 +591,13 @@ pub fn related_work(quick: bool) -> String {
         "{:<14}{:>8}{:>10}{:>14}{:>10}",
         "organization", "relIPC", "rel1/EDP", "nJ per ACT", "ACTs"
     );
-    for (label, r) in &rows {
+    for (org, c) in Organization::comparison_set().into_iter().zip(&cfgs) {
+        let r = runs.get(c);
         let per_act = r.mem_energy.act_pre_nj / r.dram.activates.max(1) as f64;
         let _ = writeln!(
             o,
             "{:<14}{:>8.3}{:>10.3}{:>14.2}{:>10}",
-            label,
+            org.label(),
             r.ipc / base.ipc,
             r.inverse_edp_vs(base),
             per_act,

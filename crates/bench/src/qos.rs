@@ -13,8 +13,8 @@
 //! worsen — and is expected to improve — the latency-critical tenant's
 //! p99 read latency relative to the unregulated baseline.
 
-use microbank_sim::simulator::run;
-use microbank_sim::{QosConfig, QosGranularity};
+use microbank_sim::simulator::SimConfig;
+use microbank_sim::{QosConfig, QosGranularity, Runs};
 use microbank_telemetry::json::JsonWriter;
 use microbank_workloads::suite::Workload;
 use std::fmt::Write as _;
@@ -62,39 +62,50 @@ fn mode_cfg(mode: &str) -> QosConfig {
     }
 }
 
-fn measure(nw: usize, nb: usize, mode: &'static str, quick: bool) -> Point {
-    let mut cfg = crate::lab_platform(Workload::TenantMix { lc_cores: LC_CORES }, quick)
-        .with_qos(mode_cfg(mode));
-    cfg.mem = cfg.mem.with_ubanks(nw, nb);
-    let measure_cycles = cfg.measure_cycles;
-    let r = run(&cfg);
-    let q = r.qos.expect("QoS was armed");
-    assert_eq!(q.tenants.len(), 2, "TenantMix reports both tenants");
-    let (lc, batch) = (&q.tenants[0], &q.tenants[1]);
-    Point {
-        geometry: format!("{nw}x{nb}"),
-        mode,
-        ipc: r.ipc,
-        lc_p50: lc.p50_lat,
-        lc_p99: lc.p99_lat,
-        lc_mean: lc.mean_lat,
-        lc_share: lc.share,
-        batch_share: batch.share,
-        batch_cols_per_kcycle: batch.cols as f64 / (measure_cycles as f64 / 1_000.0),
-        throttled: q.throttled,
-        reclaimed: q.reclaimed,
-    }
-}
-
-/// Run the regulation-mode × geometry grid.
-pub fn study(quick: bool) -> Vec<Point> {
+/// The regulation-mode × geometry grid in print order: each point's
+/// geometry, mode and config.
+fn grid(quick: bool) -> Vec<((usize, usize), &'static str, SimConfig)> {
     let mut points = Vec::new();
     for (nw, nb) in [(1, 1), (16, 16)] {
         for mode in ["unregulated", "priority", "regulated"] {
-            points.push(measure(nw, nb, mode, quick));
+            let mut cfg = crate::lab_platform(Workload::TenantMix { lc_cores: LC_CORES }, quick)
+                .with_qos(mode_cfg(mode));
+            cfg.mem = cfg.mem.with_ubanks(nw, nb);
+            points.push(((nw, nb), mode, cfg));
         }
     }
     points
+}
+
+/// The grid's configs.
+pub fn plan(quick: bool) -> Vec<SimConfig> {
+    grid(quick).into_iter().map(|(_, _, cfg)| cfg).collect()
+}
+
+/// The grid's points, read from `runs`.
+pub fn study(quick: bool, runs: &Runs) -> Vec<Point> {
+    grid(quick)
+        .into_iter()
+        .map(|((nw, nb), mode, cfg)| {
+            let r = runs.get(&cfg);
+            let q = r.qos.as_ref().expect("QoS was armed");
+            assert_eq!(q.tenants.len(), 2, "TenantMix reports both tenants");
+            let (lc, batch) = (&q.tenants[0], &q.tenants[1]);
+            Point {
+                geometry: format!("{nw}x{nb}"),
+                mode,
+                ipc: r.ipc,
+                lc_p50: lc.p50_lat,
+                lc_p99: lc.p99_lat,
+                lc_mean: lc.mean_lat,
+                lc_share: lc.share,
+                batch_share: batch.share,
+                batch_cols_per_kcycle: batch.cols as f64 / (cfg.measure_cycles as f64 / 1_000.0),
+                throttled: q.throttled,
+                reclaimed: q.reclaimed,
+            }
+        })
+        .collect()
 }
 
 /// The headline gate: per-μbank regulation at (16,16) must not worsen the
@@ -158,8 +169,8 @@ fn to_json(points: &[Point], quick: bool) -> String {
 }
 
 /// `BENCH_qos.txt` (the table plus the gate verdict) and `BENCH_qos.json`.
-pub fn artifacts(quick: bool) -> Vec<String> {
-    let points = study(quick);
+pub fn artifacts(quick: bool, runs: &Runs) -> Vec<String> {
+    let points = study(quick, runs);
     let mut text = String::new();
     let _ = writeln!(
         text,

@@ -15,7 +15,8 @@
 //! unpartitioned (1,1) baseline ([`blast_radius`]).
 
 use microbank_faults::{EccMode, FaultConfig};
-use microbank_sim::simulator::{run, SimConfig, SimResult};
+use microbank_sim::simulator::SimConfig;
+use microbank_sim::Runs;
 use microbank_telemetry::json::JsonWriter;
 use microbank_workloads::suite::Workload;
 use std::fmt::Write as _;
@@ -80,39 +81,54 @@ fn channel_bytes(cfg: &SimConfig) -> u64 {
     (m.ubanks_per_channel() * m.ubank_rows() * m.geometry.ubank_row_bytes(m.ubank)) as u64
 }
 
-fn measure(nw: usize, nb: usize, load: &str, ecc: EccMode, base_ipc: f64) -> Point {
-    let cfg = base_cfg(nw, nb).with_faults(load_cfg(load).with_ecc(ecc));
-    let total = channel_bytes(&cfg) * cfg.mem.channels as u64;
-    let r: SimResult = run(&cfg);
-    let s = r.reliability.expect("faults were armed");
-    Point {
-        geometry: format!("{nw}x{nb}"),
-        load: load.to_string(),
-        ecc: ecc.name().to_string(),
-        ipc: r.ipc,
-        ipc_loss_pct: (base_ipc - r.ipc) / base_ipc * 100.0,
-        cap_lost_bytes: s.capacity_lost_bytes,
-        cap_lost_pct: s.capacity_lost_bytes as f64 / total as f64 * 100.0,
-        corrected: s.corrected,
-        detected: s.detected,
-        miscorrected: s.miscorrected,
-        retries: s.retries,
-        scrubs: s.scrub_checks,
-        retired_rows: s.retired_rows,
-        retired_ubanks: s.retired_ubanks,
-    }
+/// The swept geometries, in print order.
+const GEOMETRIES: [(usize, usize); 3] = [(1, 1), (8, 8), (16, 16)];
+
+fn fault_cfg(nw: usize, nb: usize, load: &str, ecc: EccMode) -> SimConfig {
+    base_cfg(nw, nb).with_faults(load_cfg(load).with_ecc(ecc))
 }
 
-/// Run the sweep over (1,1), (8,8), (16,16).
-pub fn study() -> Study {
+/// Each geometry's clean baseline, then its load × ECC points.
+pub fn plan() -> Vec<SimConfig> {
+    let mut cfgs = Vec::new();
+    for (nw, nb) in GEOMETRIES {
+        cfgs.push(base_cfg(nw, nb));
+        for load in LOADS {
+            cfgs.extend(ECCS.map(|ecc| fault_cfg(nw, nb, load, ecc)));
+        }
+    }
+    cfgs
+}
+
+/// The sweep over (1,1), (8,8), (16,16), read from `runs`.
+pub fn study(runs: &Runs) -> Study {
     let mut baselines = Vec::new();
     let mut points = Vec::new();
-    for (nw, nb) in [(1, 1), (8, 8), (16, 16)] {
-        let base = run(&base_cfg(nw, nb));
-        baselines.push((format!("{nw}x{nb}"), base.ipc));
+    for (nw, nb) in GEOMETRIES {
+        let base_ipc = runs.get(&base_cfg(nw, nb)).ipc;
+        baselines.push((format!("{nw}x{nb}"), base_ipc));
         for load in LOADS {
             for ecc in ECCS {
-                points.push(measure(nw, nb, load, ecc, base.ipc));
+                let cfg = fault_cfg(nw, nb, load, ecc);
+                let total = channel_bytes(&cfg) * cfg.mem.channels as u64;
+                let r = runs.get(&cfg);
+                let s = r.reliability.as_ref().expect("faults were armed");
+                points.push(Point {
+                    geometry: format!("{nw}x{nb}"),
+                    load: load.to_string(),
+                    ecc: ecc.name().to_string(),
+                    ipc: r.ipc,
+                    ipc_loss_pct: (base_ipc - r.ipc) / base_ipc * 100.0,
+                    cap_lost_bytes: s.capacity_lost_bytes,
+                    cap_lost_pct: s.capacity_lost_bytes as f64 / total as f64 * 100.0,
+                    corrected: s.corrected,
+                    detected: s.detected,
+                    miscorrected: s.miscorrected,
+                    retries: s.retries,
+                    scrubs: s.scrub_checks,
+                    retired_rows: s.retired_rows,
+                    retired_ubanks: s.retired_ubanks,
+                });
             }
         }
     }
@@ -203,8 +219,8 @@ fn to_json(study: &Study) -> String {
 
 /// `reliability.txt` (the table plus one blast-radius verdict per
 /// comparison) and `reliability.json`.
-pub fn artifacts() -> Vec<String> {
-    let study = study();
+pub fn artifacts(runs: &Runs) -> Vec<String> {
+    let study = study(runs);
     let mut text = String::new();
     let _ = writeln!(
         text,

@@ -14,25 +14,32 @@
 //! must reconcile exactly) and round-trips the trace through the parser
 //! (which must skip the merged harness rows).
 
-use microbank_sim::simulator::{run_instrumented, SimConfig};
+use microbank_sim::experiment::base_cfg;
+use microbank_sim::simulator::SimConfig;
+use microbank_sim::Runs;
 use microbank_telemetry::{span, trace, TelemetryConfig};
 use microbank_workloads::suite::Workload;
 
+/// The telemetry-armed, span-traced 429.mcf runs at (1,1) and (4,4).
+pub fn plan(quick: bool) -> Vec<SimConfig> {
+    let epoch = if quick { 2_000 } else { 10_000 };
+    [1, 4]
+        .map(|n| {
+            let mut cfg = base_cfg(Workload::Spec("429.mcf"), quick)
+                .with_telemetry(TelemetryConfig::new(epoch, 65_536))
+                .with_spans(true);
+            cfg.mem = cfg.mem.with_ubanks(n, n);
+            cfg
+        })
+        .to_vec()
+}
+
 /// The six files above for (1,1), then for (4,4), in the order listed.
-pub fn artifacts(quick: bool) -> Vec<String> {
+pub fn artifacts(quick: bool, runs: &Runs) -> Vec<String> {
     let mut out = Vec::new();
-    for n in [1, 4] {
-        let mut cfg = SimConfig::spec_single_channel(Workload::Spec("429.mcf"))
-            .with_telemetry(TelemetryConfig::new(
-                if quick { 2_000 } else { 10_000 },
-                65_536,
-            ))
-            .with_spans(true);
-        cfg.mem = cfg.mem.with_ubanks(n, n);
-        if quick {
-            cfg = cfg.quick();
-        }
-        let (r, rep) = run_instrumented(&cfg);
+    for cfg in plan(quick) {
+        let r = runs.get(&cfg);
+        let rep = r.telemetry.as_ref().expect("telemetry was enabled");
 
         // The heat map is only trustworthy if it reconciles with the
         // stats the figures are computed from; fail loudly otherwise.

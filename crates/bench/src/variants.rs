@@ -13,7 +13,8 @@
 //! fixed measurement window cannot mask a throughput loss as an energy win.
 
 use microbank_core::variant::DeviceVariant;
-use microbank_sim::simulator::run;
+use microbank_sim::simulator::SimConfig;
+use microbank_sim::Runs;
 use microbank_telemetry::json::JsonWriter;
 use microbank_workloads::suite::Workload;
 use std::fmt::Write as _;
@@ -42,35 +43,42 @@ pub struct Point {
     edp: f64,
 }
 
-fn measure(v: DeviceVariant, quick: bool) -> Point {
-    let mut cfg = crate::lab_platform(Workload::MixHigh, quick);
-    cfg.mem = cfg.mem.with_ubanks(UBANK_NW, UBANK_NB).with_variant(v);
-    cfg.validate().expect("variant config must validate");
-    let u = cfg.mem.ubank;
-    let r = run(&cfg);
-    let committed = r.committed.max(1) as f64;
-    let mem_nj = r.mem_energy.total_nj();
-    let epki_nj = mem_nj / committed * 1000.0;
-    let cpi = if r.ipc > 0.0 { 1.0 / r.ipc } else { f64::MAX };
-    Point {
-        label: v.label(),
-        ubank: format!("{}x{}", u.n_w, u.n_b),
-        ipc: r.ipc,
-        row_hit_rate: r.row_hit_rate,
-        reads: r.dram.reads,
-        energy_per_read_nj: mem_nj / r.dram.reads.max(1) as f64,
-        act_pre_frac: r.mem_energy.act_pre_fraction(),
-        epki_nj,
-        cpi,
-        edp: epki_nj / 1000.0 * cpi,
-    }
-}
-
-/// Run every variant of [`DeviceVariant::comparison_set`].
-pub fn study(quick: bool) -> Vec<Point> {
+/// One config per variant of [`DeviceVariant::comparison_set`].
+pub fn plan(quick: bool) -> Vec<SimConfig> {
     DeviceVariant::comparison_set()
         .into_iter()
-        .map(|v| measure(v, quick))
+        .map(|v| {
+            let mut cfg = crate::lab_platform(Workload::MixHigh, quick);
+            cfg.mem = cfg.mem.with_ubanks(UBANK_NW, UBANK_NB).with_variant(v);
+            cfg
+        })
+        .collect()
+}
+
+/// Every variant's point, read from `runs`.
+pub fn study(quick: bool, runs: &Runs) -> Vec<Point> {
+    plan(quick)
+        .iter()
+        .map(|cfg| {
+            let u = cfg.mem.ubank;
+            let r = runs.get(cfg);
+            let committed = r.committed.max(1) as f64;
+            let mem_nj = r.mem_energy.total_nj();
+            let epki_nj = mem_nj / committed * 1000.0;
+            let cpi = if r.ipc > 0.0 { 1.0 / r.ipc } else { f64::MAX };
+            Point {
+                label: cfg.mem.variant.label(),
+                ubank: format!("{}x{}", u.n_w, u.n_b),
+                ipc: r.ipc,
+                row_hit_rate: r.row_hit_rate,
+                reads: r.dram.reads,
+                energy_per_read_nj: mem_nj / r.dram.reads.max(1) as f64,
+                act_pre_frac: r.mem_energy.act_pre_fraction(),
+                epki_nj,
+                cpi,
+                edp: epki_nj / 1000.0 * cpi,
+            }
+        })
         .collect()
 }
 
@@ -131,8 +139,8 @@ fn to_json(points: &[Point], quick: bool) -> String {
 
 /// `BENCH_variants.txt` (the table plus the gate verdict) and
 /// `BENCH_variants.json`.
-pub fn artifacts(quick: bool) -> Vec<String> {
-    let points = study(quick);
+pub fn artifacts(quick: bool, runs: &Runs) -> Vec<String> {
+    let points = study(quick, runs);
     let mut text = String::new();
     let _ = writeln!(
         text,

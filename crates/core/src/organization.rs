@@ -11,8 +11,7 @@
 //!   parallelism point corresponds to `(nW, nB) = (2, 2)`.
 //!
 //! Expressing them in one parameter space makes head-to-head comparisons a
-//! one-liner (see the `ablations` bench and `organization_comparison`
-//! tests).
+//! one-liner (see the `ablations` bench and the `related_work` artifact).
 
 use crate::geometry::UbankConfig;
 use serde::{Deserialize, Serialize};

@@ -1,8 +1,9 @@
 //! # microbank-energy
 //!
-//! Area, energy, power, and energy-delay-product models for μbank DRAM
-//! devices and the three processor–memory interfaces studied in the paper
-//! (*Microbank*, SC 2014).
+//! Area, energy, and power models for μbank DRAM devices and the three
+//! processor–memory interfaces studied in the paper (*Microbank*, SC
+//! 2014). The figures' energy-delay product is computed from these by
+//! `microbank_sim`'s `SimResult::edp_per_work`.
 //!
 //! * [`params`] — Table I energy parameters per interface.
 //! * [`area`] — the structural die-area model behind Fig. 6(a): latches,
@@ -17,12 +18,10 @@
 //!   paper uses (200 pJ/op dual-issue OoO core at 22 nm, §III-B).
 //! * [`breakdown`] — the Fig. 1 per-bit energy breakdown of PCB vs TSI vs
 //!   TSI+μbank memory systems.
-//! * [`mod@edp`] — energy-delay-product helpers.
 
 pub mod area;
 pub mod breakdown;
 pub mod corepower;
-pub mod edp;
 pub mod energy;
 pub mod params;
 pub mod power;
@@ -30,7 +29,6 @@ pub mod power;
 pub use area::AreaModel;
 pub use breakdown::{system_breakdown, BitEnergyBreakdown, SystemKind};
 pub use corepower::CorePowerModel;
-pub use edp::{edp, relative_inverse_edp};
 pub use energy::EnergyModel;
 pub use params::EnergyParams;
 pub use power::{MemoryEnergy, PowerIntegrator};

@@ -9,14 +9,14 @@
 //! * [`simulator`] — [`simulator::SimConfig`] → [`simulator::SimResult`]:
 //!   one single-threaded run of the whole system, plus a parallel runner
 //!   that spreads independent runs over the available cores.
-//! * [`experiment`] — one driver per paper figure (Fig. 8–14 and the §I
-//!   headline numbers), returning structured rows for the harness
-//!   binaries in `microbank-bench`.
+//! * [`experiment`] — the config builders the paper's figures share, and
+//!   [`experiment::Runs`]: a plan's distinct configs simulated once, which
+//!   the `microbank-bench` artifacts render from.
 //! * [`error`] — the typed failure vocabulary ([`error::SimError`]) of the
 //!   fallible entry points; see DESIGN.md §5d.
 //! * [`sweep`] — the sweep manifest format: per-slot records certified by
-//!   `(id, config fingerprint)`, written atomically and quarantined when
-//!   malformed.
+//!   their id and [`simulator::SimConfig::fingerprint`], written
+//!   atomically and quarantined when malformed.
 //! * [`service`] — sweep-as-a-service, the one resumable sweep executor:
 //!   a fault-tolerant job daemon (durable write-ahead queue, worker pool
 //!   with deadlines, cooperative cancellation, graceful drain, per-job
@@ -32,11 +32,7 @@ pub mod simulator;
 pub mod sweep;
 
 pub use error::{CancelKind, SimError};
-pub use experiment::{
-    base_cfg, headline, interface_study, interleave_policy_study, organization_comparison,
-    predictor_study, representative_study, ubank_grid, GridResult, InterfaceRow, InterleaveRow,
-    PredictorRow, RepresentativeRow, DEGREES, REPRESENTATIVE,
-};
+pub use experiment::{base_cfg, Runs, DEGREES, REPRESENTATIVE};
 pub use report::{summarize, summary_columns, Table};
 pub use service::{JobState, ServiceConfig, SweepService};
 pub use simulator::{

@@ -40,8 +40,7 @@
 use crate::error::{CancelKind, SimError};
 use crate::simulator::{golden_fingerprint, isolate, try_run, CancelToken, SimConfig, SimResult};
 use crate::sweep::{
-    self, config_fingerprint, parse_manifest, quarantine_manifest, render_manifest, SlotRecord,
-    SlotStatus,
+    self, parse_manifest, quarantine_manifest, render_manifest, SlotRecord, SlotStatus,
 };
 use microbank_core::geometry::UbankConfig;
 use microbank_ctrl::policy::PolicyKind;
@@ -890,7 +889,7 @@ fn load_queue(inner: &ServiceInner) -> Result<(), SimError> {
             match parse_manifest(&mtext) {
                 Some(prior) => {
                     for (i, spec) in job.specs.iter().enumerate() {
-                        let fp = config_fingerprint(&spec.cfg);
+                        let fp = spec.cfg.fingerprint();
                         job.records[i] = prior
                             .iter()
                             .find(|r| {
@@ -1524,8 +1523,8 @@ mod tests {
         let spec2 = parse_slot(0, &v2).expect("canonical text must re-parse");
         assert_eq!(spec.canon, spec2.canon, "canonicalization is idempotent");
         assert_eq!(
-            config_fingerprint(&spec.cfg),
-            config_fingerprint(&spec2.cfg),
+            spec.cfg.fingerprint(),
+            spec2.cfg.fingerprint(),
             "restart reconstructs the identical config"
         );
     }

@@ -45,7 +45,7 @@ pub struct SimConfig {
     /// slot (1 ns), so no command-issue opportunity is ever skipped.
     pub ctrl_stride: Cycle,
     /// When set, the run collects an epoch time-series, per-μbank heat
-    /// counters, and a bounded command trace (see [`run_instrumented`]).
+    /// counters, and a bounded command trace (see [`SimResult::telemetry`]).
     /// `None` (the default) keeps every hot-path hook to a single branch.
     pub telemetry: Option<TelemetryConfig>,
     /// When set, the reliability subsystem is armed: fault injection, ECC,
@@ -269,6 +269,30 @@ impl SimConfig {
         1
     }
 
+    /// The config's identity: FNV-1a over its `Debug` rendering, with the
+    /// fields that cannot change results (span tracing, time skip,
+    /// cancellation token) normalized out. Two configs with the same
+    /// fingerprint produce the same [`SimResult`] (wall-clock fields
+    /// aside), so sweep manifests certify slots by it and `reproduce`
+    /// simulates each distinct fingerprint once (per `spans` setting, since
+    /// span rows are part of [`SimResult::profile`]).
+    pub fn fingerprint(&self) -> String {
+        let mut c = self.clone();
+        c.spans = false;
+        c.time_skip = None;
+        // A token only shortens runs that are then discarded whole; a
+        // certified result is identical with or without one. Masking it
+        // also keeps the hash stable across token identities (the Debug
+        // print shows live/tripped state, not a value).
+        c.cancel = None;
+        let rendered = format!("{c:?}");
+        let mut h = 0xcbf29ce484222325u64;
+        for b in rendered.bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
+        }
+        format!("{h:016x}")
+    }
+
     /// Top of the validation ladder: check this run end to end —
     /// [`MemConfig::validate`], [`CmpConfig::validate`], plus the
     /// sim-level invariants (stride, window arithmetic, telemetry epoch,
@@ -455,6 +479,9 @@ pub struct SimResult {
     /// Per-tenant QoS accounting; `None` when the QoS subsystem is
     /// disabled.
     pub qos: Option<QosReport>,
+    /// Epoch time-series, heat maps and command trace; `None` unless
+    /// [`SimConfig::telemetry`] was set.
+    pub telemetry: Option<TelemetryReport>,
 }
 
 impl SimResult {
@@ -671,39 +698,17 @@ impl SimResult {
     }
 }
 
-/// Run one simulation to completion. Honors `cfg.telemetry` for hook
-/// enablement but discards the collected report; use [`run_instrumented`]
-/// to keep it.
+/// Run one simulation to completion.
 ///
 /// This is a thin panicking wrapper over [`try_run`]: an invalid
 /// configuration or an unrecovered error panics with the formatted
 /// [`SimError`]. Harnesses that want to match on the failure should call
 /// [`try_run`] directly.
 pub fn run(cfg: &SimConfig) -> SimResult {
-    match run_attempt(cfg) {
-        Ok((result, _)) => result,
+    match try_run(cfg) {
+        Ok(result) => result,
         Err(e) => panic!("{e}"),
     }
-}
-
-/// Run with telemetry collection forced on (using `cfg.telemetry` if set,
-/// the default [`TelemetryConfig`] otherwise) and return the report.
-/// Panicking wrapper like [`run`].
-pub fn run_instrumented(cfg: &SimConfig) -> (SimResult, TelemetryReport) {
-    let mut cfg = cfg.clone();
-    if cfg.telemetry.is_none() {
-        cfg.telemetry = Some(TelemetryConfig::default());
-    }
-    match run_attempt(&cfg) {
-        Ok((result, report)) => (result, report.expect("telemetry was enabled")),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The canonical fallible entry point: validate `cfg`, then run it. A
-/// tripped [`CancelToken`] ends the run with [`SimError::Cancelled`].
-pub fn try_run(cfg: &SimConfig) -> Result<SimResult, SimError> {
-    run_attempt(cfg).map(|(result, _)| result)
 }
 
 /// Field-wise `end - start` over every DRAM counter.
@@ -744,10 +749,10 @@ fn merged_tenant_cols(ctrls: &[MemoryController]) -> [u64; MAX_TENANTS] {
     acc
 }
 
-/// The shared implementation of the entry points: validate `cfg`, then
-/// simulate it. On cancellation all simulation state built here is
-/// dropped with the error.
-fn run_attempt(cfg: &SimConfig) -> Result<(SimResult, Option<TelemetryReport>), SimError> {
+/// The canonical fallible entry point: validate `cfg`, then run it. A
+/// tripped [`CancelToken`] ends the run with [`SimError::Cancelled`], and
+/// all simulation state built here is dropped with the error.
+pub fn try_run(cfg: &SimConfig) -> Result<SimResult, SimError> {
     cfg.validate()?;
     let mut tracer = SpanTracer::new();
     tracer.enter("setup");
@@ -915,7 +920,7 @@ fn run_attempt(cfg: &SimConfig) -> Result<(SimResult, Option<TelemetryReport>), 
         }
     });
 
-    let report = cfg.telemetry.map(|_| {
+    let telemetry = cfg.telemetry.map(|_| {
         let heat: Vec<HeatCounters> = ctrls
             .iter()
             .enumerate()
@@ -990,8 +995,9 @@ fn run_attempt(cfg: &SimConfig) -> Result<(SimResult, Option<TelemetryReport>), 
         profile,
         reliability,
         qos: qos_report,
+        telemetry,
     };
-    Ok((result, report))
+    Ok(result)
 }
 
 /// Everything the drive produces beyond the mutations it leaves in `cmp`,
@@ -1497,6 +1503,97 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_is_pinned() {
+        // Sweep manifests store this value; a change to the hash or to
+        // `SimConfig`'s Debug rendering would make every existing manifest
+        // re-run instead of certifying.
+        assert_eq!(
+            SimConfig::paper_default(Workload::MixHigh).fingerprint(),
+            "4fbeeb941124467c"
+        );
+    }
+
+    #[test]
+    fn fingerprint_masks_result_neutral_knobs() {
+        let base = SimConfig::paper_default(Workload::MixHigh);
+        let fp0 = base.fingerprint();
+        let mut knobs = base.clone();
+        knobs.spans = true;
+        knobs.time_skip = Some(false);
+        knobs.cancel = Some(CancelToken::default());
+        assert_eq!(fp0, knobs.fingerprint());
+        // A tripped token must not change the hash either (Debug shows
+        // the trip state; the mask removes it before rendering).
+        let tripped = CancelToken::default();
+        tripped.cancel();
+        let mut cancelled = base.clone();
+        cancelled.cancel = Some(tripped);
+        assert_eq!(fp0, cancelled.fingerprint());
+        let mut different = base.clone();
+        different.seed ^= 1;
+        assert_ne!(fp0, different.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_qos_configurations() {
+        // QoS changes simulated behavior, so it must invalidate manifest
+        // hits: arming it, and every knob inside it, alters the print.
+        let base = SimConfig::paper_default(Workload::MixHigh);
+        let fp0 = base.fingerprint();
+        let tracking = base
+            .clone()
+            .with_qos(microbank_ctrl::qos::QosConfig::tracking());
+        let fp1 = tracking.fingerprint();
+        assert_ne!(fp0, fp1, "arming QoS must change the fingerprint");
+        let regulated = base
+            .clone()
+            .with_qos(microbank_ctrl::qos::QosConfig::tracking().with_tenant(Some(64), 1));
+        let fp2 = regulated.fingerprint();
+        assert_ne!(fp1, fp2, "tenant policies must change the fingerprint");
+        assert_eq!(fp1, tracking.clone().fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_device_variants() {
+        use microbank_core::variant::{DeviceVariant, SalpMode};
+        // The variant changes issue rules and energy, so manifests keyed
+        // on the fingerprint must never resume across variants. The field
+        // rides in MemConfig's Debug rendering automatically.
+        let base = SimConfig::paper_default(Workload::MixHigh);
+        let fp0 = base.fingerprint();
+        for v in [
+            DeviceVariant::Conventional,
+            DeviceVariant::Salp {
+                subarrays: 8,
+                mode: SalpMode::Salp1,
+            },
+            DeviceVariant::Salp {
+                subarrays: 8,
+                mode: SalpMode::Masa,
+            },
+            DeviceVariant::Sectored {
+                sectors: 16,
+                sectors_per_act: 2,
+            },
+        ] {
+            let mut cfg = base.clone();
+            cfg.mem = cfg.mem.with_variant(v);
+            assert_ne!(
+                fp0,
+                cfg.fingerprint(),
+                "variant {} must change the fingerprint",
+                v.label()
+            );
+        }
+        // Same variant, same print: resume still works within a variant.
+        let mut a = base.clone();
+        a.mem = a.mem.with_variant(DeviceVariant::Conventional);
+        let mut b = base.clone();
+        b.mem = b.mem.with_variant(DeviceVariant::Conventional);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
     fn quick_run_produces_sane_metrics() {
         let cfg = SimConfig::spec_single_channel(Workload::Spec("429.mcf")).quick();
         let r = run(&cfg);
@@ -1558,7 +1655,8 @@ mod tests {
         let cfg = SimConfig::spec_single_channel(Workload::Spec("429.mcf"))
             .quick()
             .with_telemetry(microbank_telemetry::TelemetryConfig::new(5_000, 4096));
-        let (r, rep) = run_instrumented(&cfg);
+        let r = run(&cfg);
+        let rep = r.telemetry.as_ref().expect("telemetry was enabled");
         // Heat map totals must reconcile exactly with the window stats.
         let heat = rep.merged_heat();
         assert_eq!(heat.total_activates(), r.dram.activates);
@@ -1579,7 +1677,8 @@ mod tests {
     fn telemetry_does_not_change_results() {
         let base = SimConfig::spec_single_channel(Workload::Spec("429.mcf")).quick();
         let plain = run(&base);
-        let (instr, _) = run_instrumented(&base.clone().with_telemetry(Default::default()));
+        let instr = run(&base.clone().with_telemetry(Default::default()));
+        assert!(plain.telemetry.is_none() && instr.telemetry.is_some());
         assert_eq!(plain.committed, instr.committed);
         assert_eq!(plain.dram, instr.dram);
     }

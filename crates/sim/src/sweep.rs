@@ -37,8 +37,7 @@ pub enum SlotStatus {
 #[derive(Debug, Clone)]
 pub struct SlotRecord {
     pub id: String,
-    /// Fingerprint of the slot's configuration (span tracing, time skip
-    /// and cancellation token masked out — they do not change results).
+    /// The slot configuration's [`SimConfig::fingerprint`].
     pub config_fp: String,
     pub status: SlotStatus,
     /// The error's rendering, for `Failed` records.
@@ -52,7 +51,7 @@ impl SlotRecord {
     pub(crate) fn ok(id: &str, cfg: &SimConfig, values: Vec<f64>) -> Self {
         SlotRecord {
             id: id.to_string(),
-            config_fp: config_fingerprint(cfg),
+            config_fp: cfg.fingerprint(),
             status: SlotStatus::Ok,
             error: None,
             values,
@@ -63,32 +62,12 @@ impl SlotRecord {
     pub(crate) fn failed(id: &str, cfg: &SimConfig, err: &SimError) -> Self {
         SlotRecord {
             id: id.to_string(),
-            config_fp: config_fingerprint(cfg),
+            config_fp: cfg.fingerprint(),
             status: SlotStatus::Failed,
             error: Some(err.to_string()),
             values: Vec::new(),
         }
     }
-}
-
-/// FNV-1a over the config's `Debug` rendering, with the fields that
-/// cannot change results (span tracing, time skip, cancellation token)
-/// normalized out so a resume on a different machine still matches.
-pub(crate) fn config_fingerprint(cfg: &SimConfig) -> String {
-    let mut c = cfg.clone();
-    c.spans = false;
-    c.time_skip = None;
-    // A token only shortens runs that are then discarded whole; a
-    // certified result is identical with or without one. Masking it also
-    // keeps the hash stable across token identities (the Debug print
-    // shows live/tripped state, not a value).
-    c.cancel = None;
-    let rendered = format!("{c:?}");
-    let mut h = 0xcbf29ce484222325u64;
-    for b in rendered.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-    }
-    format!("{h:016x}")
 }
 
 /// Render a manifest document for `records`. Byte-stable: the same
@@ -183,86 +162,6 @@ pub(crate) fn write_atomic(path: &Path, bytes: impl AsRef<[u8]>) -> Result<(), S
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_masks_result_neutral_knobs() {
-        let base = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
-        let fp0 = config_fingerprint(&base);
-        let mut knobs = base.clone();
-        knobs.spans = true;
-        knobs.time_skip = Some(false);
-        knobs.cancel = Some(crate::simulator::CancelToken::default());
-        assert_eq!(fp0, config_fingerprint(&knobs));
-        // A tripped token must not change the hash either (Debug shows
-        // the trip state; the mask removes it before rendering).
-        let tripped = crate::simulator::CancelToken::default();
-        tripped.cancel();
-        let mut cancelled = base.clone();
-        cancelled.cancel = Some(tripped);
-        assert_eq!(fp0, config_fingerprint(&cancelled));
-        let mut different = base.clone();
-        different.seed ^= 1;
-        assert_ne!(fp0, config_fingerprint(&different));
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_qos_configurations() {
-        // QoS changes simulated behavior, so it must invalidate manifest
-        // hits: arming it, and every knob inside it, alters the print.
-        let base = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
-        let fp0 = config_fingerprint(&base);
-        let tracking = base
-            .clone()
-            .with_qos(microbank_ctrl::qos::QosConfig::tracking());
-        let fp1 = config_fingerprint(&tracking);
-        assert_ne!(fp0, fp1, "arming QoS must change the fingerprint");
-        let regulated = base
-            .clone()
-            .with_qos(microbank_ctrl::qos::QosConfig::tracking().with_tenant(Some(64), 1));
-        let fp2 = config_fingerprint(&regulated);
-        assert_ne!(fp1, fp2, "tenant policies must change the fingerprint");
-        assert_eq!(fp1, config_fingerprint(&tracking.clone()));
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_device_variants() {
-        use microbank_core::variant::{DeviceVariant, SalpMode};
-        // The variant changes issue rules and energy, so manifests keyed
-        // on the fingerprint must never resume across variants. The field
-        // rides in MemConfig's Debug rendering automatically.
-        let base = SimConfig::paper_default(microbank_workloads::suite::Workload::MixHigh);
-        let fp0 = config_fingerprint(&base);
-        for v in [
-            DeviceVariant::Conventional,
-            DeviceVariant::Salp {
-                subarrays: 8,
-                mode: SalpMode::Salp1,
-            },
-            DeviceVariant::Salp {
-                subarrays: 8,
-                mode: SalpMode::Masa,
-            },
-            DeviceVariant::Sectored {
-                sectors: 16,
-                sectors_per_act: 2,
-            },
-        ] {
-            let mut cfg = base.clone();
-            cfg.mem = cfg.mem.with_variant(v);
-            assert_ne!(
-                fp0,
-                config_fingerprint(&cfg),
-                "variant {} must change the fingerprint",
-                v.label()
-            );
-        }
-        // Same variant, same print: resume still works within a variant.
-        let mut a = base.clone();
-        a.mem = a.mem.with_variant(DeviceVariant::Conventional);
-        let mut b = base.clone();
-        b.mem = b.mem.with_variant(DeviceVariant::Conventional);
-        assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
-    }
 
     #[test]
     fn values_roundtrip_exactly_through_the_manifest() {

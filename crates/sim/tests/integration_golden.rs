@@ -16,7 +16,7 @@ use microbank_ctrl::policy::PolicyKind;
 use microbank_ctrl::predictor::PredictorKind;
 use microbank_ctrl::scheduler::SchedulerKind;
 use microbank_faults::FaultConfig;
-use microbank_sim::simulator::{golden_fingerprint, run, run_instrumented, try_run, SimConfig};
+use microbank_sim::simulator::{golden_fingerprint, run, try_run, SimConfig};
 use microbank_telemetry::TelemetryConfig;
 use microbank_workloads::suite::Workload;
 
@@ -579,13 +579,17 @@ fn per_cycle_reference_reproduces_golden_fingerprints() {
 #[test]
 fn time_skip_is_behavior_neutral_on_multi_channel_runs() {
     let cfg = multi_channel_cfg().with_telemetry(TelemetryConfig::new(2_500, 4_096));
-    let (r_ref, t_ref) = run_instrumented(&cfg.clone().with_time_skip(false));
+    let r_ref = run(&cfg.clone().with_time_skip(false));
     for spans in [false, true] {
         let on = cfg.clone().with_time_skip(true).with_spans(spans);
-        let (r_on, t_on) = run_instrumented(&on);
+        let r_on = run(&on);
         let tag = format!("skip on, spans {spans}");
         assert_results_identical(&r_ref, &r_on, &tag);
-        assert_telemetry_identical(&t_ref, &t_on, &tag);
+        assert_telemetry_identical(
+            r_ref.telemetry.as_ref().unwrap(),
+            r_on.telemetry.as_ref().unwrap(),
+            &tag,
+        );
     }
 }
 

@@ -4,7 +4,7 @@
 //! live `/status` and `/metrics` endpoints are the sweep service's and
 //! are tested in `service.rs`.
 
-use microbank_sim::simulator::{run_instrumented, try_run, SimConfig};
+use microbank_sim::simulator::{run, try_run, SimConfig};
 use microbank_sim::MetricsRegistry;
 use microbank_telemetry::metrics::validate_exposition;
 use microbank_telemetry::TelemetryConfig;
@@ -64,10 +64,14 @@ fn sim_result_exports_a_valid_exposition() {
 #[test]
 fn span_tracing_is_behavior_neutral() {
     let cfg = multi_channel_cfg().with_telemetry(TelemetryConfig::new(2_500, 4_096));
-    let (r_off, t_off) = run_instrumented(&cfg);
-    let (r_on, t_on) = run_instrumented(&cfg.clone().with_spans(true));
+    let r_off = run(&cfg);
+    let r_on = run(&cfg.clone().with_spans(true));
     assert_results_identical(&r_off, &r_on, "spans on");
-    assert_telemetry_identical(&t_off, &t_on, "spans on");
+    assert_telemetry_identical(
+        r_off.telemetry.as_ref().unwrap(),
+        r_on.telemetry.as_ref().unwrap(),
+        "spans on",
+    );
     let paths: Vec<&str> = r_on.profile.spans.iter().map(|s| s.path.as_str()).collect();
     for fine in ["drive/ctrl-tick", "drive/cpu-and-noc"] {
         assert!(

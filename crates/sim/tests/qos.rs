@@ -6,7 +6,7 @@
 use microbank_ctrl::policy::PolicyKind;
 use microbank_ctrl::predictor::PredictorKind;
 use microbank_ctrl::scheduler::SchedulerKind;
-use microbank_sim::simulator::{golden_fingerprint, run, run_instrumented, SimConfig};
+use microbank_sim::simulator::{golden_fingerprint, run, SimConfig};
 use microbank_sim::{QosConfig, QosGranularity};
 use microbank_telemetry::TelemetryConfig;
 use microbank_workloads::suite::Workload;
@@ -97,8 +97,9 @@ fn tracking_qos_only_appends_timeline_columns() {
         .pop()
         .unwrap()
         .with_telemetry(TelemetryConfig::new(5_000, 1_024));
-    let (_, t_base) = run_instrumented(&cfg.clone());
-    let (_, t_armed) = run_instrumented(&cfg.clone().with_qos(QosConfig::tracking()));
+    let base = run(&cfg);
+    let armed = run(&cfg.clone().with_qos(QosConfig::tracking()));
+    let (t_base, t_armed) = (base.telemetry.unwrap(), armed.telemetry.unwrap());
     assert_eq!(t_base.heat[0].to_csv(), t_armed.heat[0].to_csv());
     assert_eq!(t_base.trace, t_armed.trace, "command trace diverged");
     let base_csv = t_base.timeline.to_csv();

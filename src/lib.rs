@@ -8,14 +8,15 @@
 //! * [`core`] (`microbank-core`) — the μbank DRAM device model: geometry,
 //!   timing, per-μbank FSMs, channels, and address interleaving.
 //! * [`energy`] (`microbank-energy`) — area (Fig. 6a), energy (Table I,
-//!   Fig. 6b), power integration, and EDP models.
+//!   Fig. 6b), and power integration models.
 //! * [`ctrl`] (`microbank-ctrl`) — the memory controller: PAR-BS
 //!   scheduling and the page-management policies/predictors of §V.
 //! * [`cpu`] (`microbank-cpu`) — the 64-core CMP with MESI coherence.
 //! * [`workloads`] (`microbank-workloads`) — synthetic SPEC/TPC/SPLASH/
 //!   PARSEC application profiles.
-//! * [`sim`] (`microbank-sim`) — the full-system simulator and the
-//!   per-figure experiment drivers.
+//! * [`sim`] (`microbank-sim`) — the full-system simulator, the figures'
+//!   shared config builders, and the deduplicating run set they render
+//!   from.
 //!
 //! ## Quickstart
 //!
