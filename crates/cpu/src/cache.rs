@@ -22,20 +22,26 @@ pub struct Victim {
     pub dirty: bool,
 }
 
+/// Most ways a set can hold: a recency-list entry is one byte.
+pub(crate) const MAX_ASSOC: usize = 256;
+
 /// One set-associative cache.
 ///
-/// All state lives in one zero-initialised word array, one contiguous
+/// All state lives in one zero-initialised `u32` array, one contiguous
 /// block of `stride` words per set:
 ///
 /// * `assoc` tag words, each holding `tag + 1` (0 marks an invalid way);
-/// * `assoc.div_ceil(2)` stamp words, two 32-bit LRU stamps per word;
-/// * `assoc.div_ceil(64)` dirty words, one bit per way.
+/// * the recency list: `assoc` one-byte way indices, most recent first,
+///   four to a word. The entry at position `i` is stored XOR `i`, so a
+///   zeroed list reads as the order `0, 1, …, assoc − 1`;
+/// * `assoc.div_ceil(32)` dirty words, one bit per way.
 ///
 /// A fresh cache is therefore one zeroed allocation, and a probe scans
-/// only the set's tag words. Stamps are compared only within a set, so
-/// when the 32-bit clock would wrap every set's stamps are renumbered
-/// `1..=assoc` in their current order and the clock restarts above them;
-/// replacement decisions never change.
+/// only the set's tag words. A touch moves the way to the front of the
+/// list; replacement takes the first invalid way, else the last way in
+/// the list. A probe compares the zero-extended stored tag with the full
+/// 64-bit key, so a tag never aliases; a line whose `tag + 1` does not fit
+/// in 32 bits is never installed (see [`Cache::reach`]).
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
@@ -45,39 +51,50 @@ pub struct Cache {
     assoc: usize,
     /// Words per set.
     stride: usize,
-    words: Vec<u64>,
-    clock: u32,
+    words: Vec<u32>,
     pub hits: u64,
     pub misses: u64,
 }
 
 impl Cache {
-    /// `bytes` total capacity, `assoc` ways, 64 B lines. `bytes` must be a
-    /// power-of-two multiple of `assoc * 64`.
+    /// `bytes` total capacity, `assoc` ways (at most 256), 64 B
+    /// lines. `bytes` must be a power-of-two multiple of `assoc * 64`.
     pub fn new(bytes: usize, assoc: usize) -> Self {
+        assert!(
+            (1..=MAX_ASSOC).contains(&assoc),
+            "assoc must be in 1..={MAX_ASSOC}"
+        );
         let lines = bytes >> CACHE_LINE_BITS;
         assert!(lines.is_multiple_of(assoc), "capacity/assoc mismatch");
         let sets = lines / assoc;
         assert!(sets.is_power_of_two(), "sets must be a power of two");
-        let stride = assoc + assoc.div_ceil(2) + assoc.div_ceil(64);
+        let stride = assoc + assoc.div_ceil(4) + assoc.div_ceil(32);
         Cache {
             sets,
             set_shift: sets.trailing_zeros(),
             assoc,
             stride,
             words: vec![0; sets * stride],
-            clock: 0,
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// Exclusive upper bound of the addresses a cache of this geometry can
+    /// hold: a line's stored `tag + 1` must fit in 32 bits. Same
+    /// preconditions as [`Cache::new`].
+    pub fn reach(bytes: usize, assoc: usize) -> u64 {
+        let sets = (bytes >> CACHE_LINE_BITS) / assoc;
+        let bound = u128::from(u32::MAX) << (sets.trailing_zeros() + CACHE_LINE_BITS);
+        u64::try_from(bound).unwrap_or(u64::MAX)
     }
 
     pub fn num_sets(&self) -> usize {
         self.sets
     }
 
-    /// Locate `addr`: its set, its stored tag (`tag + 1`) and the way
-    /// holding it, if any.
+    /// Locate `addr`: its set, its tag key (`tag + 1`) and the way holding
+    /// it, if any.
     fn find(&self, addr: u64) -> (usize, u64, Option<usize>) {
         let line = addr >> CACHE_LINE_BITS;
         let set = (line as usize) & (self.sets - 1);
@@ -85,29 +102,25 @@ impl Cache {
         let base = set * self.stride;
         let way = self.words[base..base + self.assoc]
             .iter()
-            .position(|&t| t == key);
+            .position(|&t| u64::from(t) == key);
         (set, key, way)
     }
 
-    fn stamp_word(&self, set: usize, way: usize) -> usize {
-        set * self.stride + self.assoc + way / 2
+    /// First word of `set`'s recency list.
+    fn list(&self, set: usize) -> usize {
+        set * self.stride + self.assoc
     }
 
-    fn stamp(&self, set: usize, way: usize) -> u32 {
-        (self.words[self.stamp_word(set, way)] >> (32 * (way & 1))) as u32
-    }
-
-    fn set_stamp(&mut self, set: usize, way: usize, stamp: u32) {
-        let i = self.stamp_word(set, way);
-        let shift = 32 * (way & 1);
-        self.words[i] =
-            (self.words[i] & !(u64::from(u32::MAX) << shift)) | (u64::from(stamp) << shift);
+    /// The way at recency position `pos` of `set`'s list.
+    fn way_at(&self, set: usize, pos: usize) -> usize {
+        let byte = (self.words[self.list(set) + pos / 4] >> (8 * (pos % 4))) & 0xff;
+        byte as usize ^ pos
     }
 
     /// Word and bit of `way`'s dirty flag.
-    fn dirty_bit(&self, set: usize, way: usize) -> (usize, u64) {
-        let i = set * self.stride + self.assoc + self.assoc.div_ceil(2) + way / 64;
-        (i, 1 << (way % 64))
+    fn dirty_bit(&self, set: usize, way: usize) -> (usize, u32) {
+        let i = self.list(set) + self.assoc.div_ceil(4) + way / 32;
+        (i, 1 << (way % 32))
     }
 
     fn is_dirty(&self, set: usize, way: usize) -> bool {
@@ -130,57 +143,56 @@ impl Cache {
         }
     }
 
-    /// The next LRU stamp. Before the clock would wrap, each set's stamps
-    /// are renumbered `1..=assoc` in their current order and the clock
-    /// restarts at `assoc`, so every later stamp is still newer than every
-    /// earlier one within its set. Every valid way holds a distinct stamp
-    /// (each was stamped when installed), so their order is exact; only
-    /// never-stamped invalid ways tie, and replacement takes invalid ways
-    /// before comparing stamps.
-    fn tick(&mut self) -> u32 {
-        if self.clock == u32::MAX {
-            let mut order: Vec<(u32, usize)> = Vec::with_capacity(self.assoc);
-            for set in 0..self.sets {
-                order.clear();
-                order.extend((0..self.assoc).map(|w| (self.stamp(set, w), w)));
-                order.sort_by_key(|&(stamp, _)| stamp);
-                for (rank, &(_, w)) in order.iter().enumerate() {
-                    self.set_stamp(set, w, rank as u32 + 1);
-                }
-            }
-            self.clock = self.assoc as u32;
-        }
-        self.clock += 1;
-        self.clock
-    }
-
+    /// Move `way` to the front of `set`'s recency list, shifting the ways
+    /// ahead of it back by one. Works four entries at a time: XOR with a
+    /// list word's identity order decodes it, and the first decoded byte
+    /// equal to `way` ends the shift.
     fn touch(&mut self, set: usize, way: usize) {
-        let stamp = self.tick();
-        self.set_stamp(set, way, stamp);
+        const ONES: u32 = 0x0101_0101;
+        let list = self.list(set);
+        let words = &mut self.words[list..list + self.assoc.div_ceil(4)];
+        let needle = way as u32 * ONES;
+        // The decoded entry shifted into the front of the next word.
+        let mut carry = way as u32;
+        for (k, word) in words.iter_mut().enumerate() {
+            let identity = 0x0302_0100 + k as u32 * 0x0404_0404;
+            let order = *word ^ identity;
+            let x = order ^ needle;
+            // The lowest flagged byte is the first entry equal to `way`.
+            let found = x.wrapping_sub(ONES) & !x & 0x8080_8080;
+            let shifted = (order << 8) | carry;
+            if found != 0 {
+                let keep = u32::MAX
+                    .checked_shl(found.trailing_zeros() + 1)
+                    .unwrap_or(0);
+                *word = ((order & keep) | (shifted & !keep)) ^ identity;
+                return;
+            }
+            *word = shifted ^ identity;
+            carry = order >> 24;
+        }
+        unreachable!("way {way} is missing from its recency list");
     }
 
-    fn line_addr(&self, set: usize, key: u64) -> u64 {
-        (((key - 1) << self.set_shift) + set as u64) << CACHE_LINE_BITS
+    fn line_addr(&self, set: usize, tag: u32) -> u64 {
+        (((u64::from(tag) - 1) << self.set_shift) + set as u64) << CACHE_LINE_BITS
     }
 
     /// Allocate `key` in `set`: the first invalid way, else the least
-    /// recently stamped one. Returns the evicted line, if any.
+    /// recently touched one. Returns the evicted line, if any.
     fn install(&mut self, set: usize, key: u64, dirty: bool) -> Option<Victim> {
+        let tag = u32::try_from(key).expect("line lies beyond the cache's 32-bit tag reach");
         let base = set * self.stride;
         let way = self.words[base..base + self.assoc]
             .iter()
             .position(|&t| t == 0)
-            .unwrap_or_else(|| {
-                (0..self.assoc)
-                    .min_by_key(|&w| self.stamp(set, w))
-                    .expect("a set has at least one way")
-            });
+            .unwrap_or_else(|| self.way_at(set, self.assoc - 1));
         let old = self.words[base + way];
         let victim = (old != 0).then(|| Victim {
             addr: self.line_addr(set, old),
             dirty: self.is_dirty(set, way),
         });
-        self.words[base + way] = key;
+        self.words[base + way] = tag;
         self.set_dirty(set, way, dirty);
         self.touch(set, way);
         victim
@@ -219,7 +231,7 @@ impl Cache {
     /// Hit-or-nothing access: one way scan. On a hit, update LRU and
     /// dirtiness and count the hit exactly as [`Cache::access`] would,
     /// returning the hit way's index; on a miss, touch nothing (no
-    /// allocation, no miss count, no LRU tick) — exactly as the
+    /// allocation, no miss count, no LRU update) — exactly as the
     /// `contains` + `access` pair it replaces, where the miss path never
     /// called `access`. The caller classifies the miss itself.
     pub fn probe_hit(&mut self, addr: u64, is_write: bool) -> Option<usize> {
@@ -231,7 +243,8 @@ impl Cache {
         Some(set * self.assoc + way)
     }
 
-    /// Bump the LRU clock on a way returned by [`Cache::probe_hit`] with no
+    /// Move a way returned by [`Cache::probe_hit`] to the front of its
+    /// recency list again, with no
     /// intervening operation on this cache: equivalent to a
     /// [`Cache::fill`]`(addr, false)` that finds the line present, minus
     /// the way scan.
@@ -370,49 +383,9 @@ mod tests {
         panic!("no eviction");
     }
 
-    /// One pseudo-random operation stream over a few hot sets, recording
-    /// every observable result.
-    fn replay(c: &mut Cache, ops: usize) -> Vec<(Option<Victim>, bool)> {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        (0..ops)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // 3 sets x 12 tags per set: a 4-way set evicts often.
-                let addr = ((x % 12) * 64 + (x >> 8) % 3) * 64;
-                match (x >> 20) % 4 {
-                    0 => (c.fill(addr, x & 1 == 0), false),
-                    1 => match c.access(addr, x & 2 == 0) {
-                        AccessResult::Hit => (None, true),
-                        AccessResult::Miss { victim } => (victim, false),
-                    },
-                    2 => match c.probe_hit(addr, false) {
-                        Some(way) => {
-                            c.retouch(way);
-                            (None, true)
-                        }
-                        None => (None, false),
-                    },
-                    _ => (None, c.invalidate(addr).is_some()),
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn stamp_clock_wrap_keeps_victims() {
-        let mut fresh = l1();
-        let mut wrapping = l1();
-        wrapping.clock = u32::MAX - 100;
-        assert_eq!(replay(&mut fresh, 2000), replay(&mut wrapping, 2000));
-        assert!(wrapping.clock < 3000, "the clock renumbered and restarted");
-        assert_eq!((fresh.hits, fresh.misses), (wrapping.hits, wrapping.misses));
-    }
-
     #[test]
     fn dirty_bits_cover_every_way_beyond_64() {
-        // One 128-way set: way 100's dirty bit lives in the second word.
+        // One 128-way set: way 100's dirty bit lives in the fourth word.
         let mut c = Cache::new(128 * 64, 128);
         assert_eq!(c.num_sets(), 1);
         for i in 0..128u64 {
@@ -427,6 +400,38 @@ mod tests {
                 other => panic!("expected eviction of line {i}, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn paper_geometries_pin_their_footprint() {
+        // 4 tag words + 1 list word + 1 dirty word per 4-way set; 16 + 4 +
+        // 1 per 16-way set.
+        assert_eq!(l1().words.len() * 4, 64 * 24);
+        assert_eq!(Cache::new(2 * 1024 * 1024, 16).words.len() * 4, 2048 * 84);
+    }
+
+    #[test]
+    fn associativity_is_capped_at_one_byte_of_way_index() {
+        let mut c = Cache::new(256 * 64, 256);
+        for i in 0..257u64 {
+            c.access(i * 64, false);
+        }
+        assert!(!c.contains(0), "the 257th line evicts the least recent");
+        assert!(std::panic::catch_unwind(|| Cache::new(512 * 64, 512)).is_err());
+    }
+
+    #[test]
+    fn tags_are_never_aliased_above_32_bits() {
+        // One set: a line's tag is its line number.
+        let mut c = Cache::new(64, 1);
+        let top = (u64::from(u32::MAX) - 1) << CACHE_LINE_BITS;
+        assert_eq!(Cache::reach(64, 1), top + 64);
+        c.access(top, false); // stored tag + 1 = u32::MAX
+        assert!(c.contains(top));
+        c.access(0, false); // stored tag + 1 = 1
+        assert!(!c.contains(1 << (32 + CACHE_LINE_BITS)), "key 2^32 + 1");
+        let beyond = std::panic::catch_unwind(move || c.access(top + 64, false));
+        assert!(beyond.is_err(), "a tag + 1 of 2^32 must not be installed");
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! CMP configuration (paper §VI-A).
 
+use crate::cache::MAX_ASSOC;
 use microbank_core::validate::{Checker, ConfigError};
 use serde::{Deserialize, Serialize};
+
+/// Most clusters a CMP can have: the directory keeps one sharer bit per
+/// cluster in a `u64`.
+pub(crate) const MAX_CLUSTERS: usize = 64;
 
 /// Chip-multiprocessor parameters. Defaults reproduce the paper's platform.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,9 +89,10 @@ impl CmpConfig {
 
     /// Check the invariants the core/cache/coherence models assume,
     /// reporting every violation at once. Mirrors the `assert!`s in
-    /// `Cache::new` (set geometry) plus the divide-by-zero hazards in the
-    /// cluster math, so a sweep can reject a bad platform before
-    /// construction panics.
+    /// `Cache::new` (set geometry, at most 256 ways), the directory's
+    /// one-bit-per-cluster sharer mask (at most 64 clusters) and the
+    /// divide-by-zero hazards in the cluster math, so a sweep can reject a
+    /// bad platform before construction panics.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let mut c = Checker::new();
         let ge1 = |c: &mut Checker, name: &str, v: usize| {
@@ -97,13 +103,24 @@ impl CmpConfig {
         ge1(&mut c, "issue_width", self.issue_width);
         ge1(&mut c, "rob_entries", self.rob_entries);
         ge1(&mut c, "mshrs_per_core", self.mshrs_per_core);
+        if self.cores_per_cluster >= 1 {
+            c.check(self.clusters() <= MAX_CLUSTERS, || {
+                format!(
+                    "{} cores / {} per cluster = {} clusters: the directory's sharer \
+                     mask holds at most {MAX_CLUSTERS}",
+                    self.cores,
+                    self.cores_per_cluster,
+                    self.clusters()
+                )
+            });
+        }
         c.check(self.alu_latency >= 1, || {
             format!("alu_latency = {}: must be >= 1 cycle", self.alu_latency)
         });
         let mut cache = |name: &str, bytes: usize, assoc: usize| {
             let line = microbank_core::CACHE_LINE_BYTES as usize;
-            if !c.check(assoc >= 1, || {
-                format!("{name}_assoc = {assoc}: must be >= 1")
+            if !c.check((1..=MAX_ASSOC).contains(&assoc), || {
+                format!("{name}_assoc = {assoc}: must be in 1..={MAX_ASSOC}")
             }) {
                 return;
             }
@@ -146,6 +163,25 @@ mod tests {
         assert_eq!(c.issue_width, 2);
         assert_eq!(c.l1_bytes, 16 * 1024);
         assert_eq!(c.l2_bytes, 2 * 1024 * 1024);
+    }
+
+    #[test]
+    fn more_than_sixty_four_clusters_are_rejected() {
+        assert!(CmpConfig::small(256).validate().is_ok());
+        let err = CmpConfig::small(260).validate().unwrap_err();
+        assert!(err.to_string().contains("65 clusters"), "{err}");
+    }
+
+    #[test]
+    fn associativity_beyond_one_byte_of_way_index_is_rejected() {
+        let mut c = CmpConfig::paper();
+        c.l2_bytes = 256 * 64;
+        c.l2_assoc = 256;
+        assert!(c.validate().is_ok());
+        c.l2_bytes = 512 * 64;
+        c.l2_assoc = 512;
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("l2_assoc = 512"), "{err}");
     }
 
     #[test]

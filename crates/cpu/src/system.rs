@@ -73,7 +73,9 @@ struct Uncore {
     l2: Vec<Cache>,
     mshr: Vec<MshrFile>,
     prefetchers: Vec<StreamPrefetcher>,
-    /// Lines resident because of a prefetch: (cluster, line).
+    /// Lines a prefetch brought into a cluster's L2 that no demand access
+    /// has hit yet: (cluster, line). An entry goes when the line leaves
+    /// that L2 (eviction, invalidation, ownership migration).
     prefetched: FxHashSet<(usize, u64)>,
     dir: Directory,
     /// line → in-flight request id.
@@ -144,6 +146,7 @@ impl Uncore {
                 dirty |= l1_dirty;
             }
         }
+        self.forget_prefetch(cluster, addr);
         if self.dir.evict(addr, cluster, dirty) {
             self.post_write(addr, thread, now, port);
         }
@@ -179,10 +182,25 @@ impl Uncore {
             bits &= bits - 1;
             // A dirty invalidated copy migrates to the writer, which
             // installs the line dirty, so nothing is written back here.
-            self.l2[c].invalidate(line);
-            for core in self.cores_of(c) {
-                self.l1[core].invalidate(line);
-            }
+            self.drop_from_cluster(c, line);
+        }
+    }
+
+    /// Remove `line` from `cluster`'s L2 and its cores' L1s (coherence:
+    /// invalidation or ownership migration).
+    fn drop_from_cluster(&mut self, cluster: usize, line: u64) {
+        self.l2[cluster].invalidate(line);
+        for core in self.cores_of(cluster) {
+            self.l1[core].invalidate(line);
+        }
+        self.forget_prefetch(cluster, line);
+    }
+
+    /// `line` left `cluster`'s L2: a later demand hit there is no longer
+    /// the prefetcher's.
+    fn forget_prefetch(&mut self, cluster: usize, line: u64) {
+        if !self.prefetched.is_empty() {
+            self.prefetched.remove(&(cluster, line));
         }
     }
 
@@ -336,10 +354,7 @@ impl Uncore {
                 }
                 if is_write && owner != cluster {
                     // Exclusive ownership migrates away from `owner`.
-                    self.l2[owner].invalidate(line);
-                    for c in self.cores_of(owner) {
-                        self.l1[c].invalidate(line);
-                    }
+                    self.drop_from_cluster(owner, line);
                 }
                 self.fill_hierarchy(core, cluster, line, is_write, now, port);
                 let latency = cfg.l1_latency
@@ -840,6 +855,63 @@ mod tests {
         // 16 lines), far below total accesses.
         assert!(mem.accepted < 64, "{}", mem.accepted);
         sys.directory().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn prefetch_entries_leave_with_their_lines() {
+        /// A [`FixedSource`] whose accesses are all loads or all stores.
+        struct Stream(FixedSource, bool);
+        impl InstrSource for Stream {
+            fn next_instr(&mut self) -> crate::instr::Instr {
+                match self.0.next_instr() {
+                    crate::instr::Instr::Mem { addr, .. } => crate::instr::Instr::Mem {
+                        addr,
+                        is_write: self.1,
+                    },
+                    other => other,
+                }
+            }
+        }
+        // Two clusters with a 4 KiB L2 each: core 0 streams loads over
+        // four times its L2, so prefetched lines are evicted, and core 4
+        // stores over the same lines, so they are invalidated too.
+        let mut cfg = CmpConfig::small(8);
+        cfg.prefetch_degree = 4;
+        cfg.l1_bytes = 1024;
+        cfg.l1_assoc = 2;
+        cfg.l2_bytes = 4096;
+        cfg.l2_assoc = 4;
+        let lines: Vec<u64> = (0..256).map(|i| i * 64).collect();
+        let sources = (0..8)
+            .map(|i| match i {
+                0 => Stream(FixedSource::new(lines.clone(), 2), false),
+                4 => Stream(
+                    FixedSource::new(lines.iter().rev().copied().collect(), 3),
+                    true,
+                ),
+                _ => Stream(FixedSource::new(vec![], 1), false),
+            })
+            .collect();
+        let mut sys = CmpSystem::new(cfg, sources);
+        let mut mem = TestMemory::new(80);
+        for now in 0..20_000 {
+            for id in mem.due(now) {
+                sys.on_fill(id, now, &mut mem);
+            }
+            sys.tick(now, &mut mem);
+        }
+        assert!(sys.stats().prefetches > 0);
+        let u = &sys.uncore;
+        for &(cluster, line) in &u.prefetched {
+            let inflight = u
+                .pending_by_line
+                .get(&line)
+                .is_some_and(|id| u.inflight[id].cluster == cluster);
+            assert!(
+                inflight || u.l2[cluster].contains(line),
+                "cluster {cluster} still counts {line:#x} as prefetched after it left its L2"
+            );
+        }
     }
 
     #[test]

@@ -157,6 +157,11 @@ proptest! {
     }
 
     #[test]
+    fn two_way_cache_matches_reference_lru_model(ops in ops()) {
+        check_against_reference(2, &ops);
+    }
+
+    #[test]
     fn cache_matches_reference_lru_model(ops in ops()) {
         check_against_reference(4, &ops);
     }
@@ -164,6 +169,11 @@ proptest! {
     #[test]
     fn sixteen_way_cache_matches_reference_lru_model(ops in ops()) {
         check_against_reference(16, &ops);
+    }
+
+    #[test]
+    fn single_set_sixty_four_way_cache_matches_reference_lru_model(ops in ops()) {
+        check_against_reference(64, &ops);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Result reporting: CSV and Markdown emitters for experiment outputs, so
-//! harness runs can be archived and diffed (EXPERIMENTS.md is generated
-//! from these).
+//! Result reporting: CSV and JSON emitters for result tables, so harness
+//! runs can be archived and diffed.
 
 use crate::simulator::SimResult;
 
@@ -91,28 +90,6 @@ impl Table {
         w.end_array().end_object();
         w.finish()
     }
-
-    /// Render as a GitHub-flavored Markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str("| label |");
-        for c in &self.columns {
-            out.push_str(&format!(" {c} |"));
-        }
-        out.push_str("\n|---|");
-        for _ in &self.columns {
-            out.push_str("---|");
-        }
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&format!("| {} |", r.label));
-            for v in &r.values {
-                out.push_str(&format!(" {v:.3} |"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Standard per-run summary row used by several harnesses.
@@ -183,13 +160,6 @@ mod tests {
             rows[1].get("values").unwrap().items()[1].as_f64(),
             Some(4.25)
         );
-    }
-
-    #[test]
-    fn markdown_has_header_separator() {
-        let md = table().to_markdown();
-        assert!(md.contains("|---|---|---|"));
-        assert!(md.contains("| row1 | 1.000 | 2.000 |"));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use microbank_core::request::{MemRequest, ReqKind};
 use microbank_core::stats::DramStats;
 use microbank_core::validate::{Checker, ConfigError};
 use microbank_core::Cycle;
+use microbank_cpu::cache::Cache;
 use microbank_cpu::config::CmpConfig;
 use microbank_cpu::system::{CmpSystem, MemPort, SubmittedReq};
 use microbank_ctrl::controller::{Completion, MemoryController};
@@ -295,18 +296,36 @@ impl SimConfig {
 
     /// Top of the validation ladder: check this run end to end —
     /// [`MemConfig::validate`], [`CmpConfig::validate`], plus the
-    /// sim-level invariants (stride, window arithmetic, telemetry epoch,
-    /// workload resolvability) — and report *every* problem at once.
+    /// sim-level invariants (memory capacity within both caches' tag
+    /// reach, stride, window arithmetic, telemetry epoch, workload
+    /// resolvability) — and report *every* problem at once.
     /// [`try_run`] calls this before constructing any state.
     pub fn validate(&self) -> Result<(), SimError> {
         let mut errors: Vec<ConfigError> = Vec::new();
-        if let Err(e) = self.mem.validate() {
-            errors.push(e);
-        }
-        if let Err(e) = self.cmp.validate() {
-            errors.push(e);
-        }
+        let mem_ok = self.mem.validate().map_err(|e| errors.push(e)).is_ok();
+        let cmp_ok = self.cmp.validate().map_err(|e| errors.push(e)).is_ok();
         let mut c = Checker::new();
+        if mem_ok && cmp_ok {
+            // Cores touch addresses below the capacity, and the prefetcher
+            // runs at most `prefetch_degree` lines past one; each cache
+            // must be able to tag every line up to there.
+            let top = self.mem.capacity_bytes().saturating_add(
+                (self.cmp.prefetch_degree as u64).saturating_mul(microbank_core::CACHE_LINE_BYTES),
+            );
+            for (name, bytes, assoc) in [
+                ("l1", self.cmp.l1_bytes, self.cmp.l1_assoc),
+                ("l2", self.cmp.l2_bytes, self.cmp.l2_assoc),
+            ] {
+                let reach = Cache::reach(bytes, assoc);
+                c.check(top <= reach, || {
+                    format!(
+                        "memory capacity {} B (+ prefetch reach) exceeds the {name} cache's \
+                         tag reach of {reach} B ({bytes} B / {assoc}-way, 32-bit tags)",
+                        self.mem.capacity_bytes()
+                    )
+                });
+            }
+        }
         c.check(self.ctrl_stride >= 1, || {
             format!(
                 "ctrl_stride = {}: controllers must tick at least every cycle",
@@ -1500,6 +1519,23 @@ mod tests {
         };
         assert_eq!(isolate::<()>(|| Err(err.clone())), Err(err));
         assert_eq!(isolate(|| Ok::<_, SimError>(3)), Ok(3));
+    }
+
+    #[test]
+    fn capacity_beyond_a_cache_tag_reach_is_rejected() {
+        // A one-set direct-mapped L1 tags line numbers directly, so 32-bit
+        // tags reach 2^38 - 64 bytes. The paper memory has 512 MiB per
+        // channel: 256 channels fit, 512 do not.
+        let mut cfg = SimConfig::paper_default(Workload::MixHigh);
+        cfg.cmp.l1_bytes = 64;
+        cfg.cmp.l1_assoc = 1;
+        cfg.mem.channels = 256;
+        assert_eq!(cfg.mem.capacity_bytes(), 1 << 37);
+        cfg.validate().expect("128 GiB fits the L1's tag reach");
+        cfg.mem.channels = 512;
+        let err = cfg.validate().unwrap_err().to_string();
+        assert!(err.contains("exceeds the l1 cache's tag reach"), "{err}");
+        assert!(!err.contains("l2 cache"), "{err}");
     }
 
     #[test]

@@ -78,6 +78,17 @@ fn valid_corner_of_fuzz_domain_completes_a_run() {
     assert!(r.cycles > 0);
 }
 
+/// 272 cores are 68 four-core clusters, more than the directory's
+/// 64-bit sharer mask can name: the valid corner with that many cores is
+/// rejected up front instead of overflowing a shift mid-run.
+#[test]
+fn more_clusters_than_sharer_bits_is_rejected() {
+    let cfg = build_cfg(1, 1, 1, 4, 1, 400, 35.0, 7800.0, 272, 6, 0);
+    exercise(cfg.clone());
+    let err = try_run(&cfg).expect_err("68 clusters must be rejected");
+    assert!(err.to_string().contains("68 clusters"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -98,7 +109,7 @@ proptest! {
             prop::sample::select(vec![100.0f64, 7800.0]),
         ),
         (cores, ib, workload) in (
-            prop::sample::select(vec![0usize, 1, 2]),
+            prop::sample::select(vec![0usize, 1, 2, 272]),
             prop::sample::select(vec![6u32, 9, 60]),
             0usize..2,
         ),
@@ -129,7 +140,7 @@ proptest! {
             prop::sample::select(vec![100.0f64, 351.0, 7800.0]),
         ),
         (cores, ib, workload) in (
-            prop::sample::select(vec![0usize, 1, 2, 4]),
+            prop::sample::select(vec![0usize, 1, 2, 4, 272]),
             prop::sample::select(vec![6u32, 8, 9, 12, 60]),
             0usize..2,
         ),
