@@ -40,21 +40,32 @@ fn bench_cache(c: &mut Criterion) {
 }
 
 fn bench_directory(c: &mut Criterion) {
-    let addrs = addr_stream(4096, 1 << 22);
-    c.bench_function("directory_read_write_mix", |b| {
-        b.iter(|| {
-            let mut d = Directory::new();
-            for (i, &a) in addrs.iter().enumerate() {
-                let cluster = i % 16;
-                if i % 4 == 0 {
-                    black_box(d.write_miss(a, cluster));
-                } else {
-                    black_box(d.read_miss(a, cluster));
+    let mut g = c.benchmark_group("directory_read_write_mix");
+    // `small` stays within a few hundred lines per bank; `mcf_scale` draws
+    // about 65k distinct lines, the size of mcf-stress's directory, so each
+    // bank grows through several doublings. Each iteration runs the stream
+    // twice: the first pass grows the directory, the second times point
+    // lookups on a full one.
+    for (name, n, span) in [("small", 4096, 1u64 << 22), ("mcf_scale", 67_000, 1 << 26)] {
+        let addrs = addr_stream(n, span);
+        g.bench_with_input(BenchmarkId::from_parameter(name), &addrs, |b, addrs| {
+            b.iter(|| {
+                let mut d = Directory::new();
+                for _pass in 0..2 {
+                    for (i, &a) in addrs.iter().enumerate() {
+                        let cluster = i % 16;
+                        if i % 4 == 0 {
+                            black_box(d.write_miss(a, cluster));
+                        } else {
+                            black_box(d.read_miss(a, cluster));
+                        }
+                    }
                 }
-            }
-            d.tracked_lines()
-        })
-    });
+                d.tracked_lines()
+            })
+        });
+    }
+    g.finish();
 }
 
 criterion_group!(benches, bench_cache, bench_directory);

@@ -7,8 +7,23 @@
 //! it modified. The directory tells the requesting L2 where data comes from
 //! (memory or a remote L2) and which caches to invalidate — the invariants
 //! of MESI at the inter-L2 granularity our CMP model resolves.
+//!
+//! Storage is split into [`BANKS`] hash maps keyed by the 32-bit line
+//! index, so the directory can hold lines below [`Directory::REACH`]. The
+//! banks are a layout, not a protocol: each line still has exactly one
+//! entry in exactly one bank, and every transaction on it is resolved there
+//! as at one MESI home. Banking only keeps growth cheap — a bank that fills
+//! up doubles alone, so a resize copies a sixteenth of the directory rather
+//! than holding two full tables at once.
 
-use microbank_core::fxhash::FxHashMap;
+use microbank_core::fxhash::{FxBuild, FxHashMap};
+use microbank_core::{CACHE_LINE_BITS, CACHE_LINE_BYTES};
+use std::hash::BuildHasher;
+
+/// Number of directory banks. Sixteen keeps the largest resize transient
+/// (one bank's old and new tables) to about a sixteenth of the directory
+/// while the fixed per-bank overhead stays negligible.
+pub const BANKS: usize = 16;
 
 /// Directory state for one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,12 +35,17 @@ pub enum LineState {
     Modified,
 }
 
+/// Packed to 12 B so that a bucket — the `u32` key plus the entry — is
+/// 16 B. Fields are only ever copied in and out, never borrowed.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct DirEntry {
-    state: LineState,
     /// Bitmap over clusters (≤ 64).
     sharers: u64,
+    state: LineState,
 }
+
+const _: () = assert!(std::mem::size_of::<(u32, DirEntry)>() == 16);
 
 /// Where the requester gets its data, as decided by the directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,15 +68,38 @@ pub type Invalidations = u64;
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
     // Point lookups only on the sim path (`check_invariants` iterates but
-    // is diagnostic-only), so hash choice cannot affect behavior.
-    entries: FxHashMap<u64, DirEntry>,
+    // is diagnostic-only), so neither the hash nor the bank split can
+    // affect behavior.
+    banks: [FxHashMap<u32, DirEntry>; BANKS],
     pub forwards: u64,
     pub invalidation_msgs: u64,
 }
 
 impl Directory {
+    /// Exclusive upper bound of the line addresses the directory can
+    /// track: 2^32 line indices of 64 B, 256 GiB.
+    pub const REACH: u64 = 1 << (32 + CACHE_LINE_BITS);
+
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The bank that holds `line`. The bank is bits 32..36 of the banks'
+    /// own Fx hash of the line index: hashbrown takes the bucket index from
+    /// the low bits and the control tag from the top seven, so keys that
+    /// share a bank still spread over its buckets and tags.
+    pub fn bank_of(line: u64) -> usize {
+        Self::slot(line).0
+    }
+
+    /// Bank and key of `line`, a line-aligned address below
+    /// [`Directory::REACH`].
+    fn slot(line: u64) -> (usize, u32) {
+        debug_assert_eq!(line % CACHE_LINE_BYTES, 0, "unaligned line {line:#x}");
+        let key = u32::try_from(line >> CACHE_LINE_BITS)
+            .expect("line lies beyond the directory's 32-bit reach");
+        let bank = (FxBuild::default().hash_one(key) >> 32) as usize % BANKS;
+        (bank, key)
     }
 
     fn first_sharer(bitmap: u64) -> usize {
@@ -66,54 +109,47 @@ impl Directory {
     /// A read miss from `cluster`. Returns where data comes from.
     pub fn read_miss(&mut self, line: u64, cluster: usize) -> CoherenceAction {
         let bit = 1u64 << cluster;
-        match self.entries.get_mut(&line) {
-            None => {
-                self.entries.insert(
-                    line,
-                    DirEntry {
-                        state: LineState::Shared,
-                        sharers: bit,
-                    },
-                );
+        let (bank, key) = Self::slot(line);
+        let e = self.banks[bank].entry(key).or_insert(DirEntry {
+            sharers: 0,
+            state: LineState::Uncached,
+        });
+        match e.state {
+            LineState::Uncached => {
+                e.state = LineState::Shared;
+                e.sharers = bit;
                 CoherenceAction::FetchFromMemory
             }
-            Some(e) => match e.state {
-                LineState::Uncached => {
-                    e.state = LineState::Shared;
-                    e.sharers = bit;
+            LineState::Shared => {
+                let owner = Self::first_sharer(e.sharers);
+                e.sharers |= bit;
+                if owner == cluster {
+                    // Stale directory entry for our own copy (can only
+                    // happen after a silent L2 refill); treat as memory.
                     CoherenceAction::FetchFromMemory
-                }
-                LineState::Shared => {
-                    let owner = Self::first_sharer(e.sharers);
-                    e.sharers |= bit;
-                    if owner == cluster {
-                        // Stale directory entry for our own copy (can only
-                        // happen after a silent L2 refill); treat as memory.
-                        CoherenceAction::FetchFromMemory
-                    } else {
-                        self.forwards += 1;
-                        CoherenceAction::ForwardFromOwner {
-                            owner,
-                            demote_writeback: false,
-                        }
+                } else {
+                    self.forwards += 1;
+                    CoherenceAction::ForwardFromOwner {
+                        owner,
+                        demote_writeback: false,
                     }
                 }
-                LineState::Modified => {
-                    let owner = Self::first_sharer(e.sharers);
-                    debug_assert_eq!(e.sharers.count_ones(), 1);
-                    e.state = LineState::Shared;
-                    e.sharers |= bit;
-                    if owner == cluster {
-                        CoherenceAction::FetchFromMemory
-                    } else {
-                        self.forwards += 1;
-                        CoherenceAction::ForwardFromOwner {
-                            owner,
-                            demote_writeback: true,
-                        }
+            }
+            LineState::Modified => {
+                let owner = Self::first_sharer(e.sharers);
+                debug_assert_eq!(e.sharers.count_ones(), 1);
+                e.state = LineState::Shared;
+                e.sharers |= bit;
+                if owner == cluster {
+                    CoherenceAction::FetchFromMemory
+                } else {
+                    self.forwards += 1;
+                    CoherenceAction::ForwardFromOwner {
+                        owner,
+                        demote_writeback: true,
                     }
                 }
-            },
+            }
         }
     }
 
@@ -121,9 +157,10 @@ impl Directory {
     /// and the set of clusters to invalidate (excluding the requester).
     pub fn write_miss(&mut self, line: u64, cluster: usize) -> (CoherenceAction, Invalidations) {
         let bit = 1u64 << cluster;
-        let e = self.entries.entry(line).or_insert(DirEntry {
-            state: LineState::Uncached,
+        let (bank, key) = Self::slot(line);
+        let e = self.banks[bank].entry(key).or_insert(DirEntry {
             sharers: 0,
+            state: LineState::Uncached,
         });
         let others = e.sharers & !bit;
         let action = match e.state {
@@ -172,14 +209,15 @@ impl Directory {
     /// Returns true when the caller must write the line back to memory.
     pub fn evict(&mut self, line: u64, cluster: usize, dirty: bool) -> bool {
         let bit = 1u64 << cluster;
-        let Some(e) = self.entries.get_mut(&line) else {
+        let (bank, key) = Self::slot(line);
+        let bank = &mut self.banks[bank];
+        let Some(e) = bank.get_mut(&key) else {
             return dirty;
         };
         e.sharers &= !bit;
-        let was_modified = e.state == LineState::Modified;
         if e.sharers == 0 {
-            self.entries.remove(&line);
-        } else if was_modified {
+            bank.remove(&key);
+        } else if e.state == LineState::Modified {
             e.state = LineState::Shared;
         }
         // A dirty eviction always writes back, whether the directory held
@@ -189,7 +227,8 @@ impl Directory {
 
     /// Directory state of a line (for tests/invariants).
     pub fn state_of(&self, line: u64) -> (LineState, u64) {
-        match self.entries.get(&line) {
+        let (bank, key) = Self::slot(line);
+        match self.banks[bank].get(&key) {
             None => (LineState::Uncached, 0),
             Some(e) => (e.state, e.sharers),
         }
@@ -197,15 +236,17 @@ impl Directory {
 
     /// MESI invariant check: Modified lines have exactly one sharer.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (&line, e) in &self.entries {
+        for (&key, e) in self.banks.iter().flatten() {
+            let line = u64::from(key) << CACHE_LINE_BITS;
+            let sharers = e.sharers;
             match e.state {
-                LineState::Modified if e.sharers.count_ones() != 1 => {
+                LineState::Modified if sharers.count_ones() != 1 => {
                     return Err(format!(
                         "line {line:#x}: modified with {} sharers",
-                        e.sharers.count_ones()
+                        sharers.count_ones()
                     ));
                 }
-                LineState::Shared if e.sharers == 0 => {
+                LineState::Shared if sharers == 0 => {
                     return Err(format!("line {line:#x}: shared with no sharers"));
                 }
                 _ => {}
@@ -215,7 +256,7 @@ impl Directory {
     }
 
     pub fn tracked_lines(&self) -> usize {
-        self.entries.len()
+        self.banks.iter().map(|b| b.len()).sum()
     }
 }
 
@@ -324,5 +365,25 @@ mod tests {
             }
         );
         assert_eq!(inv, 0);
+    }
+
+    #[test]
+    fn lines_spread_evenly_over_the_banks() {
+        // 64Ki consecutive lines, about a mcf-stress directory: every bank
+        // holds its sixteenth to within 5%.
+        let mut d = Directory::new();
+        for i in 0..1u64 << 16 {
+            d.read_miss(i * 64, (i % 16) as usize);
+        }
+        assert_eq!(d.tracked_lines(), 1 << 16);
+        for bank in &d.banks {
+            assert!(bank.len().abs_diff(4096) < 205, "bank holds {}", bank.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the directory's 32-bit reach")]
+    fn line_beyond_the_reach_is_never_installed() {
+        Directory::new().read_miss(Directory::REACH, 0);
     }
 }

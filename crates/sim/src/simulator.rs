@@ -8,6 +8,7 @@ use microbank_core::stats::DramStats;
 use microbank_core::validate::{Checker, ConfigError};
 use microbank_core::Cycle;
 use microbank_cpu::cache::Cache;
+use microbank_cpu::coherence::Directory;
 use microbank_cpu::config::CmpConfig;
 use microbank_cpu::system::{CmpSystem, MemPort, SubmittedReq};
 use microbank_ctrl::controller::{Completion, MemoryController};
@@ -297,8 +298,9 @@ impl SimConfig {
     /// Top of the validation ladder: check this run end to end —
     /// [`MemConfig::validate`], [`CmpConfig::validate`], plus the
     /// sim-level invariants (memory capacity within both caches' tag
-    /// reach, stride, window arithmetic, telemetry epoch, workload
-    /// resolvability) — and report *every* problem at once.
+    /// reach and the directory's key reach, stride, window arithmetic,
+    /// telemetry epoch, workload resolvability) — and report *every*
+    /// problem at once.
     /// [`try_run`] calls this before constructing any state.
     pub fn validate(&self) -> Result<(), SimError> {
         let mut errors: Vec<ConfigError> = Vec::new();
@@ -308,19 +310,28 @@ impl SimConfig {
         if mem_ok && cmp_ok {
             // Cores touch addresses below the capacity, and the prefetcher
             // runs at most `prefetch_degree` lines past one; each cache
-            // must be able to tag every line up to there.
+            // must be able to tag, and the directory to key, every line up
+            // to there.
             let top = self.mem.capacity_bytes().saturating_add(
                 (self.cmp.prefetch_degree as u64).saturating_mul(microbank_core::CACHE_LINE_BYTES),
             );
-            for (name, bytes, assoc) in [
-                ("l1", self.cmp.l1_bytes, self.cmp.l1_assoc),
-                ("l2", self.cmp.l2_bytes, self.cmp.l2_assoc),
+            let cache = |name, bytes, assoc| {
+                (
+                    Cache::reach(bytes, assoc),
+                    format!("{name} cache's tag reach ({bytes} B / {assoc}-way, 32-bit tags)"),
+                )
+            };
+            for (reach, what) in [
+                cache("l1", self.cmp.l1_bytes, self.cmp.l1_assoc),
+                cache("l2", self.cmp.l2_bytes, self.cmp.l2_assoc),
+                (
+                    Directory::REACH,
+                    "directory's reach (32-bit line keys)".into(),
+                ),
             ] {
-                let reach = Cache::reach(bytes, assoc);
                 c.check(top <= reach, || {
                     format!(
-                        "memory capacity {} B (+ prefetch reach) exceeds the {name} cache's \
-                         tag reach of {reach} B ({bytes} B / {assoc}-way, 32-bit tags)",
+                        "memory capacity {} B (+ prefetch reach) exceeds the {what} of {reach} B",
                         self.mem.capacity_bytes()
                     )
                 });
@@ -1536,6 +1547,36 @@ mod tests {
         let err = cfg.validate().unwrap_err().to_string();
         assert!(err.contains("exceeds the l1 cache's tag reach"), "{err}");
         assert!(!err.contains("l2 cache"), "{err}");
+    }
+
+    #[test]
+    fn capacity_beyond_the_directory_reach_is_rejected() {
+        // The directory keys 2^32 lines, 2^38 B. The paper memory has
+        // 512 MiB per channel: 512 channels fill the reach exactly, and
+        // one prefetched line past the top, or twice the channels, does
+        // not fit. The paper caches reach much further.
+        let mut cfg = SimConfig::paper_default(Workload::MixHigh);
+        cfg.mem.channels = 256;
+        assert_eq!(cfg.mem.capacity_bytes(), 1 << 37);
+        cfg.validate().expect("128 GiB fits the directory");
+        cfg.mem.channels = 512;
+        assert_eq!(cfg.mem.capacity_bytes(), Directory::REACH);
+        cfg.validate().expect("256 GiB fills the directory exactly");
+        for (channels, prefetch_degree) in [(512, 1), (1024, 0)] {
+            cfg.mem.channels = channels;
+            cfg.cmp.prefetch_degree = prefetch_degree;
+            let err = cfg.validate().unwrap_err().to_string();
+            assert!(err.contains("exceeds the directory's reach"), "{err}");
+            assert!(!err.contains("cache's tag reach"), "{err}");
+        }
+    }
+
+    #[test]
+    fn paper_memory_is_eight_gib() {
+        // 16 channels x 1 rank x 8 banks x 64 MiB; the paper's platform
+        // has 64 GB (DESIGN.md §5 records the gap).
+        let cfg = SimConfig::paper_default(Workload::MixHigh);
+        assert_eq!(cfg.mem.capacity_bytes(), 8 << 30);
     }
 
     #[test]
