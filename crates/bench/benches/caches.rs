@@ -1,9 +1,14 @@
-//! Cache and coherence microbenchmarks: L1/L2 access throughput and
-//! directory transaction cost.
+//! Cache and coherence microbenchmarks: L1/L2 access throughput,
+//! directory transaction cost, and the whole CMP's per-cycle core tick.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use microbank_core::Cycle;
 use microbank_cpu::cache::Cache;
 use microbank_cpu::coherence::Directory;
+use microbank_cpu::config::CmpConfig;
+use microbank_cpu::system::{CmpSystem, MemPort, SubmittedReq};
+use microbank_workloads::{build_sources, SpecGroup, Workload};
+use std::collections::VecDeque;
 use std::hint::black_box;
 
 fn addr_stream(n: usize, span: u64) -> Vec<u64> {
@@ -68,5 +73,55 @@ fn bench_directory(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_cache, bench_directory);
+/// A memory that accepts every request and answers each read a fixed
+/// delay later, so the core tick is timed without a controller.
+struct DelayPort {
+    delay: Cycle,
+    /// Reads in flight as `(due cycle, request id)`, in due order.
+    due: VecDeque<(Cycle, u64)>,
+}
+
+impl MemPort for DelayPort {
+    fn submit(&mut self, req: SubmittedReq, now: Cycle) -> bool {
+        if !req.is_write {
+            self.due.push_back((now + self.delay, req.id));
+        }
+        true
+    }
+}
+
+fn bench_cmp_tick(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cmp_tick");
+    g.sample_size(10);
+    // The paper's 64-core CMP on the SPEC low-MAPKI group, over the 8 GiB
+    // the 16-channel paper default spreads it across; 20k cycles per
+    // iteration, filled 120 cycles after each read is submitted.
+    let cfg = CmpConfig::paper();
+    let sources = build_sources(
+        Workload::SpecGroupAvg(SpecGroup::Low),
+        cfg.cores,
+        8 << 30,
+        7,
+    );
+    g.bench_function("spec_low_64_cores_20k_cycles", |b| {
+        b.iter(|| {
+            let mut cmp = CmpSystem::new(cfg, sources.clone());
+            let mut port = DelayPort {
+                delay: 120,
+                due: VecDeque::new(),
+            };
+            for now in 0..20_000 {
+                while port.due.front().is_some_and(|&(at, _)| at <= now) {
+                    let (_, id) = port.due.pop_front().expect("peeked");
+                    cmp.on_fill(id, now, &mut port);
+                }
+                cmp.tick(now, &mut port);
+            }
+            cmp.total_committed()
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_cache, bench_directory, bench_cmp_tick);
 criterion_main!(benches);

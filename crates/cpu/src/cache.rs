@@ -94,16 +94,31 @@ impl Cache {
     }
 
     /// Locate `addr`: its set, its tag key (`tag + 1`) and the way holding
-    /// it, if any.
+    /// it, if any. Every tag word is compared, with no early exit, and the
+    /// matching way's index + 1 is OR-ed in: a set's valid tags are
+    /// distinct, so at most one way matches and the result is the first
+    /// match's position. A key beyond 32 bits is never installed.
+    #[inline]
     fn find(&self, addr: u64) -> (usize, u64, Option<usize>) {
         let line = addr >> CACHE_LINE_BITS;
         let set = (line as usize) & (self.sets - 1);
         let key = (line >> self.set_shift) + 1;
+        let Ok(tag) = u32::try_from(key) else {
+            return (set, key, None);
+        };
         let base = set * self.stride;
-        let way = self.words[base..base + self.assoc]
-            .iter()
-            .position(|&t| u64::from(t) == key);
-        (set, key, way)
+        // Four ways per group: a fixed-width body the compiler unrolls.
+        let (quads, rest) = self.words[base..base + self.assoc].as_chunks::<4>();
+        let mut hit = 0u32;
+        for (q, quad) in quads.iter().enumerate() {
+            for (j, &t) in quad.iter().enumerate() {
+                hit |= u32::from(t == tag) * (4 * q + j + 1) as u32;
+            }
+        }
+        for (j, &t) in rest.iter().enumerate() {
+            hit |= u32::from(t == tag) * (4 * quads.len() + j + 1) as u32;
+        }
+        (set, key, (hit as usize).checked_sub(1))
     }
 
     /// First word of `set`'s recency list.
@@ -234,6 +249,7 @@ impl Cache {
     /// allocation, no miss count, no LRU update) — exactly as the
     /// `contains` + `access` pair it replaces, where the miss path never
     /// called `access`. The caller classifies the miss itself.
+    #[inline]
     pub fn probe_hit(&mut self, addr: u64, is_write: bool) -> Option<usize> {
         let (set, _, way) = self.find(addr);
         let way = way?;

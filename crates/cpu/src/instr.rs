@@ -3,7 +3,9 @@
 //! The core model consumes an infinite stream of retired-instruction slots:
 //! either a non-memory instruction or a 64 B memory access. Workloads (in
 //! `microbank-workloads`) synthesize these streams to match application
-//! profiles (MAPKI, locality, read/write mix).
+//! profiles (MAPKI, locality, read/write mix). The core reads the stream a
+//! [`Block`] at a time: a run of non-memory instructions and the memory
+//! access that ends it.
 
 use microbank_core::request::TenantId;
 
@@ -17,11 +19,43 @@ pub enum Instr {
     Mem { addr: u64, is_write: bool },
 }
 
+/// A stretch of the instruction stream: `gap` non-memory instructions,
+/// then the memory access `mem` as `(addr, is_write)`. `mem` is `None`
+/// when the stretch hit its `max_gap` first; the stream then continues in
+/// the next block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Block {
+    pub gap: u32,
+    pub mem: Option<(u64, bool)>,
+}
+
 /// An infinite, deterministic instruction stream for one hardware thread.
 pub trait InstrSource {
     /// Produce the next instruction. Streams never end; fixed-length
     /// experiments stop after N commits.
     fn next_instr(&mut self) -> Instr;
+
+    /// The next instructions up to and including the next memory access,
+    /// or the next `max_gap` non-memory instructions if no access comes
+    /// first (`max_gap >= 1`). Concatenated, the blocks are exactly the
+    /// [`InstrSource::next_instr`] stream; the default reads it one
+    /// instruction at a time, and generators override it with a tighter
+    /// loop.
+    fn next_block(&mut self, max_gap: u32) -> Block {
+        let mut gap = 0;
+        while gap < max_gap {
+            match self.next_instr() {
+                Instr::Compute => gap += 1,
+                Instr::Mem { addr, is_write } => {
+                    return Block {
+                        gap,
+                        mem: Some((addr, is_write)),
+                    }
+                }
+            }
+        }
+        Block { gap, mem: None }
+    }
 
     /// The tenant this stream belongs to. Workload generators override
     /// this for multi-tenant mixes; the default keeps every single-tenant

@@ -31,7 +31,7 @@ pub mod system;
 pub use cache::{AccessResult, Cache};
 pub use coherence::{CoherenceAction, Directory, LineState};
 pub use config::CmpConfig;
-pub use instr::{Instr, InstrSource};
+pub use instr::{Block, Instr, InstrSource};
 pub use mshr::MshrFile;
 pub use prefetch::StreamPrefetcher;
 pub use rob::{Core, CoreStats, MemOutcome};

@@ -8,7 +8,7 @@
 //! after a fixed pipeline latency; stores are posted (write-buffer
 //! semantics) and do not block commit.
 
-use crate::instr::{Instr, InstrSource};
+use crate::instr::InstrSource;
 use microbank_core::Cycle;
 
 /// Outcome of handing a memory instruction to the cache hierarchy.
@@ -38,6 +38,13 @@ pub enum StallKind {
 /// A ROB entry's ready cycle while it waits on memory.
 const PENDING: Cycle = Cycle::MAX;
 
+/// Most non-memory instructions a core reads from its source in one
+/// [`InstrSource::next_block`] call. It bounds only how far the stream is
+/// read ahead of dispatch, never what is dispatched: any value `>= 1`
+/// yields the same run. Long enough that a compute-only stream costs one
+/// call per many cycles.
+const MAX_GAP: u32 = 64;
+
 /// Per-core statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoreStats {
@@ -57,31 +64,45 @@ pub struct Core {
     pub id: u16,
     /// The reorder buffer as a ring of ready cycles ([`PENDING`] while
     /// waiting on memory): `len` entries starting at slot `head`, the
-    /// oldest being sequence number `head_seq`.
+    /// oldest being sequence number `head_seq`. The storage is rounded up
+    /// to a power of two so a slot is `(head + offset) & mask`; fullness
+    /// is `len == capacity`, the configured entry count.
     rob: Box<[Cycle]>,
+    mask: usize,
+    capacity: usize,
     head: usize,
     len: usize,
     head_seq: u64,
     next_seq: u64,
     issue_width: usize,
     alu_latency: u64,
-    /// Instruction buffered after an MSHR stall, replayed next cycle.
-    replay: Option<Instr>,
+    /// The undispatched rest of the current [`crate::instr::Block`]:
+    /// `gap` non-memory instructions, then the access `mem`. Both empty
+    /// means the next dispatch reads a new block.
+    gap: u32,
+    mem: Option<(u64, bool)>,
+    /// The last attempt to dispatch `mem` stalled on a full MSHR file.
+    wedged: bool,
     pub stats: CoreStats,
 }
 
 impl Core {
     pub fn new(id: u16, rob_capacity: usize, issue_width: usize, alu_latency: u64) -> Self {
+        let slots = rob_capacity.next_power_of_two();
         Core {
             id,
-            rob: vec![PENDING; rob_capacity].into_boxed_slice(),
+            rob: vec![PENDING; slots].into_boxed_slice(),
+            mask: slots - 1,
+            capacity: rob_capacity,
             head: 0,
             len: 0,
             head_seq: 0,
             next_seq: 0,
             issue_width,
             alu_latency,
-            replay: None,
+            gap: 0,
+            mem: None,
+            wedged: false,
             stats: CoreStats::default(),
         }
     }
@@ -91,18 +112,12 @@ impl Core {
     }
 
     fn rob_full(&self) -> bool {
-        self.len >= self.rob.len()
+        self.len >= self.capacity
     }
 
-    /// Ring slot of the entry `offset` places behind the head
-    /// (`offset <= capacity`).
+    /// Ring slot of the entry `offset` places behind the head.
     fn slot(&self, offset: usize) -> usize {
-        let i = self.head + offset;
-        if i >= self.rob.len() {
-            i - self.rob.len()
-        } else {
-            i
-        }
+        (self.head + offset) & self.mask
     }
 
     /// The head entry's ready cycle, if the ROB is not empty.
@@ -110,29 +125,34 @@ impl Core {
         (self.len > 0).then(|| self.rob[self.head])
     }
 
-    fn push(&mut self, ready_at: Cycle) {
-        let tail = self.slot(self.len);
-        self.rob[tail] = ready_at;
-        self.len += 1;
-        self.next_seq += 1;
+    /// Append `n` entries ready at `ready_at` (`n` free entries exist).
+    fn push(&mut self, ready_at: Cycle, n: usize) {
+        for k in self.len..self.len + n {
+            let tail = self.slot(k);
+            self.rob[tail] = ready_at;
+        }
+        self.len += n;
+        self.next_seq += n as u64;
     }
 
     /// Commit up to `issue_width` ready instructions from the ROB head.
     pub fn commit(&mut self, now: Cycle) -> usize {
         let mut n = 0;
-        while n < self.issue_width && self.head_ready().is_some_and(|r| r <= now) {
-            self.head = self.slot(1);
-            self.len -= 1;
-            self.head_seq += 1;
-            self.stats.committed += 1;
+        while n < self.issue_width && n < self.len && self.rob[self.slot(n)] <= now {
             n += 1;
         }
+        self.head = self.slot(n);
+        self.len -= n;
+        self.head_seq += n as u64;
+        self.stats.committed += n as u64;
         n
     }
 
     /// Dispatch up to `issue_width` instructions from `source`, calling
     /// `mem` for each memory instruction. `mem(addr, is_write, seq)` must
-    /// return how the access resolves.
+    /// return how the access resolves. A run of non-memory instructions
+    /// enters the ROB in one step; a stalled access is retried first at
+    /// the next dispatch.
     pub fn dispatch<S: InstrSource>(
         &mut self,
         now: Cycle,
@@ -143,35 +163,37 @@ impl Core {
             self.stats.rob_full_cycles += 1;
             return;
         }
-        for _ in 0..self.issue_width {
-            if self.rob_full() {
-                break;
+        let mut slots = self.issue_width;
+        while slots > 0 && !self.rob_full() {
+            if self.gap == 0 && self.mem.is_none() {
+                let block = source.next_block(MAX_GAP);
+                self.gap = block.gap;
+                self.mem = block.mem;
             }
-            let instr = match self.replay.take() {
-                Some(i) => i,
-                None => source.next_instr(),
+            if self.gap > 0 {
+                let n = (self.gap as usize).min(slots).min(self.capacity - self.len);
+                self.push(now + self.alu_latency, n);
+                self.gap -= n as u32;
+                slots -= n;
+                continue;
+            }
+            let Some((addr, is_write)) = self.mem else {
+                unreachable!("a block holds a gap or an access");
             };
-            match instr {
-                Instr::Compute => self.push(now + self.alu_latency),
-                Instr::Mem { addr, is_write } => {
-                    let seq = self.next_seq;
-                    match mem(addr, is_write, seq) {
-                        MemOutcome::ReadyAt(c) => {
-                            self.push(c);
-                            self.note_mem(is_write);
-                        }
-                        MemOutcome::Pending => {
-                            self.push(PENDING);
-                            self.note_mem(is_write);
-                        }
-                        MemOutcome::Stall => {
-                            self.replay = Some(instr);
-                            self.stats.mshr_stall_cycles += 1;
-                            break;
-                        }
-                    }
+            let ready = match mem(addr, is_write, self.next_seq) {
+                MemOutcome::ReadyAt(c) => c,
+                MemOutcome::Pending => PENDING,
+                MemOutcome::Stall => {
+                    self.wedged = true;
+                    self.stats.mshr_stall_cycles += 1;
+                    return;
                 }
-            }
+            };
+            self.push(ready, 1);
+            self.note_mem(is_write);
+            self.mem = None;
+            self.wedged = false;
+            slots -= 1;
         }
     }
 
@@ -210,7 +232,7 @@ impl Core {
             // Capacity 0 cannot happen; be conservative.
             return (self.head_ready().unwrap_or(0), StallKind::RobFull);
         }
-        if self.replay.is_some() {
+        if self.wedged {
             // A drained ROB waits too: its MSHRs are held by posted writes.
             return (
                 self.head_ready().unwrap_or(Cycle::MAX),

@@ -78,8 +78,9 @@ struct Uncore {
     /// that L2 (eviction, invalidation, ownership migration).
     prefetched: FxHashSet<(usize, u64)>,
     dir: Directory,
-    /// line → in-flight request id.
-    pending_by_line: FxHashMap<u64, u64>,
+    /// Line index (`line >> 6`, below [`Directory::REACH`] like the
+    /// directory's keys) → in-flight request id.
+    pending_by_line: FxHashMap<u32, u64>,
     inflight: FxHashMap<u64, PendingMem>,
     /// Requests not yet accepted by a full controller queue.
     backlog: VecDeque<SubmittedReq>,
@@ -93,6 +94,12 @@ struct Uncore {
 impl Uncore {
     fn line_of(addr: u64) -> u64 {
         addr & !(microbank_core::CACHE_LINE_BYTES - 1)
+    }
+
+    /// The `pending_by_line` key of `line`.
+    fn line_key(line: u64) -> u32 {
+        u32::try_from(line >> microbank_core::CACHE_LINE_BITS)
+            .expect("line lies beyond the directory's reach")
     }
 
     fn cores_of(&self, cluster: usize) -> std::ops::Range<usize> {
@@ -220,7 +227,9 @@ impl Uncore {
             return;
         }
         for pf in self.prefetchers[core].on_miss(line) {
-            if self.l2[cluster].contains(pf) || self.pending_by_line.contains_key(&pf) {
+            if self.l2[cluster].contains(pf)
+                || self.pending_by_line.contains_key(&Self::line_key(pf))
+            {
                 continue;
             }
             let (state, _) = self.dir.state_of(pf);
@@ -239,7 +248,7 @@ impl Uncore {
                     write_intent: false,
                 },
             );
-            self.pending_by_line.insert(pf, id);
+            self.pending_by_line.insert(Self::line_key(pf), id);
             self.prefetched.insert((cluster, pf));
             self.stats.prefetches += 1;
             self.stats.dram_reads += 1;
@@ -315,7 +324,7 @@ impl Uncore {
         }
         self.l2[cluster].misses += 1;
         // Merge into an in-flight fill for the same line+cluster.
-        if let Some(&id) = self.pending_by_line.get(&line) {
+        if let Some(&id) = self.pending_by_line.get(&Self::line_key(line)) {
             let p = self.inflight.get_mut(&id).expect("pending id");
             if p.cluster == cluster {
                 if !is_write {
@@ -386,7 +395,7 @@ impl Uncore {
                         write_intent: is_write,
                     },
                 );
-                self.pending_by_line.insert(line, id);
+                self.pending_by_line.insert(Self::line_key(line), id);
                 let req = SubmittedReq {
                     id,
                     addr: line,
@@ -409,36 +418,42 @@ impl Uncore {
     }
 }
 
+/// A core's scheduling state, kept apart from [`Core`] so the tick loop
+/// reads one 24-byte slot per visited core.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    /// Earliest-progress cycle: while `wake > now` the core can make no
+    /// progress before `wake` — its ROB is full with an unready head, or
+    /// its dispatch is wedged on an MSHR-stalled access — so ticking it
+    /// would only bump the stall counter named by `stall`. Any fill for
+    /// the core (or, for MSHR wedges, any fill to its cluster that frees
+    /// an MSHR) resets it to 0 (see [`CmpSystem::on_fill`]).
+    wake: Cycle,
+    /// First cycle not yet charged to the stall counter. A quiesced core
+    /// costs nothing per cycle: `stall` is charged `now - since` cycles in
+    /// one go when it next ticks (or at [`CmpSystem::settle_stalls`]).
+    since: Cycle,
+    /// Which stall counter the quiesced core accrues per stalled cycle
+    /// (valid while `wake > now`; see [`Core::quiesced_until`]).
+    stall: StallKind,
+}
+
 /// The 64-core CMP with its instruction sources.
 pub struct CmpSystem<S: InstrSource> {
     pub cfg: CmpConfig,
     cores: Vec<Core>,
     sources: Vec<S>,
     uncore: Uncore,
-    /// Per-core earliest-progress cycle: while `core_wake[i] > now`, core
-    /// `i` can make no progress before `core_wake[i]` — its ROB is full
-    /// with an unready head, or its dispatch is wedged on an MSHR-stalled
-    /// replay — so ticking it would only bump the stall counter named by
-    /// `core_stall[i]`. Any fill for the core (or, for MSHR wedges, any
-    /// fill to its cluster that frees an MSHR) resets its entry to 0 (see
-    /// [`CmpSystem::on_fill`]).
-    core_wake: Vec<Cycle>,
-    /// Which stall counter each quiesced core accrues per stalled cycle
-    /// (valid while `core_wake[i] > now`; see [`Core::quiesced_until`]).
-    core_stall: Vec<StallKind>,
+    /// Per-core scheduling state, indexed by core.
+    lanes: Vec<Lane>,
     /// Cores that [`CmpSystem::tick`] runs, one bit per core: exactly the
-    /// cores with `core_wake[i] <= now` at the next tick. Walked in
+    /// cores with `lanes[i].wake <= now` at the next tick. Walked in
     /// ascending core index, the order the full per-core loop used.
     awake: Vec<u64>,
     /// Finite wakes of quiesced cores as a min-heap of `(wake, core)`. An
-    /// entry is stale unless `core_wake[core]` still equals its wake (a
+    /// entry is stale unless `lanes[core].wake` still equals its wake (a
     /// fill woke the core early); stale entries are dropped lazily.
     timed: BinaryHeap<Reverse<(Cycle, usize)>>,
-    /// First cycle not yet charged to core `i`'s stall counter. A quiesced
-    /// core costs nothing per cycle: its `core_stall[i]` counter is charged
-    /// `now - stall_since[i]` cycles in one go when it next ticks (or at
-    /// [`CmpSystem::settle_stalls`]).
-    stall_since: Vec<Cycle>,
 }
 
 impl<S: InstrSource> CmpSystem<S> {
@@ -458,11 +473,16 @@ impl<S: InstrSource> CmpSystem<S> {
             cfg,
             cores,
             sources,
-            core_wake: vec![0; cfg.cores],
-            core_stall: vec![StallKind::RobFull; cfg.cores],
+            lanes: vec![
+                Lane {
+                    wake: 0,
+                    since: 0,
+                    stall: StallKind::RobFull,
+                };
+                cfg.cores
+            ],
             awake,
             timed: BinaryHeap::new(),
-            stall_since: vec![0; cfg.cores],
             uncore: Uncore {
                 cfg,
                 l1: (0..cfg.cores)
@@ -507,7 +527,7 @@ impl<S: InstrSource> CmpSystem<S> {
                 break;
             }
             self.timed.pop();
-            if self.core_wake[i] == wake {
+            if self.lanes[i].wake == wake {
                 self.awake[i / 64] |= 1 << (i % 64);
             }
         }
@@ -520,16 +540,21 @@ impl<S: InstrSource> CmpSystem<S> {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let core = &mut self.cores[i];
-                core.account_stall_cycles(self.core_stall[i], now - self.stall_since[i]);
+                let lane = &mut self.lanes[i];
+                if now > lane.since {
+                    core.account_stall_cycles(lane.stall, now - lane.since);
+                }
                 core.commit(now);
                 let src = &mut self.sources[i];
                 core.dispatch(now, src, |addr, w, seq| {
                     uncore.mem_access(i, addr, w, seq, now, port)
                 });
                 let (wake, stall) = core.quiesced_until();
-                self.core_wake[i] = wake;
-                self.core_stall[i] = stall;
-                self.stall_since[i] = now + 1;
+                *lane = Lane {
+                    wake,
+                    since: now + 1,
+                    stall,
+                };
                 if wake > now + 1 {
                     self.awake[w] &= !(1 << (i % 64));
                     if wake != Cycle::MAX {
@@ -540,7 +565,7 @@ impl<S: InstrSource> CmpSystem<S> {
         }
         // Drop stale heads so `core_horizon` reads a live wake.
         while let Some(&Reverse((wake, i))) = self.timed.peek() {
-            if self.core_wake[i] == wake {
+            if self.lanes[i].wake == wake {
                 break;
             }
             self.timed.pop();
@@ -586,10 +611,10 @@ impl<S: InstrSource> CmpSystem<S> {
     /// `end - 1`. Call at the end of a run (with the run's cycle count)
     /// before reading stall counters from [`CmpSystem::core`].
     pub fn settle_stalls(&mut self, end: Cycle) {
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            if end > self.stall_since[i] {
-                core.account_stall_cycles(self.core_stall[i], end - self.stall_since[i]);
-                self.stall_since[i] = end;
+        for (core, lane) in self.cores.iter_mut().zip(&mut self.lanes) {
+            if end > lane.since {
+                core.account_stall_cycles(lane.stall, end - lane.since);
+                lane.since = end;
             }
         }
     }
@@ -600,7 +625,9 @@ impl<S: InstrSource> CmpSystem<S> {
         let Some(p) = self.uncore.inflight.remove(&id) else {
             return;
         };
-        self.uncore.pending_by_line.remove(&p.line);
+        self.uncore
+            .pending_by_line
+            .remove(&Uncore::line_key(p.line));
         if let Some(v) = self.uncore.l2[p.cluster].fill(p.line, p.write_intent) {
             self.uncore
                 .handle_l2_victim(p.cluster, v.addr, v.dirty, 0, now, port);
@@ -624,7 +651,7 @@ impl<S: InstrSource> CmpSystem<S> {
         // be re-evaluated at the next tick.
         for core in self.uncore.cores_of(p.cluster) {
             if self.uncore.mshr[core].complete(p.line).is_some()
-                && self.core_stall[core] == StallKind::MshrReplay
+                && self.lanes[core].stall == StallKind::MshrReplay
             {
                 self.wake_core(core);
             }
@@ -634,7 +661,7 @@ impl<S: InstrSource> CmpSystem<S> {
     /// Make `core` tick at the next [`CmpSystem::tick`], which
     /// re-evaluates its stall.
     fn wake_core(&mut self, core: usize) {
-        self.core_wake[core] = 0;
+        self.lanes[core].wake = 0;
         self.awake[core / 64] |= 1 << (core % 64);
     }
 
@@ -905,7 +932,7 @@ mod tests {
         for &(cluster, line) in &u.prefetched {
             let inflight = u
                 .pending_by_line
-                .get(&line)
+                .get(&Uncore::line_key(line))
                 .is_some_and(|id| u.inflight[id].cluster == cluster);
             assert!(
                 inflight || u.l2[cluster].contains(line),

@@ -1106,6 +1106,9 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
 
     tracer.enter("warmup");
     let mut now: Cycle = 0;
+    // The first controller slot at or after `now` (slots are the multiples
+    // of `ctrl_stride`), carried so a ticked cycle needs no division.
+    let mut next_slot: Cycle = 0;
     while now < total {
         if let Some(token) = cancel {
             if now >= cancel_check_at {
@@ -1148,7 +1151,8 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
         // Controllers issue commands on their slot cadence. A controller
         // that proved itself idle sleeps until its wake cycle (or until an
         // enqueue resets it — see `TrackingRouter::submit`).
-        if now.is_multiple_of(cfg.ctrl_stride) {
+        if now == next_slot {
+            next_slot += cfg.ctrl_stride;
             let t0 = fine.then(std::time::Instant::now);
             for (i, c) in ctrls.iter_mut().enumerate() {
                 if ctrl_wake[i] > now {
@@ -1316,6 +1320,11 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
                     for s in &mut ctrl_skipped {
                         *s += slots;
                     }
+                }
+                if h > next_slot {
+                    next_slot = h
+                        .checked_next_multiple_of(cfg.ctrl_stride)
+                        .unwrap_or(Cycle::MAX);
                 }
             }
             h.max(next)

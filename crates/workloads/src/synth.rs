@@ -10,7 +10,7 @@
 
 use crate::profile::AppProfile;
 use microbank_core::request::TenantId;
-use microbank_cpu::instr::{Instr, InstrSource};
+use microbank_cpu::instr::{Block, Instr, InstrSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -147,6 +147,24 @@ impl SynthSource {
     fn shared_access(&mut self) -> u64 {
         self.shared_base + aligned(&mut self.rng, self.shared_size.max(LINE))
     }
+
+    /// The memory instruction the accumulator just crossed 1.0 for, as
+    /// `(addr, is_write)`; consumes the crossing.
+    fn mem_instr(&mut self) -> (u64, bool) {
+        self.acc -= 1.0;
+        let r: f64 = self.rng.gen();
+        let p = self.profile;
+        if r < p.hot_fraction {
+            let addr = self.hot_access();
+            (addr, self.rng.gen::<f64>() < p.write_fraction)
+        } else if r < p.hot_fraction + p.shared_fraction && self.shared_size >= LINE {
+            let addr = self.shared_access();
+            (addr, self.rng.gen::<f64>() < p.shared_write_fraction)
+        } else {
+            let addr = self.cold_access();
+            (addr, self.rng.gen::<f64>() < p.write_fraction)
+        }
+    }
 }
 
 fn aligned(rng: &mut StdRng, span: u64) -> u64 {
@@ -164,22 +182,27 @@ impl InstrSource for SynthSource {
         if self.acc < 1.0 {
             return Instr::Compute;
         }
-        self.acc -= 1.0;
-        let r: f64 = self.rng.gen();
-        let p = self.profile;
-        if r < p.hot_fraction {
-            let addr = self.hot_access();
-            let is_write = self.rng.gen::<f64>() < p.write_fraction;
-            Instr::Mem { addr, is_write }
-        } else if r < p.hot_fraction + p.shared_fraction && self.shared_size >= LINE {
-            let addr = self.shared_access();
-            let is_write = self.rng.gen::<f64>() < p.shared_write_fraction;
-            Instr::Mem { addr, is_write }
-        } else {
-            let addr = self.cold_access();
-            let is_write = self.rng.gen::<f64>() < p.write_fraction;
-            Instr::Mem { addr, is_write }
+        let (addr, is_write) = self.mem_instr();
+        Instr::Mem { addr, is_write }
+    }
+
+    /// The same `acc += mem_fraction` steps as [`SynthSource::next_instr`],
+    /// in one loop with no per-instruction return.
+    fn next_block(&mut self, max_gap: u32) -> Block {
+        let f = self.profile.mem_fraction;
+        let mut gap = 0;
+        while gap < max_gap {
+            self.acc += f;
+            if self.acc < 1.0 {
+                gap += 1;
+            } else {
+                return Block {
+                    gap,
+                    mem: Some(self.mem_instr()),
+                };
+            }
         }
+        Block { gap, mem: None }
     }
 }
 
