@@ -582,9 +582,8 @@ impl<S: InstrSource> CmpSystem<S> {
     /// re-asking. The submit backlog is ignored: a caller that jumps past
     /// cycles with a non-empty backlog must prove each skipped cycle's head
     /// retry fails — the head targets a full controller queue and that
-    /// controller does not tick inside the jump — and replay the failed
-    /// attempts (`MemoryController::account_rejected` in
-    /// `microbank-ctrl`).
+    /// controller does not tick inside the jump. A failed retry changes
+    /// no state, so there is nothing to replay.
     pub fn core_horizon(&self, now: Cycle) -> Cycle {
         if self.awake.iter().any(|&w| w != 0) {
             return now + 1;

@@ -52,8 +52,6 @@ pub struct Completion {
 pub struct CtrlStats {
     pub served_reads: u64,
     pub served_writes: u64,
-    /// Enqueue attempts rejected because the queue was full.
-    pub rejected: u64,
     /// Sum of queue occupancy over tick calls (for the §V queue-occupancy
     /// argument: μbanks drain queues, starving conventional policies).
     pub occupancy_acc: u64,
@@ -118,6 +116,9 @@ pub struct MemoryController {
     completions: Vec<Completion>,
     scratch: Vec<Candidate>,
     pub stats: CtrlStats,
+    /// First cycle at which `tick` acts: set by `sleep_until`, reset to
+    /// the arrival cycle by every accepted `enqueue`.
+    wake: Cycle,
     /// This controller's channel index, stamped into trace records.
     channel_id: u16,
     /// Bounded command trace; `None` (the default) costs one branch per
@@ -168,6 +169,7 @@ impl MemoryController {
             completions: Vec::new(),
             scratch: Vec::new(),
             stats: CtrlStats::default(),
+            wake: 0,
             channel_id: 0,
             trace: None,
             faults: None,
@@ -242,12 +244,13 @@ impl MemoryController {
     }
 
     /// Try to accept a request whose `loc` is already decoded for this
-    /// channel. Returns `false` if the queue is full.
+    /// channel. Returns `false` if the queue is full. An accepted request
+    /// wakes the controller: the arrival voids any `sleep_until` horizon.
     pub fn enqueue(&mut self, mut req: MemRequest, now: Cycle) -> bool {
         if self.queue.is_full() {
-            self.stats.rejected += 1;
             return false;
         }
+        self.wake = now;
         req.arrival = now;
         // Graceful degradation: steer the request around retired
         // μbanks/rows before anything keys off its coordinates. Remapping
@@ -301,10 +304,15 @@ impl MemoryController {
         out.append(&mut self.completions);
     }
 
-    /// Advance the controller at `now`, issuing at most one DRAM command.
-    pub fn tick(&mut self, now: Cycle) {
+    /// Advance the controller at `now`, issuing at most one DRAM command,
+    /// and return whether it ran. Every call charges the slot to the
+    /// occupancy stats; before the `sleep_until` wake that is all it does.
+    pub fn tick(&mut self, now: Cycle) -> bool {
         self.stats.tick_calls += 1;
         self.stats.occupancy_acc += self.queue.len() as u64;
+        if now < self.wake {
+            return false;
+        }
 
         // Rank power management (no-op unless configured).
         if let Some(idle) = self.cfg.powerdown_idle {
@@ -325,15 +333,28 @@ impl MemoryController {
         }
 
         if self.service_refresh(now) {
-            return;
+            return true;
         }
         if self.service_queue(now) {
-            return;
+            return true;
         }
         if self.service_scrub(now) {
-            return;
+            return true;
         }
         self.service_policy_precharges(now);
+        true
+    }
+
+    /// Sleep until `wake`, a [`MemoryController::next_event`] horizon:
+    /// ticks before it only charge their slot. An accepted `enqueue`
+    /// wakes the controller early.
+    pub fn sleep_until(&mut self, wake: Cycle) {
+        self.wake = wake;
+    }
+
+    /// First cycle at which `tick` acts.
+    pub fn wake(&self) -> Cycle {
+        self.wake
     }
 
     /// Precharge every open μbank of `rank` with one PREA, clearing any
@@ -677,13 +698,14 @@ impl MemoryController {
     /// Earliest future cycle at which a [`MemoryController::tick`] could
     /// do anything beyond per-tick stats accounting, with the controller's
     /// state frozen as it stands. `Some(t)` guarantees every tick strictly
-    /// before `t` is a stats-only no-op (replayable in bulk via
-    /// [`MemoryController::account_skipped_ticks`]); `Some(Cycle::MAX)`
+    /// before `t` is a stats-only no-op, so the caller may pass it to
+    /// [`MemoryController::sleep_until`], and a time skip may jump slots
+    /// before it and charge them through
+    /// [`MemoryController::account_skipped_ticks`]; `Some(Cycle::MAX)`
     /// means nothing is pending at all. `None` means the controller might
-    /// act at the very next tick, so callers must fall back to per-cycle
-    /// ticking. An `enqueue` invalidates any previously returned horizon —
-    /// callers must re-tick (the drive loops reset their wake entries on
-    /// every accepted submit).
+    /// act at the very next tick, so it must stay awake. An `enqueue`
+    /// invalidates any previously returned horizon, which is why an
+    /// accepted enqueue wakes the controller.
     ///
     /// This generalizes the old all-or-nothing `idle_until`: a *busy*
     /// controller also sleeps, because every `can_*` predicate in the
@@ -768,9 +790,9 @@ impl MemoryController {
         }
         // Demand queue: earliest legal cycle of each request's next
         // command. Queue content and open rows are frozen for the whole
-        // skip stretch (an enqueue resets the caller's wake; removals and
-        // row changes require ticks), so the cached commands cannot change
-        // mid-stretch.
+        // skip stretch (an accepted enqueue wakes the controller; removals
+        // and row changes require ticks), so the cached commands cannot
+        // change mid-stretch.
         let floors = self.channel.floors();
         let (entries, _, cmds) = self.queue.split_next_cmds();
         for (r, n) in entries.iter().zip(cmds) {
@@ -795,26 +817,21 @@ impl MemoryController {
         Some(next)
     }
 
-    /// Account `n` tick calls skipped under a [`MemoryController::next_event`]
-    /// horizon: identical stat effect to `n` real no-op `tick` calls at the
-    /// controller's *current* queue depth (exact, because the queue cannot
-    /// change during a skip stretch — callers flush pending skips before
-    /// every `tick` and before every `enqueue`).
+    /// Charge `n` slots that a time skip jumped past: the same stat effect
+    /// as `n` sleeping `tick` calls at the current queue depth. Exact when
+    /// the caller charges at the jump itself, because no tick and no
+    /// enqueue lands inside a jump, so the depth holds for all `n` slots.
     pub fn account_skipped_ticks(&mut self, n: u64) {
         let qlen = self.queue.len() as u64;
         self.stats.tick_calls += n;
         self.stats.occupancy_acc += qlen * n;
     }
 
-    /// Account `n` enqueue attempts that were rejected while the queue
-    /// was provably full across a skip stretch: the event-driven drive
-    /// jumps over cycles whose only CPU-side action is one failed backlog
-    /// retry against this controller (the queue cannot free a slot
-    /// without a tick, and no tick lands inside the jump), and replays
-    /// the per-attempt reject count here in bulk.
+    /// Kept for callers that predate the removal of the reject counter,
+    /// which nothing reported; does nothing.
+    #[doc(hidden)]
     pub fn account_rejected(&mut self, n: u64) {
-        debug_assert!(self.queue.is_full(), "bulk rejects on a non-full queue");
-        self.stats.rejected += n;
+        let _ = n;
     }
 
     /// Recount the incrementally-maintained scheduling state from the
@@ -1251,7 +1268,7 @@ mod tests {
         assert!(c.enqueue(mkreq(&c, 1, 0, ReqKind::Read, 0), 0));
         assert!(c.enqueue(mkreq(&c, 2, 64, ReqKind::Read, 0), 0));
         assert!(!c.enqueue(mkreq(&c, 3, 128, ReqKind::Read, 0), 0));
-        assert_eq!(c.stats.rejected, 1);
+        assert_eq!(c.queue_len(), 2);
     }
 
     #[test]
@@ -1429,6 +1446,40 @@ mod tests {
         }
         assert!(c.stats.mean_queue_occupancy() > 0.0);
         assert_eq!(c.stats.tick_calls, 100);
+    }
+
+    #[test]
+    fn sleeping_tick_charges_its_slot_and_issues_nothing() {
+        let cf = cfg(1, 1);
+        let mut c = ctrl(&cf, PolicyKind::Open);
+        assert!(c.enqueue(mkreq(&c, 1, 0, ReqKind::Read, 0), 0));
+        assert!(c.enqueue(mkreq(&c, 2, 64, ReqKind::Read, 0), 0));
+        c.sleep_until(50);
+        assert_eq!(c.wake(), 50);
+        let dram = c.channel.stats;
+        for now in 0..50 {
+            assert!(!c.tick(now), "tick at {now} ran before the wake");
+        }
+        assert_eq!(c.stats.tick_calls, 50);
+        assert_eq!(c.stats.occupancy_acc, 2 * 50);
+        assert_eq!(c.channel.stats, dram, "no command issued");
+        assert_eq!(c.queue_len(), 2);
+        assert!(c.tick(50));
+        assert_eq!(c.channel.stats.activates, 1, "the wake slot acts");
+        assert_eq!(c.stats.occupancy_acc, 2 * 51);
+    }
+
+    #[test]
+    fn accepted_enqueue_wakes_and_rejected_one_does_not() {
+        let cf = cfg(1, 1).with_queue_size(1);
+        let mut c = ctrl(&cf, PolicyKind::Open);
+        c.sleep_until(Cycle::MAX);
+        assert!(c.enqueue(mkreq(&c, 1, 0, ReqKind::Read, 0), 7));
+        assert_eq!(c.wake(), 7);
+        c.sleep_until(100);
+        assert!(!c.enqueue(mkreq(&c, 2, 64, ReqKind::Read, 0), 8));
+        assert_eq!(c.wake(), 100, "a rejected enqueue leaves the sleep");
+        assert!(!c.tick(8));
     }
 
     /// Regression: retiring a μbank while its close deadline is armed must

@@ -34,14 +34,13 @@ fn mkreq(c: &MemoryController, id: u64, addr: u64, kind: ReqKind, thread: u16) -
 
 /// Everything a skipped tick must leave untouched. Deliberately excludes
 /// the per-tick bookkeeping (`tick_calls`, occupancy accumulators) that
-/// `account_skipped_ticks` replays in bulk.
+/// a sleeping tick still charges.
 #[derive(Debug, Clone, PartialEq)]
 struct Observable {
     dram: DramStats,
     queue_len: usize,
     served_reads: u64,
     served_writes: u64,
-    rejected: u64,
     speculative_decisions: u64,
 }
 
@@ -51,7 +50,6 @@ fn observe(c: &MemoryController) -> Observable {
         queue_len: c.queue_len(),
         served_reads: c.stats.served_reads,
         served_writes: c.stats.served_writes,
-        rejected: c.stats.rejected,
         speculative_decisions: c.stats.speculative_decisions,
     }
 }
@@ -77,10 +75,10 @@ fn drive_reference(
     done
 }
 
-/// Skip drive: the same wake/flush protocol `drive_sequential` uses —
-/// wake from `next_event` (falling back to `now + 1` when it declines),
-/// reset to `now` on every accepted enqueue, pending skips flushed
-/// through `account_skipped_ticks` before every tick and every enqueue.
+/// Skip drive: the protocol `drive_sequential` uses — tick every cycle,
+/// and after a tick that ran, sleep until the `next_event` horizon (a
+/// declined horizon leaves the controller awake). An accepted enqueue
+/// wakes the controller by itself.
 fn drive_skip(
     c: &mut MemoryController,
     arrivals: &[(Cycle, MemRequest)],
@@ -88,27 +86,19 @@ fn drive_skip(
 ) -> Vec<Completion> {
     let mut done = Vec::new();
     let mut next_arrival = 0;
-    let mut wake: Cycle = 0;
-    let mut skipped: u64 = 0;
     for now in 0..limit {
         while next_arrival < arrivals.len() && arrivals[next_arrival].0 <= now {
-            let r = arrivals[next_arrival].1;
-            c.account_skipped_ticks(std::mem::take(&mut skipped));
-            if c.enqueue(r, now) {
-                wake = now;
-            }
+            c.enqueue(arrivals[next_arrival].1, now);
             next_arrival += 1;
         }
-        if wake > now {
-            skipped += 1;
+        if !c.tick(now) {
             continue;
         }
-        c.account_skipped_ticks(std::mem::take(&mut skipped));
-        c.tick(now);
         c.take_completions(&mut done);
-        wake = c.next_event(now).unwrap_or(now + 1);
+        if let Some(wake) = c.next_event(now) {
+            c.sleep_until(wake);
+        }
     }
-    c.account_skipped_ticks(skipped);
     done
 }
 
@@ -131,11 +121,11 @@ fn assert_drives_agree(
     assert_eq!(observe(&a), observe(&b), "{tag}: controller state diverged");
     assert_eq!(
         a.stats.tick_calls, b.stats.tick_calls,
-        "{tag}: skipped ticks not replayed into tick_calls"
+        "{tag}: sleeping ticks not charged to tick_calls"
     );
     assert_eq!(
         a.stats.occupancy_acc, b.stats.occupancy_acc,
-        "{tag}: skipped ticks not replayed into occupancy"
+        "{tag}: sleeping ticks not charged to occupancy"
     );
     assert!(
         !ra.is_empty(),
@@ -145,9 +135,10 @@ fn assert_drives_agree(
 
 /// Satellite regression: the old drive loops collapsed a declined horizon
 /// to the sentinel wake value `0`, conflating "tick immediately" with a
-/// legitimate cycle-0 wake. The explicit protocol (wake = `next_event`
-/// or `now + 1`; reset to `now` on enqueue) must tick a controller whose
-/// wake is 0 or 1 at exactly those cycles: a request enqueued at cycle 0
+/// legitimate cycle-0 wake. The controller-owned wake (set from
+/// `next_event`, left awake when it declines, reset to `now` on enqueue)
+/// must run a controller whose wake is 0 or 1 at exactly those cycles: a
+/// request enqueued at cycle 0
 /// activates on cycle 0, same as the per-cycle reference.
 #[test]
 fn controller_waking_at_cycle_zero_and_one_is_ticked() {
@@ -163,7 +154,10 @@ fn controller_waking_at_cycle_zero_and_one_is_ticked() {
     let mut probe = mk();
     probe.account_skipped_ticks(0);
     assert!(probe.enqueue(arrivals[0].1, 0));
-    probe.tick(0);
+    assert!(
+        probe.tick(0),
+        "an enqueue at cycle 0 wakes the cycle-0 tick"
+    );
     assert_eq!(
         probe.channel.stats.activates, 1,
         "cycle-0 request must activate on the cycle-0 tick"

@@ -1086,16 +1086,10 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
     let mut dram_at_warmup = DramStats::default();
     let mut heat_at_warmup: Vec<HeatCounters> = Vec::new();
 
-    // Event-skip state: `ctrl_wake[i]` is the first cycle at which
-    // controller `i`'s tick could do anything beyond stats accounting
-    // (its `next_event` horizon; an accepted enqueue resets it to the
-    // arrival cycle). Skipped stride slots accumulate in `ctrl_skipped`
-    // and are flushed — at the then-current queue depth — before every
-    // tick, before every enqueue, and at loop end, which makes the bulk
-    // accounting bit-identical to per-cycle ticking (DESIGN §5f).
+    // Event-driven time skip (DESIGN §5f): after a tick that ran, each
+    // controller sleeps until its `next_event` horizon, and the jump below
+    // passes cycles in which nothing can act.
     let skip = cfg.effective_time_skip();
-    let mut ctrl_wake: Vec<Cycle> = vec![0; ctrls.len()];
-    let mut ctrl_skipped: Vec<u64> = vec![0; ctrls.len()];
 
     // Cooperative cancellation: poll the token on a coarse simulated-cycle
     // cadence (epoch-boundary scale, not per tick). Abandoning the loop
@@ -1148,31 +1142,22 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
             dram_at_warmup = d;
             tenant_cols_at_warmup = merged_tenant_cols(&ctrls);
         }
-        // Controllers issue commands on their slot cadence. A controller
-        // that proved itself idle sleeps until its wake cycle (or until an
-        // enqueue resets it — see `TrackingRouter::submit`).
+        // Controllers issue commands on their slot cadence; a sleeping
+        // controller's tick only charges its slot.
         if now == next_slot {
             next_slot += cfg.ctrl_stride;
             let t0 = fine.then(std::time::Instant::now);
-            for (i, c) in ctrls.iter_mut().enumerate() {
-                if ctrl_wake[i] > now {
-                    ctrl_skipped[i] += 1;
+            for c in &mut ctrls {
+                if !c.tick(now) {
                     continue;
                 }
-                let pending = std::mem::take(&mut ctrl_skipped[i]);
-                if pending > 0 {
-                    c.account_skipped_ticks(pending);
-                }
-                c.tick(now);
                 c.take_completions(&mut completions);
-                // `None` ("might act next tick") maps to `now + 1`, a real
-                // wake cycle — never a sentinel a legitimate wake value
-                // could alias.
-                ctrl_wake[i] = if skip {
-                    c.next_event(now).unwrap_or(now + 1)
-                } else {
-                    now + 1
-                };
+                // `None` ("might act next tick") leaves it awake.
+                if skip {
+                    if let Some(wake) = c.next_event(now) {
+                        c.sleep_until(wake);
+                    }
+                }
             }
             for comp in completions.drain(..).filter(|c| !c.is_write) {
                 if now >= cfg.warmup_cycles {
@@ -1200,20 +1185,10 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
                 break;
             }
             deliveries.pop();
-            let mut router = TrackingRouter {
-                ctrls: &mut ctrls,
-                ctrl_wake: &mut ctrl_wake,
-                ctrl_skipped: &mut ctrl_skipped,
-            };
-            cmp.on_fill(id, now, &mut router);
+            cmp.on_fill(id, now, &mut ChannelRouter { ctrls: &mut ctrls });
         }
         // Advance the cores.
-        let mut router = TrackingRouter {
-            ctrls: &mut ctrls,
-            ctrl_wake: &mut ctrl_wake,
-            ctrl_skipped: &mut ctrl_skipped,
-        };
-        cmp.tick(now, &mut router);
+        cmp.tick(now, &mut ChannelRouter { ctrls: &mut ctrls });
 
         // Close the epoch ending with this cycle.
         if epoch_cycles > 0 && (now + 1).is_multiple_of(epoch_cycles) {
@@ -1264,9 +1239,10 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
         // component can act. Every cycle strictly inside the jump is
         // provably quiet — the CPU horizon covers all cores and the
         // backlog, the delivery heap's top bounds fill arrivals, and each
-        // skipped controller slot lands strictly before its owner's wake —
-        // so replaying them is pure bulk stats accounting (the cores charge
-        // their stalled cycles themselves when they next tick).
+        // jumped controller slot lands strictly before its owner's wake —
+        // so the controllers are charged the jumped slots here, at the
+        // queue depth that holds throughout (the cores charge their stalled
+        // cycles themselves when they next tick).
         let next = now + 1;
         now = if !skip || next >= total {
             next
@@ -1276,16 +1252,12 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
             // head is retried each cycle, and against a *full* queue every
             // retry inside the jump provably fails (freeing a slot takes a
             // tick, and the wake fold below lands the jump no later than
-            // that controller's next executed slot). Replay the failed
-            // attempts in bulk; a head facing a non-full queue succeeds on
-            // the very next cycle, so no jump.
-            let mut backlog_ch = usize::MAX;
+            // that controller's next executed slot). A head facing a
+            // non-full queue succeeds on the very next cycle, so no jump.
             if h > next {
                 if let Some(addr) = cmp.backlog_head_addr() {
                     let ch = ctrls[0].map().decode(addr).channel as usize;
-                    if ctrls[ch].free_slots() == 0 {
-                        backlog_ch = ch;
-                    } else {
+                    if ctrls[ch].free_slots() > 0 {
                         h = next;
                     }
                 }
@@ -1294,8 +1266,9 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
                 if let Some(&Reverse((at, _))) = deliveries.peek() {
                     h = h.min(at.max(next));
                 }
-                for &w in &ctrl_wake {
-                    let slot = w
+                for c in &ctrls {
+                    let slot = c
+                        .wake()
                         .max(next)
                         .checked_next_multiple_of(cfg.ctrl_stride)
                         .unwrap_or(Cycle::MAX);
@@ -1312,13 +1285,10 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
                 h = h.min(total);
             }
             if h > next {
-                if backlog_ch != usize::MAX {
-                    ctrls[backlog_ch].account_rejected(h - next);
-                }
                 let slots = (h - 1) / cfg.ctrl_stride - (next - 1) / cfg.ctrl_stride;
                 if slots > 0 {
-                    for s in &mut ctrl_skipped {
-                        *s += slots;
+                    for c in &mut ctrls {
+                        c.account_skipped_ticks(slots);
                     }
                 }
                 if h > next_slot {
@@ -1340,12 +1310,6 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
         tracer.add_ns("cpu-and-noc", drive_ns.saturating_sub(ctrl_ns), 1);
     }
 
-    // Fold any remaining skipped slots back into controller stats so
-    // occupancy accounting is identical to per-cycle ticking (the queue
-    // cannot have changed since the last flush point).
-    for (c, &n) in ctrls.iter_mut().zip(&ctrl_skipped) {
-        c.account_skipped_ticks(n);
-    }
     cmp.settle_stalls(total);
 
     Ok(DriveOutput {
@@ -1392,26 +1356,15 @@ pub fn golden_fingerprint(r: &SimResult) -> [u64; 13] {
     ]
 }
 
-/// Router that wakes event-skipped controllers on arrival. Read latency
+/// Routes each submission to its channel's controller. Read latency
 /// needs nothing from it: each completion carries its enqueue cycle.
-struct TrackingRouter<'a> {
+struct ChannelRouter<'a> {
     ctrls: &'a mut [MemoryController],
-    ctrl_wake: &'a mut [Cycle],
-    ctrl_skipped: &'a mut [u64],
 }
 
-impl MemPort for TrackingRouter<'_> {
+impl MemPort for ChannelRouter<'_> {
     fn submit(&mut self, req: SubmittedReq, now: Cycle) -> bool {
         let loc = self.ctrls[0].map().decode(req.addr);
-        let ch = loc.channel as usize;
-        let ctrl = &mut self.ctrls[ch];
-        // Flush skipped-slot accounting at the pre-enqueue queue depth:
-        // every slot skipped so far saw the queue as it stands right now,
-        // and the enqueue below is about to change it.
-        let pending = std::mem::take(&mut self.ctrl_skipped[ch]);
-        if pending > 0 {
-            ctrl.account_skipped_ticks(pending);
-        }
         let kind = if req.is_write {
             ReqKind::Write
         } else {
@@ -1420,13 +1373,7 @@ impl MemPort for TrackingRouter<'_> {
         let mut r = MemRequest::new(req.id, req.addr, kind, req.thread, now);
         r.loc = loc;
         r.tenant = req.tenant;
-        let ok = ctrl.enqueue(r, now);
-        if ok {
-            // The arrival invalidates any previously proven horizon; the
-            // wake value is the arrival cycle itself, never a sentinel.
-            self.ctrl_wake[ch] = now;
-        }
-        ok
+        self.ctrls[loc.channel as usize].enqueue(r, now)
     }
 }
 
