@@ -85,6 +85,9 @@ pub struct AddressMap {
     /// Permutation-based interleaving: XOR the bank field with low row
     /// bits (self-inverse, so encode/decode stay bijective).
     xor_hash: bool,
+    /// Position and mask of the controller field, for [`AddressMap::channel_of`].
+    ctrl_shift: u32,
+    ctrl_mask: u64,
 }
 
 impl AddressMap {
@@ -100,15 +103,18 @@ impl AddressMap {
             .interleave_base
             .clamp(CACHE_LINE_BITS, CACHE_LINE_BITS + col_bits);
         let col_lo_bits = ib - CACHE_LINE_BITS;
+        let (w_bits, b_bits) = (cfg.ubank.log2_nw(), cfg.ubank.log2_nb());
+        let bank_bits = (cfg.banks_per_rank as u32).trailing_zeros();
+        let ctrl_bits = (cfg.channels as u32).trailing_zeros();
         AddressMap {
             col_bits,
             col_lo_bits,
             col_hi_bits: col_bits - col_lo_bits,
-            w_bits: cfg.ubank.log2_nw(),
-            b_bits: cfg.ubank.log2_nb(),
-            bank_bits: (cfg.banks_per_rank as u32).trailing_zeros(),
+            w_bits,
+            b_bits,
+            bank_bits,
             rank_bits: (cfg.ranks_per_channel as u32).trailing_zeros(),
-            ctrl_bits: (cfg.channels as u32).trailing_zeros(),
+            ctrl_bits,
             row_bits,
             interleave_base: ib,
             n_w: cfg.ubank.n_w,
@@ -116,6 +122,8 @@ impl AddressMap {
             banks_per_rank: cfg.banks_per_rank,
             ubanks_per_channel: cfg.ubanks_per_channel(),
             xor_hash: cfg.bank_xor_hash,
+            ctrl_shift: CACHE_LINE_BITS + col_lo_bits + w_bits + b_bits + bank_bits,
+            ctrl_mask: (1u64 << ctrl_bits) - 1,
         }
     }
 
@@ -168,6 +176,14 @@ impl AddressMap {
             row: row as u32,
             col: ((col_hi << self.col_lo_bits) | col_lo) as u16,
         }
+    }
+
+    /// The channel field of [`AddressMap::decode`] alone: one shift and
+    /// mask, for routing a request (or rejecting it against a full queue)
+    /// before decoding the rest. The XOR hash touches only the bank field.
+    #[inline]
+    pub fn channel_of(&self, addr: u64) -> u16 {
+        ((addr >> self.ctrl_shift) & self.ctrl_mask) as u16
     }
 
     /// Re-encode DRAM coordinates into the canonical physical address.
@@ -379,6 +395,22 @@ mod tests {
             let loc = m.decode(masked);
             prop_assert!(m.location_in_range(&loc));
             prop_assert_eq!(m.encode(&loc), masked);
+        }
+
+        #[test]
+        fn channel_of_is_the_decoded_channel(
+            addr in any::<u64>(),
+            channels in prop::sample::select(vec![1usize, 2, 4, 8, 16, 32]),
+            nw in prop::sample::select(vec![1usize, 2, 4, 16]),
+            nb in prop::sample::select(vec![1usize, 2, 4, 16]),
+            ib in 0u32..=20,
+            xor in any::<bool>(),
+        ) {
+            let c = cfg(nw, nb, ib)
+                .with_channels(channels)
+                .with_bank_xor_hash(xor);
+            let m = AddressMap::new(&c);
+            prop_assert_eq!(m.channel_of(addr), m.decode(addr).channel);
         }
 
         #[test]

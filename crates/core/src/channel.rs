@@ -8,6 +8,7 @@
 //! sharing the paper describes for conventional multi-bank devices (§II).
 
 use crate::bank::MicrobankState;
+use crate::bits;
 use crate::config::MemConfig;
 use crate::stats::DramStats;
 use crate::timing::Timings;
@@ -122,10 +123,11 @@ pub struct Channel {
     /// [`CmdClass`]. Recomputed by every command (they all move the
     /// command bus) and by power-down transitions.
     floors: Vec<[Cycle; 4]>,
-    /// Per physical bank: bumped by every change to the bank's μbank or
-    /// global-bitline state, and by a row-hit arrival. A value derived
-    /// from one bank's state stays exact while its epoch is unchanged.
-    bank_epoch: Vec<u64>,
+    /// Bitset over physical banks: set by every change to a bank's μbank
+    /// or global-bitline state, and by a row-hit arrival, since the last
+    /// [`Channel::clear_touched`]. A value derived from one bank's state
+    /// stays exact while the bank's bit stays clear.
+    touched: Vec<u64>,
     pub stats: DramStats,
     /// Per-μbank heat counters; `None` (the default) costs one branch per
     /// hook site.
@@ -158,7 +160,7 @@ impl Channel {
             gbl_owner: vec![NO_GBL_OWNER; physical_banks],
             gbl_busy_until: vec![0; physical_banks],
             floors: vec![[0; 4]; cfg.ranks_per_channel],
-            bank_epoch: vec![0; physical_banks],
+            touched: vec![0; bits::words(physical_banks)],
             stats: DramStats::default(),
             telemetry: None,
         };
@@ -205,22 +207,29 @@ impl Channel {
         flat / self.ubanks_per_bank
     }
 
-    /// Per physical bank (see [`Channel::bank_of`]), the state epoch: it
-    /// changes whenever anything an `act_blocker`, `local_*` or row-hit
-    /// lookup of one of the bank's μbanks reads may have changed.
-    pub fn bank_epochs(&self) -> &[u64] {
-        &self.bank_epoch
+    /// Physical banks (see [`Channel::bank_of`]) touched since the last
+    /// [`Channel::clear_touched`], as a bitset: a bank's bit is set
+    /// whenever anything an `act_blocker`, `local_*` or row-hit lookup of
+    /// one of its μbanks reads may have changed.
+    pub fn touched_banks(&self) -> &[u64] {
+        &self.touched
+    }
+
+    /// Forget every touch: the caller has re-derived what it cached from
+    /// the touched banks.
+    pub fn clear_touched(&mut self) {
+        self.touched.fill(0);
     }
 
     fn touch_bank(&mut self, flat: usize) {
         let bank = self.bank_of(flat);
-        self.bank_epoch[bank] += 1;
+        bits::set(&mut self.touched, bank);
     }
 
     fn touch_rank(&mut self, rank: usize) {
         let per_rank = self.banks_per_rank;
-        for e in &mut self.bank_epoch[rank * per_rank..(rank + 1) * per_rank] {
-            *e += 1;
+        for bank in rank * per_rank..(rank + 1) * per_rank {
+            bits::set(&mut self.touched, bank);
         }
     }
 
@@ -370,9 +379,9 @@ impl Channel {
     /// Classify (and count) the row-buffer outcome of a request arriving
     /// for `row` in μbank `flat`. Updates both the channel's aggregate
     /// stats and, when telemetry is attached, the per-μbank heat counters
-    /// — one call site for both so they can never diverge. A hit bumps the
-    /// bank's epoch: it raises the open row's demand, which can turn
-    /// another queued request's conflict precharge into a wait.
+    /// — one call site for both so they can never diverge. A hit touches
+    /// the bank: it raises the open row's demand, which can turn another
+    /// queued request's conflict precharge into a wait.
     pub fn classify_arrival(&mut self, flat: usize, row: u32) -> RowOutcome {
         let outcome = match self.banks[flat].open_row {
             Some(r) if r == row => RowOutcome::Hit,
@@ -658,7 +667,7 @@ impl Channel {
     // shares (command bus, tCCD, data bus, tWTR, tRRD, tFAW, refresh and
     // power-down readiness) and moves with every command; the *local* part
     // reads one μbank (its open row and timers, SALP's global-bitline
-    // release) and moves only when that μbank's bank epoch does. The
+    // release) and moves only when that μbank's bank is touched. The
     // controller's `next_event` folds these to prove how long it can sleep;
     // the duals below MUST stay in lockstep with their predicates (pinned
     // by the `earliest_*_duals_are_exact` tests).

@@ -53,6 +53,7 @@
 
 pub mod address;
 pub mod bank;
+pub mod bits;
 pub mod channel;
 pub mod command;
 pub mod config;

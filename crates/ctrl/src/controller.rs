@@ -7,11 +7,18 @@
 //! command, then policy-driven speculative precharges.
 //!
 //! Every queued request carries its cached next command
-//! ([`crate::queue::NextCmd`]), re-derived from μbank state only when the
-//! channel's epoch for the request's physical bank moved. The demand
-//! candidate scan and the [`MemoryController::next_event`] fold compare
-//! each entry's μbank-local deadline with its rank's shared floor
-//! ([`Channel::floors`]) and read no μbank state (DESIGN §5f).
+//! ([`crate::queue::NextCmd`]), derived at enqueue and re-derived from
+//! μbank state only for the entries of physical banks the channel touched
+//! since the controller last looked ([`Channel::touched_banks`], walked
+//! through the queue's per-bank entry masks). One branch-free pass over
+//! the cached commands then gives every entry its earliest legal cycle
+//! `at`, the max of its μbank-local deadline and its rank's shared floor
+//! ([`Channel::floors`]); the pass runs once per command, because the
+//! floors stand still between commands. The `tick` after a
+//! [`MemoryController::next_event`] reuses that call's values: `at <= now`
+//! is the mask of entries legal now, over which a QoS token mask, the
+//! batch marks and the scheduler's cached keys pick the winner, and the
+//! minimum `at` is the `next_event` demand fold (DESIGN §5f).
 
 use crate::policy::PolicyKind;
 use crate::predictor::{
@@ -20,8 +27,9 @@ use crate::predictor::{
 };
 use crate::qos::{QosConfig, QosRegulator};
 use crate::queue::{NextCmd, RequestQueue};
-use crate::scheduler::{Action, Candidate, Scheduler, SchedulerKind};
+use crate::scheduler::{Key, Scheduler, SchedulerKind};
 use microbank_core::address::AddressMap;
+use microbank_core::bits;
 use microbank_core::channel::{Channel, CmdClass, RowOutcome};
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, TenantId};
@@ -113,8 +121,20 @@ pub struct MemoryController {
     policy_pre: BTreeMap<usize, Cycle>,
     /// Ranks currently being drained for refresh.
     refresh_draining: Vec<bool>,
+    /// The channel's rank floors as the demand pass last read them: a
+    /// draining rank's raised to `Cycle::MAX`, which masks its entries off.
+    floors: Vec<[Cycle; 4]>,
+    /// Per entry, the earliest legal cycle of its cached command under
+    /// `floors`, `max(local, floor)`; current for the first `at_len`
+    /// entries.
+    at: Vec<Cycle>,
+    /// Entries whose `at` is current: reset when `floors` moves or a
+    /// touched bank is re-derived (every removal follows a command, which
+    /// touches), and extended by each demand pass.
+    at_len: usize,
+    /// Entry bitset of the last demand pass: commands legal at its `now`.
+    ready: Vec<u64>,
     completions: Vec<Completion>,
-    scratch: Vec<Candidate>,
     pub stats: CtrlStats,
     /// First cycle at which `tick` acts: set by `sleep_until`, reset to
     /// the arrival cycle by every accepted `enqueue`.
@@ -166,8 +186,11 @@ impl MemoryController {
             open_hits: vec![0; n],
             policy_pre: BTreeMap::new(),
             refresh_draining: vec![false; cfg.ranks_per_channel],
+            floors: vec![[0; 4]; cfg.ranks_per_channel],
+            at: vec![0; cfg.queue_size],
+            at_len: 0,
+            ready: vec![0; bits::words(cfg.queue_size)],
             completions: Vec::new(),
-            scratch: Vec::new(),
             stats: CtrlStats::default(),
             wake: 0,
             channel_id: 0,
@@ -188,6 +211,7 @@ impl MemoryController {
     /// controller's flat μbank count.
     pub fn enable_qos(&mut self, qc: &QosConfig) {
         self.scheduler.set_tenant_priorities(qc.priorities());
+        self.scheduler.rekey(&mut self.queue);
         self.qos = Some(Box::new(QosRegulator::new(
             qc.clone(),
             self.cfg.ubanks_per_channel(),
@@ -243,6 +267,12 @@ impl MemoryController {
         self.queue.len()
     }
 
+    /// The request queue, read-only (a test hook for reference models).
+    #[doc(hidden)]
+    pub fn queue(&self) -> &RequestQueue {
+        &self.queue
+    }
+
     /// Try to accept a request whose `loc` is already decoded for this
     /// channel. Returns `false` if the queue is full. An accepted request
     /// wakes the controller: the arrival voids any `sleep_until` horizon.
@@ -296,6 +326,12 @@ impl MemoryController {
             self.open_hits[flat] += 1;
         }
         self.queue.push(req, flat);
+        let idx = self.queue.len() - 1;
+        let (ch, hits) = (&self.channel, &self.open_hits);
+        self.queue
+            .with_next_cmd(idx, |r, n| derive_next_cmd(ch, hits, r, n));
+        let key = self.scheduler.key(self.queue.get(idx), false);
+        self.queue.set_key(idx, key);
         true
     }
 
@@ -410,95 +446,76 @@ impl MemoryController {
             return false;
         }
         self.scheduler.maybe_form_batch(&mut self.queue);
-
-        self.scratch.clear();
-        let floors = self.channel.floors();
-        let (entries, marked, cmds) = self.queue.split_next_cmds();
-        for (idx, (r, n)) in entries.iter().zip(cmds).enumerate() {
-            revalidate(&self.channel, &self.open_hits, r, n);
-            let rank = n.rank as usize;
-            if self.refresh_draining[rank] || n.local.max(floors[rank][n.class as usize]) > now {
-                continue;
-            }
-            let action = match n.class {
-                CmdClass::Read | CmdClass::Write => Action::Column,
-                CmdClass::Activate => Action::Activate,
-                CmdClass::Precharge if n.target == r.flat => Action::PrechargeConflict,
-                CmdClass::Precharge => Action::PrechargeVictim(n.target),
-            };
-            self.scratch.push(Candidate {
-                idx,
-                action,
-                id: r.id,
-                marked: marked[idx],
-                thread: r.thread,
-                arrival: r.arrival,
-                tenant: r.tenant,
-            });
+        self.rederive_touched();
+        // Eligibility mask: bit `i` where entry `i`'s command is legal now.
+        // Each 64-entry chunk is walked backwards, shifting bits in from
+        // the bottom, so entry `i` lands on bit `i % 64` with no variable
+        // shift.
+        self.refresh_at();
+        let ats = &self.at[..self.at_len];
+        for (word, ats) in self.ready.iter_mut().zip(ats.chunks(64)) {
+            *word = ats
+                .iter()
+                .rev()
+                .fold(0, |bits, &at| bits << 1 | u64::from(at <= now));
         }
-        // QoS bandwidth regulation: candidates whose tenant's bucket is
-        // empty are withheld from this round. If that would leave the
+        self.ready[ats.len().div_ceil(64)..].fill(0);
+        // QoS bandwidth regulation: eligible entries whose tenant's bucket
+        // is empty are withheld from this round. If that would leave the
         // channel idle while demand is eligible and the configuration is
-        // work-conserving, the throttled candidates are re-admitted — the
+        // work-conserving, the throttled entries are re-admitted — the
         // issue below is then charged to reclaim, not the bucket.
         if let Some(q) = &mut self.qos {
-            if q.regulating() && !self.scratch.is_empty() {
+            if q.regulating() {
                 let queue = &self.queue;
-                let any_token = self
-                    .scratch
-                    .iter()
-                    .any(|c| q.has_token(c.tenant, queue.get(c.idx).flat, now));
-                if any_token {
-                    self.scratch.retain(|c| {
-                        let ok = q.has_token(c.tenant, queue.get(c.idx).flat, now);
-                        if !ok {
-                            q.note_throttled(c.tenant);
+                let token = |q: &QosRegulator, i: usize| {
+                    let r = queue.get(i);
+                    q.has_token(r.tenant, r.flat, now)
+                };
+                let any_token = bits::ones(&self.ready).any(|i| token(q, i));
+                if any_token || !q.config().work_conserving {
+                    // Keep only the token holders (none at all without a
+                    // token and without reclaim); count every entry dropped.
+                    for (w, word) in self.ready.iter_mut().enumerate() {
+                        for b in bits::ones(&[*word]) {
+                            if !(any_token && token(q, w * 64 + b)) {
+                                q.note_throttled(queue.get(w * 64 + b).tenant);
+                                *word &= !(1 << b);
+                            }
                         }
-                        ok
-                    });
-                } else if !q.config().work_conserving {
-                    for c in &self.scratch {
-                        q.note_throttled(c.tenant);
                     }
-                    self.scratch.clear();
                 }
             }
         }
-        let Some(best) = self.scheduler.select(&self.scratch).copied() else {
+        let Some(idx) = self.select() else {
             return false;
         };
-        let r = *self.queue.get(best.idx);
+        let r = *self.queue.get(idx);
+        let n = self.queue.next_cmds()[idx];
         let flat = r.flat as usize;
-        match best.action {
-            Action::Activate => {
+        match n.class {
+            CmdClass::Activate => {
                 self.channel.activate_flat(flat, r.loc.row, now);
-                self.open_hits[flat] = self
-                    .queue
-                    .iter()
-                    .filter(|q| q.flat == r.flat && q.loc.row == r.loc.row)
+                let queue = &self.queue;
+                self.open_hits[flat] = bits::ones(queue.bank_entries(n.bank as usize))
+                    .filter(|&i| queue.get(i).flat == r.flat && queue.get(i).loc.row == r.loc.row)
                     .count() as u32;
                 self.policy_pre.remove(&flat);
                 self.trace_cmd(now, CmdKind::Act, flat, r.loc.row);
             }
-            Action::PrechargeConflict => {
-                // Trace the row actually being closed, not the row of the
-                // conflicting request that triggered the close.
-                let closed = self.channel.open_row_flat(flat).unwrap_or(0);
-                self.channel.precharge_flat(flat, now);
-                self.policy_pre.remove(&flat);
-                self.trace_cmd(now, CmdKind::Pre, flat, closed);
+            CmdClass::Precharge => {
+                // A conflict closes the request's own μbank; a structural
+                // unblock closes the sibling standing in the way of its ACT
+                // (the request's own μbank stays closed and its Activate
+                // becomes schedulable next). Trace the row actually being
+                // closed, not the requested one.
+                let target = n.target as usize;
+                let closed = self.channel.open_row_flat(target).unwrap_or(0);
+                self.channel.precharge_flat(target, now);
+                self.policy_pre.remove(&target);
+                self.trace_cmd(now, CmdKind::Pre, target, closed);
             }
-            Action::PrechargeVictim(victim) => {
-                // Structural unblock: close the sibling μbank standing in
-                // the way of this request's ACT. The request's own μbank
-                // stays closed; its Activate becomes schedulable next.
-                let victim = victim as usize;
-                let closed = self.channel.open_row_flat(victim).unwrap_or(0);
-                self.channel.precharge_flat(victim, now);
-                self.policy_pre.remove(&victim);
-                self.trace_cmd(now, CmdKind::Pre, victim, closed);
-            }
-            Action::Column => {
+            CmdClass::Read | CmdClass::Write => {
                 let done = if r.is_write() {
                     self.channel.write_flat(flat, now)
                 } else {
@@ -526,7 +543,7 @@ impl MemoryController {
                             }
                         }
                         if verdict == AccessVerdict::Retry {
-                            self.queue.mark_retried(best.idx);
+                            self.queue.mark_retried(idx);
                             return true;
                         }
                         // Uncorrectable reads still complete: the data
@@ -534,9 +551,10 @@ impl MemoryController {
                         // just applied, not by stalling the machine.
                     }
                 }
-                self.queue.remove(best.idx);
+                let marked = self.queue.is_marked(idx);
+                self.queue.remove(idx);
                 self.open_hits[flat] -= 1;
-                self.scheduler.note_serviced(best.marked);
+                self.scheduler.note_serviced(marked);
                 if r.is_write() {
                     self.stats.served_writes += 1;
                 } else {
@@ -577,6 +595,67 @@ impl MemoryController {
             }
         }
         true
+    }
+
+    /// Re-derive the cached command of every entry in a physical bank the
+    /// channel touched since the last call, then clear the touches.
+    fn rederive_touched(&mut self) {
+        let (ch, hits) = (&self.channel, &self.open_hits);
+        if ch.touched_banks().iter().all(|&w| w == 0) {
+            return;
+        }
+        self.queue
+            .for_each_in_banks(ch.touched_banks(), |r, n| derive_next_cmd(ch, hits, r, n));
+        self.channel.clear_touched();
+        self.at_len = 0;
+    }
+
+    /// Bring every entry's `at` — the earliest legal cycle of its cached
+    /// command, `max(local, floor[rank][class])` — up to date in one
+    /// branch-free pass over the cached commands. A draining rank's floor
+    /// reads `Cycle::MAX`, so its entries never come due. The cached
+    /// commands must be current ([`MemoryController::rederive_touched`]).
+    /// Between commands the floors stand still, so a tick after
+    /// `next_event` reuses that call's values and computes only new
+    /// entries'.
+    fn refresh_at(&mut self) {
+        let live = self.channel.floors();
+        for ((f, live), &draining) in self.floors.iter_mut().zip(live).zip(&self.refresh_draining) {
+            let view = if draining { [Cycle::MAX; 4] } else { *live };
+            if *f != view {
+                *f = view;
+                self.at_len = 0;
+            }
+        }
+        let cmds = self.queue.next_cmds();
+        let fresh = self.at_len..cmds.len();
+        for (at, n) in self.at[fresh.clone()].iter_mut().zip(&cmds[fresh]) {
+            *at = n.local.max(self.floors[n.rank as usize][n.class as usize]);
+        }
+        self.at_len = cmds.len();
+    }
+
+    /// The ready entry with the lowest cached [`Scheduler::key`], a row
+    /// hit where its next command is a column; the first such entry by
+    /// index on a tie. The key ranks batch-marked entries first, so when
+    /// any ready entry is marked the unmarked ones are masked off before
+    /// any key is read.
+    fn select(&mut self) -> Option<usize> {
+        let marked = self.queue.marked_entries();
+        if self.ready.iter().zip(marked).any(|(r, m)| r & m != 0) {
+            for (r, m) in self.ready.iter_mut().zip(marked) {
+                *r &= m;
+            }
+        }
+        let (keys, cmds) = (self.queue.keys(), self.queue.next_cmds());
+        let (mut best, mut best_key) = (None, Key::MAX);
+        for i in bits::ones(&self.ready) {
+            let key = keys[i].with_hit(matches!(cmds[i].class, CmdClass::Read | CmdClass::Write));
+            if key < best_key {
+                (best, best_key) = (Some(i), key);
+            }
+        }
+        best
     }
 
     /// Drop page-policy state still armed for a μbank the reliability
@@ -793,20 +872,17 @@ impl MemoryController {
         // skip stretch (an accepted enqueue wakes the controller; removals
         // and row changes require ticks), so the cached commands cannot
         // change mid-stretch.
-        let floors = self.channel.floors();
-        let (entries, _, cmds) = self.queue.split_next_cmds();
-        for (r, n) in entries.iter().zip(cmds) {
-            revalidate(&self.channel, &self.open_hits, r, n);
-            let rank = n.rank as usize;
-            if self.refresh_draining[rank] {
-                continue;
-            }
-            let at = n.local.max(floors[rank][n.class as usize]);
-            if at <= now {
-                return None;
-            }
-            next = next.min(at);
+        self.rederive_touched();
+        self.refresh_at();
+        let at = self.at[..self.at_len]
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(Cycle::MAX);
+        if at <= now {
+            return None;
         }
+        next = next.min(at);
         for (&flat, &due) in &self.policy_pre {
             let at = due.max(self.channel.earliest_precharge_flat(flat));
             if at <= now {
@@ -836,10 +912,11 @@ impl MemoryController {
 
     /// Recount the incrementally-maintained scheduling state from the
     /// queue and the channel — every μbank's open-row hit count, the
-    /// PAR-BS marked count, the channel's rank floors and every
-    /// epoch-current cached next command — and report the first
-    /// disagreement. A test hook: the hot path trusts these instead of
-    /// rescanning.
+    /// PAR-BS marked count, every entry's cached selection key, the
+    /// channel's rank floors, the queue's per-bank entry masks and the
+    /// cached next command of every entry whose bank has no pending touch
+    /// — and report the first disagreement. A test hook: the hot path
+    /// trusts these instead of rescanning.
     #[doc(hidden)]
     pub fn check_indexes(&self) -> Result<(), String> {
         let mut hits = vec![0u32; self.open_hits.len()];
@@ -864,19 +941,63 @@ impl MemoryController {
         if have != want {
             return Err(format!("marked count = {have}, recount {want}"));
         }
+        for (i, r) in self.queue.iter().enumerate() {
+            let want = self.scheduler.key(r, self.queue.is_marked(i));
+            if self.queue.keys()[i] != want {
+                return Err(format!(
+                    "request {}: cached key {:?}, recomputed {want:?}",
+                    r.id,
+                    self.queue.keys()[i]
+                ));
+            }
+        }
         self.channel.check_floors()?;
-        let epochs = self.channel.bank_epochs();
+        let banks = self.channel.num_ubanks() / self.cfg.ubank.ubanks_per_bank();
+        for bank in 0..banks {
+            let have: Vec<usize> = bits::ones(self.queue.bank_entries(bank)).collect();
+            let want: Vec<usize> = self
+                .queue
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| self.channel.bank_of(r.flat as usize) == bank)
+                .map(|(i, _)| i)
+                .collect();
+            if have != want {
+                return Err(format!("bank {bank} entry mask {have:?}, recount {want:?}"));
+            }
+        }
+        let touched = self.channel.touched_banks();
+        let untouched = touched.iter().all(|&w| w == 0);
+        let view_current = self
+            .channel
+            .floors()
+            .iter()
+            .zip(&self.refresh_draining)
+            .zip(&self.floors)
+            .all(|((live, &draining), f)| *f == if draining { [Cycle::MAX; 4] } else { *live });
+        if untouched && view_current {
+            for (i, n) in self.queue.next_cmds().iter().take(self.at_len).enumerate() {
+                let want = n.local.max(self.floors[n.rank as usize][n.class as usize]);
+                if self.at[i] != want {
+                    return Err(format!(
+                        "entry {i}: cached at {}, recomputed {want}",
+                        self.at[i]
+                    ));
+                }
+            }
+        }
         for (r, n) in self.queue.iter().zip(self.queue.next_cmds()) {
             let bank = self.channel.bank_of(r.flat as usize);
             if n.bank as usize != bank || n.rank != r.loc.rank as u16 {
                 return Err(format!("request {}: cached bank/rank {n:?}", r.id));
             }
-            if n.epoch == epochs[bank] {
-                let want = derive_next_cmd(&self.channel, &self.open_hits, r);
-                if (n.class, n.target, n.local) != want {
+            if !bits::get(touched, bank) {
+                let mut want = *n;
+                derive_next_cmd(&self.channel, &self.open_hits, r, &mut want);
+                if *n != want {
                     return Err(format!(
-                        "request {}: cached {n:?} at epoch {}, derived {want:?}",
-                        r.id, epochs[bank]
+                        "request {}: cached {n:?} with bank {bank} untouched, derived {want:?}",
+                        r.id
                     ));
                 }
             }
@@ -895,23 +1016,13 @@ impl MemoryController {
     }
 }
 
-/// Re-derive `r`'s cached next command if its physical bank changed since
-/// the last derivation.
-#[inline]
-fn revalidate(ch: &Channel, open_hits: &[u32], r: &MemRequest, n: &mut NextCmd) {
-    let epoch = ch.bank_epochs()[n.bank as usize];
-    if n.epoch != epoch {
-        (n.class, n.target, n.local) = derive_next_cmd(ch, open_hits, r);
-        n.epoch = epoch;
-    }
-}
-
-/// The next DRAM command queued request `r` needs, from the channel's
-/// current state: `(class, target μbank, μbank-local earliest cycle)`.
-/// Everything it reads lies in `r`'s physical bank — the μbank's open row
-/// and timers, the structural victim (always a sibling) and both μbanks'
-/// `open_hits` — so it stays exact while that bank's epoch is unchanged.
-fn derive_next_cmd(ch: &Channel, open_hits: &[u32], r: &MemRequest) -> (CmdClass, u32, Cycle) {
+/// Derive the next DRAM command queued request `r` needs from the
+/// channel's current state into `n`: class, target μbank and μbank-local
+/// earliest cycle. Everything it reads lies in `r`'s physical bank — the
+/// μbank's open row and timers, the structural victim (always a sibling)
+/// and both μbanks' `open_hits` — so it stays exact until the channel
+/// touches that bank.
+fn derive_next_cmd(ch: &Channel, open_hits: &[u32], r: &MemRequest, n: &mut NextCmd) {
     let flat = r.flat as usize;
     // Serve hits before closing: a precharge waits (`Cycle::MAX`) while
     // another queued request still hits the row it would close.
@@ -923,7 +1034,7 @@ fn derive_next_cmd(ch: &Channel, open_hits: &[u32], r: &MemRequest) -> (CmdClass
         };
         (CmdClass::Precharge, target as u32, local)
     };
-    match ch.open_row_flat(flat) {
+    (n.class, n.target, n.local) = match ch.open_row_flat(flat) {
         Some(open) if open == r.loc.row => {
             let class = if r.is_write() {
                 CmdClass::Write
@@ -940,7 +1051,7 @@ fn derive_next_cmd(ch: &Channel, open_hits: &[u32], r: &MemRequest) -> (CmdClass
             Some(victim) => precharge(victim),
             None => (CmdClass::Activate, r.flat, ch.local_activate_flat(flat)),
         },
-    }
+    };
 }
 
 #[cfg(test)]

@@ -13,14 +13,24 @@
 //!
 //! The queue also stamps each entry's flat μbank index
 //! ([`MemRequest::flat`]) on push, so per-tick scans never recompute
-//! [`microbank_core::address::Location::ubank_flat`], and carries two
-//! values beside each entry, swapped together by [`RequestQueue::remove`]:
+//! [`microbank_core::address::Location::ubank_flat`], and carries three
+//! values beside each entry, moved together by [`RequestQueue::remove`]:
 //!
-//! - its PAR-BS batch mark, so selection never looks a request up by id;
+//! - its PAR-BS batch mark, a bit in a bitset over entry indices, so
+//!   selection never looks a request up by id;
+//! - its scheduler [`Key`], which changes only when a batch forms;
 //! - its cached next DRAM command ([`NextCmd`]), which the controller
-//!   re-derives only when the entry's physical bank changed, so the
-//!   candidate scan and the `next_event` fold read no μbank state.
+//!   derives at enqueue and re-derives only for the entries of physical
+//!   banks the channel touched, so the eligibility pass and the
+//!   `next_event` fold read no μbank state.
+//!
+//! Finding those entries takes no scan either: the queue keeps one entry
+//! mask per physical bank ([`RequestQueue::bank_entries`]), a bitset over
+//! entry indices with as many 64-bit words as the capacity needs, which
+//! `push` and the swap-remove maintain.
 
+use crate::scheduler::Key;
+use microbank_core::bits;
 use microbank_core::channel::CmdClass;
 use microbank_core::config::MemConfig;
 use microbank_core::request::MemRequest;
@@ -32,17 +42,15 @@ pub use microbank_core::fxhash::{FxBuild, FxHasher};
 
 /// A queued request's next DRAM command as the controller last derived
 /// it. Its earliest legal cycle is `max(local, channel floor of (rank,
-/// class))`; the value is exact while `epoch` equals the channel's epoch
-/// of physical bank `bank`.
+/// class))`; the value is exact while the channel has not touched physical
+/// bank `bank` since the derivation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NextCmd {
     /// μbank-local part of the command's earliest legal cycle. A
     /// precharge that must wait until no queued request hits the target's
-    /// open row has `Cycle::MAX`: the hit holder's column changes the
-    /// epoch first.
+    /// open row has `Cycle::MAX`: the hit holder's column touches the bank
+    /// first.
     pub local: Cycle,
-    /// Bank epoch the command was derived at (`u64::MAX` = never).
-    pub epoch: u64,
     /// μbank the command goes to: the request's own, or for a precharge
     /// the sibling that structurally blocks its ACT.
     pub target: u32,
@@ -56,10 +64,17 @@ pub struct NextCmd {
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     entries: Vec<MemRequest>,
-    /// PAR-BS batch mark of each entry, parallel to `entries`.
-    marked: Vec<bool>,
+    /// PAR-BS batch marks: bitset over entry indices (`words` words).
+    marked: Vec<u64>,
     /// Cached next command of each entry, parallel to `entries`.
     next: Vec<NextCmd>,
+    /// Cached selection key of each entry, parallel to `entries`.
+    keys: Vec<Key>,
+    /// Per physical bank, `words` words: the bitset of entry indices whose
+    /// μbank lies in the bank.
+    bank_entries: Vec<u64>,
+    /// Words per entry bitset (`capacity` bits).
+    words: usize,
     /// μbanks per physical bank, to stamp [`NextCmd::bank`] on push.
     ubanks_per_bank: usize,
     capacity: usize,
@@ -71,10 +86,15 @@ pub struct RequestQueue {
 
 impl RequestQueue {
     pub fn new(cfg: &MemConfig) -> Self {
+        let words = bits::words(cfg.queue_size);
+        let banks = cfg.banks_per_rank * cfg.ranks_per_channel;
         RequestQueue {
             entries: Vec::with_capacity(cfg.queue_size),
-            marked: Vec::with_capacity(cfg.queue_size),
+            marked: vec![0; words],
             next: Vec::with_capacity(cfg.queue_size),
+            keys: Vec::with_capacity(cfg.queue_size),
+            bank_entries: vec![0; banks * words],
+            words,
             ubanks_per_bank: cfg.ubank.ubanks_per_bank(),
             capacity: cfg.queue_size,
             per_bank: vec![0; cfg.ubanks_per_channel()],
@@ -101,7 +121,8 @@ impl RequestQueue {
     /// Try to enqueue; returns `false` (and drops nothing) when full. The
     /// request's `loc` must already be decoded and channel-local; its
     /// cached flat index is stamped here. New entries are unmarked, and
-    /// their cached next command is stale.
+    /// their cached next command and key are placeholders for the caller
+    /// to derive.
     pub fn push(&mut self, mut req: MemRequest, flat_ubank: usize) -> bool {
         if self.is_full() {
             return false;
@@ -109,25 +130,40 @@ impl RequestQueue {
         req.flat = flat_ubank as u32;
         self.per_bank[flat_ubank] += 1;
         self.per_rank[req.loc.rank as usize] += 1;
+        let bank = flat_ubank / self.ubanks_per_bank;
+        let idx = self.entries.len();
+        bits::set(self.bank_entries_mut(bank), idx);
         self.next.push(NextCmd {
             local: Cycle::MAX,
-            epoch: u64::MAX,
             target: req.flat,
-            bank: (flat_ubank / self.ubanks_per_bank) as u32,
+            bank: bank as u32,
             rank: req.loc.rank as u16,
             class: CmdClass::Activate,
         });
+        self.keys.push(Key::default());
         self.entries.push(req);
-        self.marked.push(false);
         true
     }
 
     /// Remove the entry at `idx` (swap-remove; order is reconstructed from
-    /// arrival stamps by the scheduler, so storage order is free).
+    /// arrival stamps by the scheduler, so storage order is free). The
+    /// last entry moves to `idx`, and its bank's mask with it.
     pub fn remove(&mut self, idx: usize) -> MemRequest {
+        let last = self.entries.len() - 1;
+        bits::clear(self.bank_entries_mut(self.next[idx].bank as usize), idx);
+        bits::clear(&mut self.marked, idx);
+        if last != idx {
+            let moved = self.bank_entries_mut(self.next[last].bank as usize);
+            bits::clear(moved, last);
+            bits::set(moved, idx);
+            if bits::get(&self.marked, last) {
+                bits::clear(&mut self.marked, last);
+                bits::set(&mut self.marked, idx);
+            }
+        }
         let req = self.entries.swap_remove(idx);
-        self.marked.swap_remove(idx);
         self.next.swap_remove(idx);
+        self.keys.swap_remove(idx);
         self.per_bank[req.flat as usize] -= 1;
         self.per_rank[req.loc.rank as usize] -= 1;
         req
@@ -143,7 +179,13 @@ impl RequestQueue {
 
     /// Is the entry at `idx` part of the current PAR-BS batch?
     pub fn is_marked(&self, idx: usize) -> bool {
-        self.marked[idx]
+        bits::get(&self.marked, idx)
+    }
+
+    /// The PAR-BS batch marks as a bitset over entry indices
+    /// (`capacity` bits).
+    pub(crate) fn marked_entries(&self) -> &[u64] {
+        &self.marked
     }
 
     /// Cached next command of every entry, by entry index.
@@ -151,15 +193,49 @@ impl RequestQueue {
         &self.next
     }
 
-    /// The entries and their marks beside their cached next commands, for
-    /// re-deriving those during a scan.
-    pub(crate) fn split_next_cmds(&mut self) -> (&[MemRequest], &[bool], &mut [NextCmd]) {
-        (&self.entries, &self.marked, &mut self.next)
+    /// Cached selection key of every entry (as a row miss), by entry
+    /// index.
+    pub(crate) fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+
+    pub(crate) fn set_key(&mut self, idx: usize, key: Key) {
+        self.keys[idx] = key;
+    }
+
+    /// Bitset of the entry indices whose μbank lies in physical bank
+    /// `bank` (`capacity` bits).
+    pub fn bank_entries(&self, bank: usize) -> &[u64] {
+        &self.bank_entries[bank * self.words..(bank + 1) * self.words]
+    }
+
+    fn bank_entries_mut(&mut self, bank: usize) -> &mut [u64] {
+        &mut self.bank_entries[bank * self.words..(bank + 1) * self.words]
+    }
+
+    /// Call `f` on every entry whose physical bank is set in the bitset
+    /// `banks`, with its cached next command to re-derive.
+    pub(crate) fn for_each_in_banks(
+        &mut self,
+        banks: &[u64],
+        mut f: impl FnMut(&MemRequest, &mut NextCmd),
+    ) {
+        for bank in bits::ones(banks) {
+            let mask = &self.bank_entries[bank * self.words..(bank + 1) * self.words];
+            for i in bits::ones(mask) {
+                f(&self.entries[i], &mut self.next[i]);
+            }
+        }
+    }
+
+    /// Call `f` on the entry at `idx` with its cached next command.
+    pub(crate) fn with_next_cmd(&mut self, idx: usize, f: impl FnOnce(&MemRequest, &mut NextCmd)) {
+        f(&self.entries[idx], &mut self.next[idx]);
     }
 
     /// Put the entry at `idx` into the current PAR-BS batch.
     pub fn mark(&mut self, idx: usize) {
-        self.marked[idx] = true;
+        bits::set(&mut self.marked, idx);
     }
 
     /// Flag the entry at `idx` as having consumed its one corrected-ECC
@@ -278,12 +354,46 @@ mod tests {
         let per_bank = c.ubank.ubanks_per_bank();
         for (r, n) in q.iter().zip(q.next_cmds()) {
             assert_eq!(n.bank as usize, r.flat as usize / per_bank);
-            assert_eq!(n.epoch, u64::MAX, "pushed stale");
         }
-        q.split_next_cmds().2[2].local = 42;
+        q.with_next_cmd(2, |_, n| n.local = 42);
         q.remove(0);
         assert_eq!(q.get(0).id, 2);
         assert_eq!(q.next_cmds()[0].local, 42);
         assert_eq!(q.next_cmds().len(), 2);
+    }
+
+    /// Every entry's bit sits in exactly its own bank's mask.
+    fn assert_bank_masks(q: &RequestQueue, banks: usize) {
+        for bank in 0..banks {
+            let want: Vec<usize> = q
+                .indices()
+                .filter(|&i| q.next_cmds()[i].bank as usize == bank)
+                .collect();
+            let have: Vec<usize> = bits::ones(q.bank_entries(bank)).collect();
+            assert_eq!(have, want, "bank {bank}");
+        }
+    }
+
+    #[test]
+    fn bank_masks_follow_swap_remove_across_words() {
+        let c = MemConfig::lpddr_tsi()
+            .with_ubanks(2, 2)
+            .with_queue_size(100);
+        let banks = c.banks_per_rank * c.ranks_per_channel;
+        let mut q = RequestQueue::new(&c);
+        for i in 0..100 {
+            // Bank field above the μbank bits: entries spread over banks.
+            let (r, f) = req(i, (i * 7 % 8) << 14, &c);
+            assert!(q.push(r, f));
+        }
+        assert_bank_masks(&q, banks);
+        // Remove from the front, the middle and the far word until empty.
+        let mut k = 0usize;
+        while !q.is_empty() {
+            k = (k * 31 + 17) % q.len();
+            q.remove(k);
+            assert_bank_masks(&q, banks);
+        }
+        assert!((0..banks).all(|b| q.bank_entries(b).iter().all(|&w| w == 0)));
     }
 }

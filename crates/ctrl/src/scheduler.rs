@@ -12,8 +12,7 @@
 
 use crate::qos::{tenant_slot, MAX_TENANTS};
 use crate::queue::{FxBuild, RequestQueue};
-use microbank_core::request::TenantId;
-use microbank_core::Cycle;
+use microbank_core::request::MemRequest;
 use std::collections::HashMap;
 
 /// Scheduling discipline.
@@ -32,36 +31,35 @@ impl Default for SchedulerKind {
     }
 }
 
-/// What the controller could do for one queue entry right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// RD/WR to an open row (a row hit).
-    Column,
-    /// ACT on an idle bank.
-    Activate,
-    /// PRE of a conflicting open row.
-    PrechargeConflict,
-    /// PRE of a *sibling* μbank whose open row structurally blocks this
-    /// request's ACT under the device variant's issue rules (SALP open-row
-    /// limit, Sectored shared row decoder). Carries the victim's flat
-    /// index — the request's own μbank is closed and untouched.
-    PrechargeVictim(u32),
+/// Selection priority of one queued request, lower first: orders exactly
+/// like the tuple `(!marked, tenant_prio, miss, thread_rank, arrival,
+/// id)` (see [`Scheduler::key`]). The first five fields pack into one
+/// `u128` — arrival in bits 0–63, thread rank 64–95, miss 96, tenant
+/// priority 97–104, unmarked 105 — so a comparison is one wide compare
+/// plus the id on a tie.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Key {
+    order: u128,
+    id: u64,
 }
 
-/// A schedulable (queue entry, action) pair with priority inputs.
-#[derive(Debug, Clone, Copy)]
-pub struct Candidate {
-    /// Index into the request queue.
-    pub idx: usize,
-    pub action: Action,
-    pub id: u64,
-    /// Part of the current PAR-BS batch (copied from the queue entry).
-    pub marked: bool,
-    pub thread: u16,
-    pub arrival: Cycle,
-    /// Owning tenant (always `TenantId(0)` outside multi-tenant runs);
-    /// consulted only when a QoS priority table is installed.
-    pub tenant: TenantId,
+impl Key {
+    const MISS: u128 = 1 << 96;
+    /// Above every request's key (whose packed fields end at bit 105).
+    pub const MAX: Key = Key {
+        order: u128::MAX,
+        id: u64::MAX,
+    };
+
+    /// The key with its row-hit field set from `hit` (keys start as a
+    /// miss): a request whose next command is a column ranks as a hit.
+    #[inline]
+    pub fn with_hit(self, hit: bool) -> Key {
+        Key {
+            order: self.order & !(u128::from(hit) * Self::MISS),
+            id: self.id,
+        }
+    }
 }
 
 /// Stateful scheduler (batch bookkeeping for PAR-BS).
@@ -196,27 +194,38 @@ impl Scheduler {
             }
             self.thread_rank[t] = rank as u32;
         }
+        self.rekey(queue);
         self.batches_formed += 1;
     }
 
-    /// Choose the best candidate to issue this cycle. Priority (highest
-    /// first): batch-marked, QoS tenant priority, row-hit (Column action),
-    /// thread rank, age. The tenant axis sits inside the batch boundary —
-    /// PAR-BS's starvation bound survives prioritization — but above
-    /// row-hit ordering, so a latency-critical miss beats a batch tenant's
-    /// hit; with no priority table installed it is a constant.
-    pub fn select<'a>(&self, candidates: &'a [Candidate]) -> Option<&'a Candidate> {
-        candidates.iter().min_by_key(|c| {
-            let miss = c.action != Action::Column;
-            (
-                !c.marked, // false (0) sorts first
-                self.tenant_prio[tenant_slot(c.tenant)],
-                miss,
-                self.rank_of(c.thread),
-                c.arrival,
-                c.id,
-            )
-        })
+    /// Selection priority of queued request `r` with batch mark
+    /// `marked`, as a row miss ([`Key::with_hit`] makes it a hit). Lower
+    /// wins. Priority, highest first: batch-marked, QoS tenant priority,
+    /// row-hit, thread rank, age, id. The tenant axis sits inside the
+    /// batch boundary — PAR-BS's starvation bound survives prioritization
+    /// — but above row-hit ordering, so a latency-critical miss beats a
+    /// batch tenant's hit; with no priority table installed it is a
+    /// constant. Everything but the row hit holds until the next batch
+    /// forms, so the queue caches each entry's key.
+    pub fn key(&self, r: &MemRequest, marked: bool) -> Key {
+        let head = u128::from(!marked) << 105
+            | u128::from(self.tenant_prio[tenant_slot(r.tenant)]) << 97
+            | Key::MISS
+            | u128::from(self.rank_of(r.thread)) << 64;
+        Key {
+            order: head | u128::from(r.arrival),
+            id: r.id,
+        }
+    }
+
+    /// Recompute every queued entry's cached key: after a batch forms
+    /// (marks and thread ranks change) and after the tenant priority
+    /// table changes.
+    pub(crate) fn rekey(&self, queue: &mut RequestQueue) {
+        for i in queue.indices() {
+            let key = self.key(queue.get(i), queue.is_marked(i));
+            queue.set_key(i, key);
+        }
     }
 }
 
@@ -225,7 +234,8 @@ mod tests {
     use super::*;
     use microbank_core::address::AddressMap;
     use microbank_core::config::MemConfig;
-    use microbank_core::request::{MemRequest, ReqKind};
+    use microbank_core::request::{ReqKind, TenantId};
+    use microbank_core::Cycle;
 
     fn cfg() -> MemConfig {
         MemConfig::lpddr_tsi().with_queue_size(32)
@@ -244,29 +254,34 @@ mod tests {
         q.indices().find(|&i| q.get(i).id == id).unwrap()
     }
 
-    fn cand(idx: usize, action: Action, id: u64, marked: bool, arrival: Cycle) -> Candidate {
-        Candidate {
-            idx,
-            action,
-            id,
-            marked,
-            thread: 0,
-            arrival,
-            tenant: TenantId::default(),
-        }
+    /// A request with the selection inputs the tests vary.
+    fn req(id: u64, thread: u16, arrival: Cycle, tenant: u8) -> MemRequest {
+        let mut r = MemRequest::new(id, 0, ReqKind::Read, thread, arrival);
+        r.tenant = TenantId(tenant);
+        r
+    }
+
+    /// Id of the lowest key among `(request, marked, hit)` rows; on a tie
+    /// the first row wins, as in the controller's scan.
+    fn best(s: &Scheduler, rows: &[(MemRequest, bool, bool)]) -> u64 {
+        rows.iter()
+            .min_by_key(|(r, marked, hit)| s.key(r, *marked).with_hit(*hit))
+            .unwrap()
+            .0
+            .id
     }
 
     #[test]
     fn frfcfs_prefers_row_hits_then_age() {
         let s = Scheduler::new(SchedulerKind::FrFcfs);
-        let cands = [
-            cand(0, Action::Activate, 0, false, 0),
-            cand(1, Action::Column, 1, false, 10),
-            cand(2, Action::Column, 2, false, 5),
+        let rows = [
+            (req(0, 0, 0, 0), false, false),
+            (req(1, 0, 10, 0), false, true),
+            (req(2, 0, 5, 0), false, true),
         ];
-        let best = s.select(&cands).unwrap();
         assert_eq!(
-            best.idx, 2,
+            best(&s, &rows),
+            2,
             "younger hit beats older miss; older hit beats younger"
         );
     }
@@ -341,13 +356,58 @@ mod tests {
     #[test]
     fn marked_requests_outrank_unmarked_hits() {
         let s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
-        let cands = [
+        let rows = [
             // Unmarked row hit (arrived after the batch formed)…
-            cand(5, Action::Column, 42, false, 100),
+            (req(42, 0, 100, 0), false, true),
             // …vs a marked activate.
-            cand(0, Action::Activate, 1, true, 0),
+            (req(1, 0, 0, 0), true, false),
         ];
-        assert_eq!(s.select(&cands).unwrap().id, 1);
+        assert_eq!(best(&s, &rows), 1);
+    }
+
+    #[test]
+    fn tenant_priority_ranks_inside_the_batch_and_above_row_hits() {
+        let mut s = Scheduler::new(SchedulerKind::FrFcfs);
+        s.set_tenant_priorities({
+            let mut p = [0; MAX_TENANTS];
+            p[0] = 1;
+            p
+        });
+        // A priority-0 tenant's younger miss beats a priority-1 hit…
+        let rows = [
+            (req(1, 0, 0, 0), false, true),
+            (req(2, 0, 9, 1), false, false),
+        ];
+        assert_eq!(best(&s, &rows), 2);
+        // …but not a marked request of the lower-priority tenant.
+        let rows = [
+            (req(1, 0, 0, 0), true, false),
+            (req(2, 0, 9, 1), false, true),
+        ];
+        assert_eq!(best(&s, &rows), 1);
+    }
+
+    #[test]
+    fn thread_rank_orders_before_age_and_id_breaks_ties() {
+        let c = cfg();
+        let mut q = RequestQueue::new(&c);
+        // Thread 0: three requests; thread 1: one, so thread 1 ranks first.
+        for i in 0..3u64 {
+            push(&mut q, &c, i, 0, i << 20);
+        }
+        push(&mut q, &c, 9, 1, 3 << 20);
+        let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
+        s.maybe_form_batch(&mut q);
+        let rows = [
+            (req(1, 0, 0, 0), true, false),
+            (req(9, 1, 50, 0), true, false),
+        ];
+        assert_eq!(best(&s, &rows), 9, "lighter thread beats an older request");
+        let rows = [
+            (req(7, 0, 5, 0), false, false),
+            (req(3, 0, 5, 0), false, false),
+        ];
+        assert_eq!(best(&s, &rows), 3, "same age: lower id");
     }
 
     #[test]

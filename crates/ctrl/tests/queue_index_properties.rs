@@ -1,21 +1,24 @@
 //! Index-consistency tests for the incrementally-maintained scheduling
 //! state.
 //!
-//! The request queue keeps per-μbank and per-rank counts; the
-//! controller keeps a per-μbank open-row hit count, the scheduler a PAR-BS
-//! marked count, the channel each rank's dual floors, and the queue every
-//! entry's cached next command, revalidated by bank epoch. The hot path
-//! trusts all of them instead of rescanning the queue, so any drift
-//! silently changes scheduling decisions. The queue property test checks
-//! its counts against a naive rescan under arbitrary pushes and removals;
-//! the controller soak checks the rest after every enqueue, tick and
-//! `next_event` (which re-derives the commands the tick made stale),
+//! The request queue keeps per-μbank and per-rank counts and one entry
+//! mask per physical bank; the controller keeps a per-μbank open-row hit
+//! count, the scheduler a PAR-BS marked count, the channel each rank's
+//! dual floors and the set of banks it touched, and the queue every
+//! entry's cached next command, re-derived when its bank is touched. The
+//! hot path trusts all of them instead of rescanning the queue, so any
+//! drift silently changes scheduling decisions. The queue property test
+//! checks its counts and masks against a naive rescan under arbitrary
+//! pushes and removals; the controller soak checks the rest after every
+//! enqueue, tick and `next_event` (which re-derives the commands the tick
+//! made stale),
 //! across device variants, with refresh (PREA), the perfect predictor
 //! (oracle precharge), the close-page, minimalist-open and local-predictor
 //! policies (policy precharges, due at once or after a window) and patrol
 //! scrub.
 
 use microbank_core::address::AddressMap;
+use microbank_core::bits;
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, ReqKind};
 use microbank_core::variant::{DeviceVariant, SalpMode};
@@ -58,6 +61,15 @@ fn check_agreement(q: &RequestQueue, cfg: &MemConfig) {
     }
     for (rank, &want) in naive.per_rank.iter().enumerate() {
         assert_eq!(q.pending_for_rank(rank), want, "per-rank[{rank}]");
+    }
+    let per_bank = cfg.ubank.ubanks_per_bank();
+    for bank in 0..cfg.banks_per_rank * cfg.ranks_per_channel {
+        let want: Vec<usize> = q
+            .indices()
+            .filter(|&i| q.get(i).flat as usize / per_bank == bank)
+            .collect();
+        let have: Vec<usize> = bits::ones(q.bank_entries(bank)).collect();
+        assert_eq!(have, want, "bank {bank} entry mask");
     }
 }
 
@@ -184,5 +196,56 @@ fn controller_indexes_match_recount_across_variants_and_policies() {
             assert!(dram.refreshes > 0, "{label}: no refresh (PREA) ran");
             assert!(dram.row_hits > 0, "{label}: no row hits");
         }
+    }
+}
+
+/// Queues wider than one 64-bit mask word: a drive that refills the
+/// queue to capacity before every slot keeps entries in both words, and
+/// the swap-remove moves entries across the word boundary. The indexes
+/// are checked after every enqueue, tick and `next_event`.
+#[test]
+fn controller_indexes_hold_across_mask_words() {
+    for queue_size in [65, 100] {
+        let mem = MemConfig::lpddr_tsi()
+            .with_ubanks(16, 16)
+            .with_channels(1)
+            .with_queue_size(queue_size)
+            .with_refresh(true);
+        let mut c = MemoryController::new(&mem, SchedulerKind::default(), PolicyKind::Open, 8);
+        let mut rng = StdRng::seed_from_u64(queue_size as u64);
+        let mut done = Vec::new();
+        let mut id = 0u64;
+        let check = |c: &MemoryController, what: &str, now: u64| {
+            if let Err(e) = c.check_indexes() {
+                panic!("queue {queue_size}, after {what} at cycle {now}: {e}");
+            }
+        };
+        let mut peak = 0;
+        for now in 0..20_000 {
+            while c.free_slots() > 0 {
+                let addr = if rng.gen_bool(0.5) {
+                    (rng.gen_range(0..4u64) << 16) | (rng.gen_range(0..32u64) << 6)
+                } else {
+                    rng.gen_range(0..(1u64 << 26)) & !63
+                };
+                let mut r = MemRequest::new(id, addr, ReqKind::Read, (id % 8) as u16, now);
+                r.loc = c.map().decode(addr);
+                assert!(c.enqueue(r, now));
+                id += 1;
+                check(&c, "enqueue", now);
+            }
+            peak = peak.max(c.queue_len());
+            c.tick(now);
+            c.take_completions(&mut done);
+            check(&c, "tick", now);
+            c.next_event(now);
+            check(&c, "next_event", now);
+        }
+        assert_eq!(peak, queue_size);
+        assert!(
+            done.len() > 1_000,
+            "queue {queue_size}: only {} done",
+            done.len()
+        );
     }
 }

@@ -1256,7 +1256,7 @@ fn drive_sequential<S: microbank_cpu::instr::InstrSource>(
             // non-full queue succeeds on the very next cycle, so no jump.
             if h > next {
                 if let Some(addr) = cmp.backlog_head_addr() {
-                    let ch = ctrls[0].map().decode(addr).channel as usize;
+                    let ch = ctrls[0].map().channel_of(addr) as usize;
                     if ctrls[ch].free_slots() > 0 {
                         h = next;
                     }
@@ -1364,6 +1364,12 @@ struct ChannelRouter<'a> {
 
 impl MemPort for ChannelRouter<'_> {
     fn submit(&mut self, req: SubmittedReq, now: Cycle) -> bool {
+        // A full queue rejects without side effects, so the backlog head's
+        // retries against one cost a shift and a compare, not a decode.
+        let ch = self.ctrls[0].map().channel_of(req.addr) as usize;
+        if self.ctrls[ch].free_slots() == 0 {
+            return false;
+        }
         let loc = self.ctrls[0].map().decode(req.addr);
         let kind = if req.is_write {
             ReqKind::Write
@@ -1373,7 +1379,7 @@ impl MemPort for ChannelRouter<'_> {
         let mut r = MemRequest::new(req.id, req.addr, kind, req.thread, now);
         r.loc = loc;
         r.tenant = req.tenant;
-        self.ctrls[loc.channel as usize].enqueue(r, now)
+        self.ctrls[ch].enqueue(r, now)
     }
 }
 
