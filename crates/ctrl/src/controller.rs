@@ -30,7 +30,7 @@ use crate::queue::{NextCmd, RequestQueue};
 use crate::scheduler::{Key, Scheduler, SchedulerKind};
 use microbank_core::address::AddressMap;
 use microbank_core::bits;
-use microbank_core::channel::{Channel, CmdClass, RowOutcome};
+use microbank_core::channel::{Channel, CmdClass};
 use microbank_core::config::MemConfig;
 use microbank_core::request::{MemRequest, TenantId};
 use microbank_core::Cycle;
@@ -58,14 +58,10 @@ pub struct Completion {
 /// Controller-level statistics (queue behaviour and policy accuracy).
 #[derive(Debug, Clone, Default)]
 pub struct CtrlStats {
-    pub served_reads: u64,
-    pub served_writes: u64,
     /// Sum of queue occupancy over tick calls (for the §V queue-occupancy
     /// argument: μbanks drain queues, starving conventional policies).
     pub occupancy_acc: u64,
     pub tick_calls: u64,
-    /// Speculative page decisions made (queue empty for the bank, §V).
-    pub speculative_decisions: u64,
     /// Accuracy of the active page policy's speculative decisions,
     /// including static open/close treated as constant predictors (the
     /// Fig. 13 "prediction hit rate" series).
@@ -109,10 +105,6 @@ pub struct MemoryController {
     predictor: PredictorImpl,
     /// Per-μbank pending speculative decision.
     pending: Vec<Option<PendingDecision>>,
-    /// Per-μbank count of queued requests whose row is the μbank's open
-    /// row (0 while it is closed): the scheduler's "does any queued
-    /// request still want this open row?" check, answered without a scan.
-    open_hits: Vec<u32>,
     /// Page-policy precharges: each μbank whose policy wants its row
     /// closed, mapped to the cycle from which the close is due (a
     /// predictor's Close at once, minimalist-open after its window).
@@ -183,7 +175,6 @@ impl MemoryController {
             policy,
             predictor,
             pending: vec![None; n],
-            open_hits: vec![0; n],
             policy_pre: BTreeMap::new(),
             refresh_draining: vec![false; cfg.ranks_per_channel],
             floors: vec![[0; 4]; cfg.ranks_per_channel],
@@ -312,7 +303,6 @@ impl MemoryController {
                     if outcome == PageDecision::Close
                         && self.channel.oracle_precharge_flat(flat, now)
                     {
-                        self.open_hits[flat] = 0;
                         self.policy_pre.remove(&flat);
                     }
                 }
@@ -322,14 +312,11 @@ impl MemoryController {
         // Row-buffer outcome classification (hit/closed/conflict) at
         // arrival, the standard accounting the energy model consumes.
         // The channel owns it so stats and heat counters update together.
-        if self.channel.classify_arrival(flat, req.loc.row) == RowOutcome::Hit {
-            self.open_hits[flat] += 1;
-        }
+        self.channel.classify_arrival(flat, req.loc.row);
         self.queue.push(req, flat);
         let idx = self.queue.len() - 1;
-        let (ch, hits) = (&self.channel, &self.open_hits);
-        self.queue
-            .with_next_cmd(idx, |r, n| derive_next_cmd(ch, hits, r, n));
+        let n = derive_next_cmd(&self.channel, &self.queue, idx);
+        self.queue.set_next_cmd(idx, n);
         let key = self.scheduler.key(self.queue.get(idx), false);
         self.queue.set_key(idx, key);
         true
@@ -398,7 +385,7 @@ impl MemoryController {
     /// μbank actually closed, each with its open row (the scan is guarded
     /// so an untraced run never pays it).
     fn issue_prea(&mut self, rank: usize, now: Cycle) {
-        let per_rank = self.open_hits.len() / self.refresh_draining.len();
+        let per_rank = self.cfg.ubanks_per_channel() / self.cfg.ranks_per_channel;
         let lo = rank * per_rank;
         let hi = lo + per_rank;
         if self.trace.is_some() {
@@ -409,7 +396,6 @@ impl MemoryController {
             }
         }
         self.channel.precharge_all(rank, now);
-        self.open_hits[lo..hi].fill(0);
         self.policy_pre.retain(|&flat, _| !(lo..hi).contains(&flat));
     }
 
@@ -424,7 +410,7 @@ impl MemoryController {
             if !self.refresh_draining[rank] {
                 continue;
             }
-            let per_rank = self.open_hits.len() / self.refresh_draining.len();
+            let per_rank = self.cfg.ubanks_per_channel() / self.cfg.ranks_per_channel;
             if self.channel.rank_all_idle(rank) {
                 self.channel.refresh(rank, now);
                 self.refresh_draining[rank] = false;
@@ -496,10 +482,6 @@ impl MemoryController {
         match n.class {
             CmdClass::Activate => {
                 self.channel.activate_flat(flat, r.loc.row, now);
-                let queue = &self.queue;
-                self.open_hits[flat] = bits::ones(queue.bank_entries(n.bank as usize))
-                    .filter(|&i| queue.get(i).flat == r.flat && queue.get(i).loc.row == r.loc.row)
-                    .count() as u32;
                 self.policy_pre.remove(&flat);
                 self.trace_cmd(now, CmdKind::Act, flat, r.loc.row);
             }
@@ -551,15 +533,7 @@ impl MemoryController {
                         // just applied, not by stalling the machine.
                     }
                 }
-                let marked = self.queue.is_marked(idx);
                 self.queue.remove(idx);
-                self.open_hits[flat] -= 1;
-                self.scheduler.note_serviced(marked);
-                if r.is_write() {
-                    self.stats.served_writes += 1;
-                } else {
-                    self.stats.served_reads += 1;
-                }
                 // Per-tenant accounting + token charge (an over-budget
                 // issue — only reachable through work-conserving reclaim —
                 // is recorded as a reclaim, never as bucket spend). ECC
@@ -600,12 +574,12 @@ impl MemoryController {
     /// Re-derive the cached command of every entry in a physical bank the
     /// channel touched since the last call, then clear the touches.
     fn rederive_touched(&mut self) {
-        let (ch, hits) = (&self.channel, &self.open_hits);
+        let ch = &self.channel;
         if ch.touched_banks().iter().all(|&w| w == 0) {
             return;
         }
         self.queue
-            .for_each_in_banks(ch.touched_banks(), |r, n| derive_next_cmd(ch, hits, r, n));
+            .rederive_banks(ch.touched_banks(), |q, i| derive_next_cmd(ch, q, i));
         self.channel.clear_touched();
         self.at_len = 0;
     }
@@ -699,7 +673,9 @@ impl MemoryController {
         if let Some(open) = self.channel.open_row_flat(flat_us) {
             // The target holds an open row. Close it on this idle slot
             // unless demand traffic still wants it (hits always win).
-            if self.open_hits[flat_us] == 0 && self.channel.can_precharge_flat(flat_us, now) {
+            if self.queue.row_demand(flat_us, open) == 0
+                && self.channel.can_precharge_flat(flat_us, now)
+            {
                 self.channel.precharge_flat(flat_us, now);
                 self.policy_pre.remove(&flat_us);
                 self.trace_cmd(now, CmdKind::Pre, flat_us, open);
@@ -732,7 +708,6 @@ impl MemoryController {
 
     /// Apply the page policy to a bank whose queue just drained.
     fn speculate(&mut self, flat: usize, row: u32, thread: u16, now: Cycle) {
-        self.stats.speculative_decisions += 1;
         let decision = match (&self.predictor, self.policy) {
             (_, PolicyKind::Open) => PageDecision::KeepOpen,
             (_, PolicyKind::Close) => PageDecision::Close,
@@ -769,7 +744,6 @@ impl MemoryController {
         };
         let row = self.channel.open_row_flat(flat).unwrap_or(0);
         self.channel.precharge_flat(flat, now);
-        self.open_hits[flat] = 0;
         self.policy_pre.remove(&flat);
         self.trace_cmd(now, CmdKind::Pre, flat, row);
     }
@@ -910,36 +884,29 @@ impl MemoryController {
         let _ = n;
     }
 
-    /// Recount the incrementally-maintained scheduling state from the
-    /// queue and the channel — every μbank's open-row hit count, the
-    /// PAR-BS marked count, every entry's cached selection key, the
+    /// Recount the derived and cached scheduling state from the queue and
+    /// the channel — the open-row demand of every queued request's μbank
+    /// as its bank mask gives it, every entry's cached selection key, the
     /// channel's rank floors, the queue's per-bank entry masks and the
     /// cached next command of every entry whose bank has no pending touch
     /// — and report the first disagreement. A test hook: the hot path
     /// trusts these instead of rescanning.
     #[doc(hidden)]
     pub fn check_indexes(&self) -> Result<(), String> {
-        let mut hits = vec![0u32; self.open_hits.len()];
         for r in self.queue.iter() {
             let flat = r.flat as usize;
-            if self.channel.open_row_flat(flat) == Some(r.loc.row) {
-                hits[flat] += 1;
+            let open = self.channel.open_row_flat(flat);
+            let want = self
+                .queue
+                .iter()
+                .filter(|o| o.flat == r.flat && open == Some(o.loc.row))
+                .count() as u32;
+            let have = open_row_demand(&self.channel, &self.queue, flat);
+            if have != want {
+                return Err(format!(
+                    "μbank {flat}: open-row demand {have}, recount {want}"
+                ));
             }
-        }
-        if let Some(flat) = (0..hits.len()).find(|&f| hits[f] != self.open_hits[f]) {
-            return Err(format!(
-                "open_hits[{flat}] = {}, recount {}",
-                self.open_hits[flat], hits[flat]
-            ));
-        }
-        let want = self
-            .queue
-            .indices()
-            .filter(|&i| self.queue.is_marked(i))
-            .count();
-        let have = self.scheduler.marked_count();
-        if have != want {
-            return Err(format!("marked count = {have}, recount {want}"));
         }
         for (i, r) in self.queue.iter().enumerate() {
             let want = self.scheduler.key(r, self.queue.is_marked(i));
@@ -986,14 +953,13 @@ impl MemoryController {
                 }
             }
         }
-        for (r, n) in self.queue.iter().zip(self.queue.next_cmds()) {
+        for (i, (r, n)) in self.queue.iter().zip(self.queue.next_cmds()).enumerate() {
             let bank = self.channel.bank_of(r.flat as usize);
             if n.bank as usize != bank || n.rank != r.loc.rank as u16 {
                 return Err(format!("request {}: cached bank/rank {n:?}", r.id));
             }
             if !bits::get(touched, bank) {
-                let mut want = *n;
-                derive_next_cmd(&self.channel, &self.open_hits, r, &mut want);
+                let want = derive_next_cmd(&self.channel, &self.queue, i);
                 if *n != want {
                     return Err(format!(
                         "request {}: cached {n:?} with bank {bank} untouched, derived {want:?}",
@@ -1009,32 +975,35 @@ impl MemoryController {
     pub fn policy_hit_rate(&self) -> f64 {
         self.stats.policy_stats.hit_rate()
     }
-
-    /// Active page policy.
-    pub fn policy(&self) -> PolicyKind {
-        self.policy
-    }
 }
 
-/// Derive the next DRAM command queued request `r` needs from the
-/// channel's current state into `n`: class, target μbank and μbank-local
-/// earliest cycle. Everything it reads lies in `r`'s physical bank — the
-/// μbank's open row and timers, the structural victim (always a sibling)
-/// and both μbanks' `open_hits` — so it stays exact until the channel
-/// touches that bank.
-fn derive_next_cmd(ch: &Channel, open_hits: &[u32], r: &MemRequest, n: &mut NextCmd) {
+/// Open-row demand of μbank `flat`: the queued requests whose row is its
+/// open row, 0 while it is closed.
+fn open_row_demand(ch: &Channel, q: &RequestQueue, flat: usize) -> u32 {
+    ch.open_row_flat(flat)
+        .map_or(0, |row| q.row_demand(flat, row))
+}
+
+/// Derive the next DRAM command the queued request at `idx` needs from
+/// the channel's current state: class, target μbank and μbank-local
+/// earliest cycle. Everything it reads lies in the request's physical
+/// bank — the μbank's open row and timers, the structural victim (always a
+/// sibling) and the open-row demand of either, counted in the bank's entry
+/// mask — so it stays exact until the channel touches that bank.
+fn derive_next_cmd(ch: &Channel, q: &RequestQueue, idx: usize) -> NextCmd {
+    let r = q.get(idx);
     let flat = r.flat as usize;
     // Serve hits before closing: a precharge waits (`Cycle::MAX`) while
-    // another queued request still hits the row it would close.
+    // a queued request still hits the open row it would close.
     let precharge = |target: usize| {
-        let local = if open_hits[target] == 0 {
+        let local = if open_row_demand(ch, q, target) == 0 {
             ch.local_precharge_flat(target)
         } else {
             Cycle::MAX
         };
         (CmdClass::Precharge, target as u32, local)
     };
-    (n.class, n.target, n.local) = match ch.open_row_flat(flat) {
+    let (class, target, local) = match ch.open_row_flat(flat) {
         Some(open) if open == r.loc.row => {
             let class = if r.is_write() {
                 CmdClass::Write
@@ -1052,6 +1021,12 @@ fn derive_next_cmd(ch: &Channel, open_hits: &[u32], r: &MemRequest, n: &mut Next
             None => (CmdClass::Activate, r.flat, ch.local_activate_flat(flat)),
         },
     };
+    NextCmd {
+        class,
+        target,
+        local,
+        ..q.next_cmds()[idx]
+    }
 }
 
 #[cfg(test)]
@@ -1247,7 +1222,7 @@ mod tests {
         let t = cf.timings();
         // ACT at t=0, RD at tRCD, data at tRCD + tAA + tBURST.
         assert_eq!(done[0].at, t.t_rcd + t.t_aa + t.t_burst);
-        assert_eq!(c.stats.served_reads, 1);
+        assert_eq!((done.len(), done[0].id, done[0].is_write), (1, 1, false));
     }
 
     #[test]
@@ -1450,8 +1425,7 @@ mod tests {
         let mut c = ctrl(&cf, PolicyKind::Open);
         c.enqueue(mkreq(&c, 1, 0x1000, ReqKind::Write, 0), 0);
         let done = run_until(&mut c, 1, 10_000);
-        assert!(done[0].is_write);
-        assert_eq!(c.stats.served_writes, 1);
+        assert_eq!((done.len(), done[0].id, done[0].is_write), (1, 1, true));
         assert_eq!(c.channel.stats.writes, 1);
     }
 

@@ -2,14 +2,18 @@
 //!
 //! Each memory controller holds pending requests in a 32-entry queue
 //! (§VI-A). The scheduler scans it every command slot, so the queue keeps
-//! simple dense storage plus two incrementally-maintained indexes the hot
-//! path consults in O(1):
+//! simple dense storage plus one index: an entry mask per physical bank
+//! ([`RequestQueue::bank_entries`]), a bitset over entry indices with as
+//! many 64-bit words as the capacity needs, which `push` and the
+//! swap-remove maintain. Every occupancy question is a walk of those
+//! masks:
 //!
-//! - per-μbank occupancy counts, which the page policies consult ("as long
-//!   as the queue is not empty, the controller can make an effective
-//!   decision" — §V);
-//! - per-rank occupancy counts, which the power-down path consults without
-//!   rescanning the queue every tick.
+//! - the entries of one μbank (`ubank_entries`), which the page policies
+//!   count ("as long as the queue is not empty, the controller can make an
+//!   effective decision" — §V), the open-row guard filters by row
+//!   (`row_demand`) and PAR-BS batch formation ranks by age;
+//! - the entries of one rank, a popcount of its banks' masks, which the
+//!   power-down path consults.
 //!
 //! The queue also stamps each entry's flat μbank index
 //! ([`MemRequest::flat`]) on push, so per-tick scans never recompute
@@ -17,17 +21,13 @@
 //! values beside each entry, moved together by [`RequestQueue::remove`]:
 //!
 //! - its PAR-BS batch mark, a bit in a bitset over entry indices, so
-//!   selection never looks a request up by id;
+//!   selection never looks a request up by id and "the batch drained" is
+//!   an empty bitset;
 //! - its scheduler [`Key`], which changes only when a batch forms;
 //! - its cached next DRAM command ([`NextCmd`]), which the controller
 //!   derives at enqueue and re-derives only for the entries of physical
 //!   banks the channel touched, so the eligibility pass and the
 //!   `next_event` fold read no μbank state.
-//!
-//! Finding those entries takes no scan either: the queue keeps one entry
-//! mask per physical bank ([`RequestQueue::bank_entries`]), a bitset over
-//! entry indices with as many 64-bit words as the capacity needs, which
-//! `push` and the swap-remove maintain.
 
 use crate::scheduler::Key;
 use microbank_core::bits;
@@ -35,10 +35,6 @@ use microbank_core::channel::CmdClass;
 use microbank_core::config::MemConfig;
 use microbank_core::request::MemRequest;
 use microbank_core::Cycle;
-
-// Hot-loop hasher shared across the workspace (see `microbank_core::fxhash`
-// for why the swap from SipHash is behavior-identical here).
-pub use microbank_core::fxhash::{FxBuild, FxHasher};
 
 /// A queued request's next DRAM command as the controller last derived
 /// it. Its earliest legal cycle is `max(local, channel floor of (rank,
@@ -60,7 +56,7 @@ pub struct NextCmd {
     pub class: CmdClass,
 }
 
-/// Bounded request queue with per-μbank and per-rank occupancy tracking.
+/// Bounded request queue indexed by one entry mask per physical bank.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     entries: Vec<MemRequest>,
@@ -77,11 +73,9 @@ pub struct RequestQueue {
     words: usize,
     /// μbanks per physical bank, to stamp [`NextCmd::bank`] on push.
     ubanks_per_bank: usize,
+    /// Physical banks per rank: a rank's masks are contiguous.
+    banks_per_rank: usize,
     capacity: usize,
-    /// Pending-request count per flat μbank index (channel-local).
-    per_bank: Vec<u32>,
-    /// Pending-request count per rank (for the power-down path).
-    per_rank: Vec<u32>,
 }
 
 impl RequestQueue {
@@ -96,9 +90,8 @@ impl RequestQueue {
             bank_entries: vec![0; banks * words],
             words,
             ubanks_per_bank: cfg.ubank.ubanks_per_bank(),
+            banks_per_rank: cfg.banks_per_rank,
             capacity: cfg.queue_size,
-            per_bank: vec![0; cfg.ubanks_per_channel()],
-            per_rank: vec![0; cfg.ranks_per_channel],
         }
     }
 
@@ -128,8 +121,6 @@ impl RequestQueue {
             return false;
         }
         req.flat = flat_ubank as u32;
-        self.per_bank[flat_ubank] += 1;
-        self.per_rank[req.loc.rank as usize] += 1;
         let bank = flat_ubank / self.ubanks_per_bank;
         let idx = self.entries.len();
         bits::set(self.bank_entries_mut(bank), idx);
@@ -164,8 +155,6 @@ impl RequestQueue {
         let req = self.entries.swap_remove(idx);
         self.next.swap_remove(idx);
         self.keys.swap_remove(idx);
-        self.per_bank[req.flat as usize] -= 1;
-        self.per_rank[req.loc.rank as usize] -= 1;
         req
     }
 
@@ -213,24 +202,27 @@ impl RequestQueue {
         &mut self.bank_entries[bank * self.words..(bank + 1) * self.words]
     }
 
-    /// Call `f` on every entry whose physical bank is set in the bitset
-    /// `banks`, with its cached next command to re-derive.
-    pub(crate) fn for_each_in_banks(
+    /// Replace the cached next command of every entry whose physical bank
+    /// is set in the bitset `banks` with `derive(queue, entry index)`.
+    pub(crate) fn rederive_banks(
         &mut self,
         banks: &[u64],
-        mut f: impl FnMut(&MemRequest, &mut NextCmd),
+        mut derive: impl FnMut(&RequestQueue, usize) -> NextCmd,
     ) {
         for bank in bits::ones(banks) {
-            let mask = &self.bank_entries[bank * self.words..(bank + 1) * self.words];
-            for i in bits::ones(mask) {
-                f(&self.entries[i], &mut self.next[i]);
+            for w in 0..self.words {
+                let word = self.bank_entries[bank * self.words + w];
+                for b in bits::ones(&[word]) {
+                    let i = w * 64 + b;
+                    let n = derive(self, i);
+                    self.next[i] = n;
+                }
             }
         }
     }
 
-    /// Call `f` on the entry at `idx` with its cached next command.
-    pub(crate) fn with_next_cmd(&mut self, idx: usize, f: impl FnOnce(&MemRequest, &mut NextCmd)) {
-        f(&self.entries[idx], &mut self.next[idx]);
+    pub(crate) fn set_next_cmd(&mut self, idx: usize, n: NextCmd) {
+        self.next[idx] = n;
     }
 
     /// Put the entry at `idx` into the current PAR-BS batch.
@@ -245,14 +237,34 @@ impl RequestQueue {
         self.entries[idx].retried = true;
     }
 
-    /// Number of queued requests targeting the given μbank.
-    pub fn pending_for_bank(&self, flat_ubank: usize) -> u32 {
-        self.per_bank[flat_ubank]
+    /// Indices of the entries queued for flat μbank `flat`, ascending: its
+    /// physical bank's mask filtered by μbank.
+    pub(crate) fn ubank_entries(&self, flat: usize) -> impl Iterator<Item = usize> + '_ {
+        bits::ones(self.bank_entries(flat / self.ubanks_per_bank))
+            .filter(move |&i| self.entries[i].flat as usize == flat)
     }
 
-    /// Number of queued requests targeting the given rank.
+    /// Number of queued requests for μbank `flat` whose row is `row`; with
+    /// `row` the μbank's open row, its open-row demand.
+    pub(crate) fn row_demand(&self, flat: usize, row: u32) -> u32 {
+        self.ubank_entries(flat)
+            .filter(|&i| self.entries[i].loc.row == row)
+            .count() as u32
+    }
+
+    /// Number of queued requests targeting the given μbank.
+    pub fn pending_for_bank(&self, flat_ubank: usize) -> u32 {
+        self.ubank_entries(flat_ubank).count() as u32
+    }
+
+    /// Number of queued requests targeting the given rank: the popcount of
+    /// its banks' masks.
     pub fn pending_for_rank(&self, rank: usize) -> u32 {
-        self.per_rank[rank]
+        let span = self.banks_per_rank * self.words;
+        self.bank_entries[rank * span..(rank + 1) * span]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum()
     }
 
     /// Indices of all entries, for scheduler scans.
@@ -355,7 +367,13 @@ mod tests {
         for (r, n) in q.iter().zip(q.next_cmds()) {
             assert_eq!(n.bank as usize, r.flat as usize / per_bank);
         }
-        q.with_next_cmd(2, |_, n| n.local = 42);
+        q.set_next_cmd(
+            2,
+            NextCmd {
+                local: 42,
+                ..q.next_cmds()[2]
+            },
+        );
         q.remove(0);
         assert_eq!(q.get(0).id, 2);
         assert_eq!(q.next_cmds()[0].local, 42);

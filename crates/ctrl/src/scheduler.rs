@@ -11,9 +11,8 @@
 //! and age breaks ties.
 
 use crate::qos::{tenant_slot, MAX_TENANTS};
-use crate::queue::{FxBuild, RequestQueue};
+use crate::queue::RequestQueue;
 use microbank_core::request::MemRequest;
-use std::collections::HashMap;
 
 /// Scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,8 +33,8 @@ impl Default for SchedulerKind {
 /// Selection priority of one queued request, lower first: orders exactly
 /// like the tuple `(!marked, tenant_prio, miss, thread_rank, arrival,
 /// id)` (see [`Scheduler::key`]). The first five fields pack into one
-/// `u128` — arrival in bits 0–63, thread rank 64–95, miss 96, tenant
-/// priority 97–104, unmarked 105 — so a comparison is one wide compare
+/// `u128` — arrival in bits 0–63, thread rank 64–111, miss 112, tenant
+/// priority 113–120, unmarked 121 — so a comparison is one wide compare
 /// plus the id on a tie.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
@@ -44,8 +43,8 @@ pub struct Key {
 }
 
 impl Key {
-    const MISS: u128 = 1 << 96;
-    /// Above every request's key (whose packed fields end at bit 105).
+    const MISS: u128 = 1 << 112;
+    /// Above every request's key (whose packed fields end at bit 121).
     pub const MAX: Key = Key {
         order: u128::MAX,
         id: u64::MAX,
@@ -65,27 +64,17 @@ impl Key {
 /// Stateful scheduler (batch bookkeeping for PAR-BS).
 ///
 /// The batch marks live on the queue entries
-/// ([`RequestQueue::is_marked`]); the scheduler keeps only their count.
-/// Invariant: `marked` equals the number of marked queue entries. Marks
-/// are set only in [`Scheduler::maybe_form_batch`], and a marked entry
-/// leaves the queue only through the controller's column path, which
-/// reports it via [`Scheduler::note_serviced`]. "Any queued request is
-/// still marked" is therefore `marked > 0`, with no queue scan.
+/// ([`RequestQueue::is_marked`]), so the batch has drained exactly when
+/// the queue's mark bitset is empty; the scheduler keeps only the thread
+/// ranks of the batch that set them.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     kind: SchedulerKind,
-    marked: usize,
     /// Shortest-job-first rank per thread in the current batch, indexed
-    /// by thread; `u32::MAX` (also past the end) for unranked threads.
-    thread_rank: Vec<u32>,
-    pub batches_formed: u64,
-    // Reusable batch-formation scratch (cleared each use; the maps are
-    // never iterated, and `threads` is fully sorted by a total key, so the
-    // hasher cannot influence behavior).
-    order: Vec<usize>,
-    per_pair: HashMap<(u16, u32), usize, FxBuild>,
-    per_thread: HashMap<u16, u32, FxBuild>,
-    threads: Vec<(u16, u32)>,
+    /// by thread: its marked count above its 16-bit id, so ranks order by
+    /// (marked count, thread id). [`Scheduler::UNRANKED`] (also past the
+    /// end) for threads without a marked request.
+    thread_rank: Vec<u64>,
     /// Per-tenant scheduling priority (lower wins), installed by the QoS
     /// subsystem. All-zero (the default) contributes a constant to the
     /// selection key, so single-tenant and QoS-off runs are bit-identical
@@ -94,16 +83,14 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
+    /// Rank of a thread outside the current batch, above every marked
+    /// thread's (a count below 2^32 above a 16-bit id).
+    pub const UNRANKED: u64 = (1 << 48) - 1;
+
     pub fn new(kind: SchedulerKind) -> Self {
         Scheduler {
             kind,
-            marked: 0,
             thread_rank: Vec::new(),
-            batches_formed: 0,
-            order: Vec::new(),
-            per_pair: HashMap::default(),
-            per_thread: HashMap::default(),
-            threads: Vec::new(),
             tenant_prio: [0; MAX_TENANTS],
         }
     }
@@ -114,27 +101,13 @@ impl Scheduler {
         self.tenant_prio = prio;
     }
 
-    pub fn kind(&self) -> SchedulerKind {
-        self.kind
-    }
-
-    /// Number of queued requests in the current batch.
-    pub fn marked_count(&self) -> usize {
-        self.marked
-    }
-
     /// Shortest-job-first rank of `thread` in the current batch (lower is
     /// higher priority); unmarked threads rank last.
-    pub fn rank_of(&self, thread: u16) -> u32 {
+    pub fn rank_of(&self, thread: u16) -> u64 {
         self.thread_rank
             .get(usize::from(thread))
             .copied()
-            .unwrap_or(u32::MAX)
-    }
-
-    /// A request left the queue; `marked` is its batch mark.
-    pub fn note_serviced(&mut self, marked: bool) {
-        self.marked -= usize::from(marked);
+            .unwrap_or(Self::UNRANKED)
     }
 
     /// Would the next [`Scheduler::maybe_form_batch`] call actually form
@@ -144,58 +117,50 @@ impl Scheduler {
     /// arriving before the deferred tick would be marked into a batch
     /// that the per-cycle reference formed without it (DESIGN §5f).
     pub fn would_form_batch(&self, queue: &RequestQueue) -> bool {
-        matches!(self.kind, SchedulerKind::ParBs { .. }) && self.marked == 0 && !queue.is_empty()
+        matches!(self.kind, SchedulerKind::ParBs { .. })
+            && !queue.is_empty()
+            && queue.marked_entries().iter().all(|&w| w == 0)
     }
 
-    /// Form a new batch if the current one is exhausted (PAR-BS only),
-    /// marking the chosen entries in `queue`. Uses each entry's cached
-    /// flat μbank index ([`MemRequest::flat`], stamped by the queue on
-    /// push).
-    ///
-    /// [`MemRequest::flat`]: microbank_core::request::MemRequest::flat
+    /// Form a new batch if the current one has drained (PAR-BS only):
+    /// mark every entry with fewer than `marking_cap` older entries
+    /// (by arrival, then id) of its own thread in its μbank — counted
+    /// within the μbank's bank mask — and rank threads by their marked
+    /// count, then id.
     pub fn maybe_form_batch(&mut self, queue: &mut RequestQueue) {
         let SchedulerKind::ParBs { marking_cap } = self.kind else {
             return;
         };
-        if self.marked > 0 {
-            return; // batch still in flight (see the invariant)
-        }
-        self.thread_rank.fill(u32::MAX);
-        if queue.is_empty() {
+        if !self.would_form_batch(queue) {
             return;
         }
-        // Sort entry indices by age so we mark the oldest per (thread, bank).
-        self.order.clear();
-        self.order.extend(queue.indices());
-        self.order
-            .sort_unstable_by_key(|&i| (queue.get(i).arrival, queue.get(i).id));
-        self.per_pair.clear();
-        self.per_thread.clear();
-        for &i in &self.order {
-            let (thread, flat) = (queue.get(i).thread, queue.get(i).flat);
-            let n = self.per_pair.entry((thread, flat)).or_insert(0);
-            if *n < marking_cap {
-                *n += 1;
+        // `thread_rank` counts each thread's marks, then becomes the rank.
+        self.thread_rank.fill(0);
+        for i in queue.indices() {
+            let r = queue.get(i);
+            let older = queue
+                .ubank_entries(r.flat as usize)
+                .map(|j| queue.get(j))
+                .filter(|o| o.thread == r.thread && (o.arrival, o.id) < (r.arrival, r.id))
+                .count();
+            if older < marking_cap {
+                let t = usize::from(r.thread);
+                if t >= self.thread_rank.len() {
+                    self.thread_rank.resize(t + 1, 0);
+                }
+                self.thread_rank[t] += 1;
                 queue.mark(i);
-                self.marked += 1;
-                *self.per_thread.entry(thread).or_insert(0) += 1;
             }
         }
-        // Shortest job first: fewest marked requests → rank 0. Sorted by a
-        // total key, so the map's iteration order is immaterial.
-        self.threads.clear();
-        self.threads
-            .extend(self.per_thread.iter().map(|(&t, &n)| (t, n)));
-        self.threads.sort_unstable_by_key(|&(t, n)| (n, t));
-        for (rank, &(t, _)) in self.threads.iter().enumerate() {
-            let t = usize::from(t);
-            if t >= self.thread_rank.len() {
-                self.thread_rank.resize(t + 1, u32::MAX);
-            }
-            self.thread_rank[t] = rank as u32;
+        // Shortest job first: fewest marked requests, then lowest id.
+        for (t, rank) in self.thread_rank.iter_mut().enumerate() {
+            *rank = if *rank == 0 {
+                Self::UNRANKED
+            } else {
+                *rank << 16 | t as u64
+            };
         }
         self.rekey(queue);
-        self.batches_formed += 1;
     }
 
     /// Selection priority of queued request `r` with batch mark
@@ -208,8 +173,8 @@ impl Scheduler {
     /// constant. Everything but the row hit holds until the next batch
     /// forms, so the queue caches each entry's key.
     pub fn key(&self, r: &MemRequest, marked: bool) -> Key {
-        let head = u128::from(!marked) << 105
-            | u128::from(self.tenant_prio[tenant_slot(r.tenant)]) << 97
+        let head = u128::from(!marked) << 121
+            | u128::from(self.tenant_prio[tenant_slot(r.tenant)]) << 113
             | Key::MISS
             | u128::from(self.rank_of(r.thread)) << 64;
         Key {
@@ -302,25 +267,26 @@ mod tests {
             .map(|i| q.get(i).id)
             .collect();
         assert_eq!(marked, [0, 1, 2, 3, 4], "the five oldest are marked");
-        assert_eq!(s.marked_count(), 5);
-        assert_eq!(s.batches_formed, 1);
     }
 
     #[test]
     fn parbs_ranks_light_threads_first() {
         let c = cfg();
         let mut q = RequestQueue::new(&c);
-        // Thread 0: four requests to distinct banks; thread 1: one request.
+        // Thread 0: four requests to distinct banks; threads 1 and 2: one
+        // request each.
         for i in 0..4u64 {
             push(&mut q, &c, i, 0, i << 20);
         }
+        push(&mut q, &c, 98, 2, 6 << 20);
         push(&mut q, &c, 99, 1, 5 << 20);
         let mut s = Scheduler::new(SchedulerKind::ParBs { marking_cap: 5 });
         s.maybe_form_batch(&mut q);
         assert!(s.rank_of(1) < s.rank_of(0), "shortest job first");
+        assert!(s.rank_of(1) < s.rank_of(2), "equal counts: lower id first");
         assert_eq!(
             s.rank_of(7),
-            u32::MAX,
+            Scheduler::UNRANKED,
             "threads outside the batch rank last"
         );
     }
@@ -336,21 +302,16 @@ mod tests {
         // New arrivals do not join the in-flight batch.
         push(&mut q, &c, 2, 1, 1 << 20);
         s.maybe_form_batch(&mut q);
-        assert!(!q.is_marked(idx_of(&q, 2)));
-        assert_eq!(s.batches_formed, 1);
+        assert!(q.is_marked(idx_of(&q, 1)) && !q.is_marked(idx_of(&q, 2)));
         assert!(!s.would_form_batch(&q));
         // Drain the batch; next call forms a fresh one including id 2.
-        let idx = idx_of(&q, 1);
-        s.note_serviced(q.is_marked(idx));
-        q.remove(idx);
-        assert_eq!(s.marked_count(), 0);
+        q.remove(idx_of(&q, 1));
         assert!(s.would_form_batch(&q));
         s.maybe_form_batch(&mut q);
         assert!(q.is_marked(idx_of(&q, 2)));
-        assert_eq!(s.batches_formed, 2);
         // Thread 0 left the batch with its request: its rank is cleared.
-        assert_eq!(s.rank_of(0), u32::MAX);
-        assert_eq!(s.rank_of(1), 0);
+        assert_eq!(s.rank_of(0), Scheduler::UNRANKED);
+        assert_eq!(s.rank_of(1), 1 << 16 | 1, "one mark, thread 1");
     }
 
     #[test]
@@ -418,7 +379,6 @@ mod tests {
         let mut s = Scheduler::new(SchedulerKind::FrFcfs);
         s.maybe_form_batch(&mut q);
         assert!(!q.is_marked(0));
-        assert_eq!(s.marked_count(), 0);
-        assert_eq!(s.batches_formed, 0);
+        assert!(!s.would_form_batch(&q));
     }
 }

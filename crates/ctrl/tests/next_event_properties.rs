@@ -39,18 +39,12 @@ fn mkreq(c: &MemoryController, id: u64, addr: u64, kind: ReqKind, thread: u16) -
 struct Observable {
     dram: DramStats,
     queue_len: usize,
-    served_reads: u64,
-    served_writes: u64,
-    speculative_decisions: u64,
 }
 
 fn observe(c: &MemoryController) -> Observable {
     Observable {
         dram: c.channel.stats,
         queue_len: c.queue_len(),
-        served_reads: c.stats.served_reads,
-        served_writes: c.stats.served_writes,
-        speculative_decisions: c.stats.speculative_decisions,
     }
 }
 

@@ -1,15 +1,15 @@
 //! Index-consistency tests for the incrementally-maintained scheduling
 //! state.
 //!
-//! The request queue keeps per-μbank and per-rank counts and one entry
-//! mask per physical bank; the controller keeps a per-μbank open-row hit
-//! count, the scheduler a PAR-BS marked count, the channel each rank's
-//! dual floors and the set of banks it touched, and the queue every
-//! entry's cached next command, re-derived when its bank is touched. The
-//! hot path trusts all of them instead of rescanning the queue, so any
-//! drift silently changes scheduling decisions. The queue property test
-//! checks its counts and masks against a naive rescan under arbitrary
-//! pushes and removals; the controller soak checks the rest after every
+//! The request queue keeps one entry mask per physical bank, from which
+//! per-μbank and per-rank occupancy and each μbank's open-row demand are
+//! derived; the channel keeps each rank's dual floors and the set of
+//! banks it touched, and the queue every entry's cached next command,
+//! re-derived when its bank is touched. The hot path trusts all of them
+//! instead of rescanning the queue, so any drift silently changes
+//! scheduling decisions. The queue property test checks its counts and
+//! masks against a naive rescan under arbitrary pushes and removals; the
+//! controller soak checks the rest after every
 //! enqueue, tick and `next_event` (which re-derives the commands the tick
 //! made stale),
 //! across device variants, with refresh (PREA), the perfect predictor

@@ -62,6 +62,9 @@ struct Oracle {
     thread_rank: HashMap<u16, u32>,
     /// Entries whose command was legal but whose rank was draining.
     drain_masked: u64,
+    /// Batches in which some (thread, μbank) pair held more queued
+    /// requests than the marking cap.
+    capped_batches: u64,
 }
 
 /// The queued request at `i`'s next command from the channel's state:
@@ -120,14 +123,18 @@ impl Oracle {
         order.sort_by_key(|r| (r.arrival, r.id));
         let mut per_pair: HashMap<(u16, u32), usize> = HashMap::new();
         let mut per_thread: HashMap<u16, u32> = HashMap::new();
+        let mut capped = false;
         for r in order {
             let n = per_pair.entry((r.thread, r.flat)).or_default();
             if *n < cap {
                 *n += 1;
                 self.marked.insert(r.id);
                 *per_thread.entry(r.thread).or_default() += 1;
+            } else {
+                capped = true;
             }
         }
+        self.capped_batches += u64::from(capped);
         let mut threads: Vec<(u16, u32)> = per_thread.into_iter().collect();
         threads.sort_by_key(|&(t, n)| (n, t));
         self.thread_rank = threads
@@ -327,6 +334,7 @@ struct Seen {
     drain_masked: u64,
     throttled: u64,
     sleeping_horizons: u64,
+    capped_batches: u64,
 }
 
 /// One configuration of the sweep.
@@ -386,6 +394,7 @@ fn run(case: Case, seen: &mut Seen) {
         marked: HashSet::new(),
         thread_rank: HashMap::new(),
         drain_masked: 0,
+        capped_batches: 0,
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut done = Vec::new();
@@ -439,6 +448,7 @@ fn run(case: Case, seen: &mut Seen) {
         seen.sleeping_horizons += u64::from(have.is_some_and(|h| h > now + 1));
     }
     seen.drain_masked += oracle.drain_masked;
+    seen.capped_batches += oracle.capped_batches;
 }
 
 #[test]
@@ -494,4 +504,5 @@ fn selection_and_horizon_match_the_reference_model() {
     assert!(seen.drain_masked > 100, "{seen:?}");
     assert!(seen.throttled > 1_000, "{seen:?}");
     assert!(seen.sleeping_horizons > 1_000, "{seen:?}");
+    assert!(seen.capped_batches > 0, "{seen:?}");
 }
