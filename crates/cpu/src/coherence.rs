@@ -92,12 +92,18 @@ impl Directory {
         Self::slot(line).0
     }
 
+    /// The 32-bit key of `line`, its line index. Panics for a line at or
+    /// beyond [`Directory::REACH`].
+    pub fn key(line: u64) -> u32 {
+        u32::try_from(line >> CACHE_LINE_BITS)
+            .expect("line lies beyond the directory's 32-bit reach")
+    }
+
     /// Bank and key of `line`, a line-aligned address below
     /// [`Directory::REACH`].
     fn slot(line: u64) -> (usize, u32) {
         debug_assert_eq!(line % CACHE_LINE_BYTES, 0, "unaligned line {line:#x}");
-        let key = u32::try_from(line >> CACHE_LINE_BITS)
-            .expect("line lies beyond the directory's 32-bit reach");
+        let key = Self::key(line);
         let bank = (FxBuild::default().hash_one(key) >> 32) as usize % BANKS;
         (bank, key)
     }

@@ -15,7 +15,8 @@
 //! * [`instr`] — the instruction-stream abstraction workloads implement.
 //! * [`rob`] — the reorder-buffer core model.
 //! * [`cache`] — set-associative write-back caches with LRU replacement.
-//! * [`mshr`] — miss-status holding registers (MLP limiter + merge points).
+//! * [`mshr`] — miss-status holding registers (the per-core MLP limiter;
+//!   accesses to an in-flight line merge in [`system`]'s in-flight table).
 //! * [`coherence`] — directory-based MESI among the L2 slices.
 //! * [`system`] — the full CMP: clusters, routing, and the memory port.
 
@@ -35,4 +36,4 @@ pub use instr::{Block, Instr, InstrSource};
 pub use mshr::MshrFile;
 pub use prefetch::StreamPrefetcher;
 pub use rob::{Core, CoreStats, MemOutcome};
-pub use system::{CmpSystem, MemPort, PendingMem, SubmittedReq, SystemStats};
+pub use system::{CmpSystem, MemPort, SubmittedReq, SystemStats};

@@ -1,91 +1,75 @@
-//! Miss-status holding registers: the per-core limiter on outstanding line
-//! misses and the merge point for accesses to an in-flight line.
-
-use microbank_core::fxhash::FxHashMap;
-
-/// A waiter to notify when the line arrives: the ROB sequence number of the
-/// load (stores are posted and never wait).
-pub type Waiter = u64;
-
-/// One in-flight line miss.
-#[derive(Debug, Clone)]
-pub struct MshrEntry {
-    pub line: u64,
-    pub waiters: Vec<Waiter>,
-    /// The fill must also perform a write (a store merged into the miss).
-    pub write_intent: bool,
-}
+//! Miss-status holding registers: the per-core limit on outstanding line
+//! misses.
+//!
+//! An MSHR file only counts: it holds the lines its core has a main-memory
+//! miss outstanding on, and a core whose file is full stalls. The miss
+//! itself — the loads to wake and whether the line arrives dirty — is
+//! recorded once per cluster in the CMP's in-flight table
+//! ([`crate::system`]), where later accesses to the line merge.
 
 /// Per-core MSHR file.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    // Point lookups keyed by line address; never iterated.
-    entries: FxHashMap<u64, MshrEntry>,
-    pub merges: u64,
+    /// Outstanding lines, unordered and distinct. Grown on first use, so an
+    /// idle core's file allocates nothing.
+    lines: Vec<u64>,
 }
 
 impl MshrFile {
     pub fn new(capacity: usize) -> Self {
         MshrFile {
             capacity,
-            entries: FxHashMap::default(),
-            merges: 0,
+            lines: Vec::new(),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lines.is_empty()
     }
 
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.lines.len() >= self.capacity
     }
 
     /// Is a miss to `line` already outstanding?
     pub fn contains(&self, line: u64) -> bool {
-        self.entries.contains_key(&line)
+        self.lines.contains(&line)
     }
 
-    /// Merge a new access into an existing entry. Returns false if absent.
-    pub fn merge(&mut self, line: u64, waiter: Option<Waiter>, is_write: bool) -> bool {
-        match self.entries.get_mut(&line) {
-            Some(e) => {
-                if let Some(w) = waiter {
-                    e.waiters.push(w);
-                }
-                e.write_intent |= is_write;
-                self.merges += 1;
+    /// Record a miss to `line`, which must not be outstanding yet. Returns
+    /// false when full (caller must stall).
+    pub fn allocate(&mut self, line: u64) -> bool {
+        if self.is_full() {
+            return false;
+        }
+        debug_assert!(!self.contains(line), "line {line:#x} already outstanding");
+        self.lines.push(line);
+        true
+    }
+
+    /// The fill for `line` arrived: release its entry. Returns whether
+    /// there was one.
+    pub fn complete(&mut self, line: u64) -> bool {
+        match self.lines.iter().position(|&l| l == line) {
+            Some(i) => {
+                self.lines.swap_remove(i);
                 true
             }
             None => false,
         }
     }
+}
 
-    /// Allocate a new entry. Returns false when full (caller must stall).
-    pub fn allocate(&mut self, line: u64, waiter: Option<Waiter>, is_write: bool) -> bool {
-        if self.is_full() {
-            return false;
-        }
-        debug_assert!(!self.entries.contains_key(&line));
-        self.entries.insert(
-            line,
-            MshrEntry {
-                line,
-                waiters: waiter.into_iter().collect(),
-                write_intent: is_write,
-            },
-        );
-        true
-    }
-
-    /// The fill for `line` arrived: release and return the entry.
-    pub fn complete(&mut self, line: u64) -> Option<MshrEntry> {
-        self.entries.remove(&line)
+#[cfg(test)]
+impl MshrFile {
+    /// The outstanding lines, in no particular order.
+    pub(crate) fn lines(&self) -> &[u64] {
+        &self.lines
     }
 }
 
@@ -96,28 +80,30 @@ mod tests {
     #[test]
     fn allocate_until_full() {
         let mut m = MshrFile::new(2);
-        assert!(m.allocate(0, Some(1), false));
-        assert!(m.allocate(64, Some(2), false));
+        assert!(m.allocate(0));
+        assert!(m.allocate(64));
         assert!(m.is_full());
-        assert!(!m.allocate(128, Some(3), false));
+        assert!(!m.allocate(128));
+        assert_eq!(m.len(), 2);
     }
 
     #[test]
-    fn merge_joins_waiters_and_write_intent() {
+    fn complete_releases_only_its_line() {
         let mut m = MshrFile::new(2);
-        m.allocate(0, Some(1), false);
-        assert!(m.merge(0, Some(2), true));
-        assert!(!m.merge(64, None, false), "no entry for other line");
-        let e = m.complete(0).unwrap();
-        assert_eq!(e.waiters, vec![1, 2]);
-        assert!(e.write_intent);
-        assert_eq!(m.merges, 1);
-        assert!(m.is_empty());
+        m.allocate(0);
+        m.allocate(64);
+        assert!(m.complete(0));
+        assert!(!m.contains(0));
+        assert!(m.contains(64));
+        assert!(!m.is_full());
+        assert!(m.allocate(128), "the freed entry is reusable");
+        assert!(!m.complete(0), "already released");
     }
 
     #[test]
-    fn complete_unknown_line_is_none() {
+    fn complete_unknown_line_is_false() {
         let mut m = MshrFile::new(1);
-        assert!(m.complete(0).is_none());
+        assert!(!m.complete(0));
+        assert!(m.is_empty());
     }
 }

@@ -40,15 +40,16 @@ pub trait MemPort {
     fn submit(&mut self, req: SubmittedReq, now: Cycle) -> bool;
 }
 
-/// An in-flight main-memory fill.
+/// An in-flight main-memory read: the one record of a miss's waiters and
+/// write intent, which every access from its cluster merges into.
 #[derive(Debug, Clone)]
-pub struct PendingMem {
-    pub line: u64,
-    pub cluster: usize,
+struct PendingMem {
+    line: u64,
+    cluster: usize,
     /// Loads to wake: (core index, ROB sequence).
-    pub waiters: Vec<(usize, u64)>,
+    waiters: Vec<(usize, u64)>,
     /// The arriving line must be installed dirty (merged store).
-    pub write_intent: bool,
+    write_intent: bool,
 }
 
 /// Aggregate CMP statistics.
@@ -96,12 +97,6 @@ impl Uncore {
         addr & !(microbank_core::CACHE_LINE_BYTES - 1)
     }
 
-    /// The `pending_by_line` key of `line`.
-    fn line_key(line: u64) -> u32 {
-        u32::try_from(line >> microbank_core::CACHE_LINE_BITS)
-            .expect("line lies beyond the directory's reach")
-    }
-
     fn cores_of(&self, cluster: usize) -> std::ops::Range<usize> {
         let k = self.cfg.cores_per_cluster;
         cluster * k..(cluster * k + k).min(self.l1.len())
@@ -115,6 +110,31 @@ impl Uncore {
             .unwrap_or_default()
     }
 
+    /// Give the next request id to a request for `addr` on behalf of
+    /// `thread`, and submit it, or queue it behind the backlog. Returns the
+    /// id.
+    fn send<P: MemPort + ?Sized>(
+        &mut self,
+        addr: u64,
+        is_write: bool,
+        thread: u16,
+        now: Cycle,
+        port: &mut P,
+    ) -> u64 {
+        let req = SubmittedReq {
+            id: self.next_id,
+            addr,
+            is_write,
+            thread,
+            tenant: self.tenant_of(thread),
+        };
+        self.next_id += 1;
+        if !self.backlog.is_empty() || !port.submit(req, now) {
+            self.backlog.push_back(req);
+        }
+        req.id
+    }
+
     /// Send (or queue) a posted memory write.
     fn post_write<P: MemPort + ?Sized>(
         &mut self,
@@ -123,18 +143,35 @@ impl Uncore {
         now: Cycle,
         port: &mut P,
     ) {
-        let req = SubmittedReq {
-            id: self.next_id,
-            addr: line,
-            is_write: true,
-            thread,
-            tenant: self.tenant_of(thread),
-        };
-        self.next_id += 1;
         self.stats.dram_writes += 1;
-        if !self.backlog.is_empty() || !port.submit(req, now) {
-            self.backlog.push_back(req);
-        }
+        self.send(line, true, thread, now, port);
+    }
+
+    /// Open a miss: read `line` from memory into `core`'s cluster on the
+    /// core's behalf, waking the load with ROB sequence `load` when it
+    /// arrives and installing it dirty if `write_intent`. Every miss,
+    /// demand or prefetch, opens here; [`CmpSystem::on_fill`] closes it.
+    fn fetch<P: MemPort + ?Sized>(
+        &mut self,
+        line: u64,
+        core: usize,
+        load: Option<u64>,
+        write_intent: bool,
+        now: Cycle,
+        port: &mut P,
+    ) {
+        let id = self.send(line, false, core as u16, now, port);
+        self.inflight.insert(
+            id,
+            PendingMem {
+                line,
+                cluster: core / self.cfg.cores_per_cluster,
+                waiters: load.map(|seq| (core, seq)).into_iter().collect(),
+                write_intent,
+            },
+        );
+        self.pending_by_line.insert(Directory::key(line), id);
+        self.stats.dram_reads += 1;
     }
 
     /// An L2 slice evicted `victim`: keep inclusion (drop L1 copies, OR in
@@ -159,23 +196,22 @@ impl Uncore {
         }
     }
 
-    /// Install a line into a cluster's L2 and one core's L1.
-    fn fill_hierarchy<P: MemPort + ?Sized>(
+    /// Install `line` (clean) in `core`'s L1. A dirty L1 victim is written
+    /// into the cluster's L2, and the L2 victim that makes, if any, is
+    /// handled on behalf of `thread`.
+    fn fill_l1<P: MemPort + ?Sized>(
         &mut self,
         core: usize,
         cluster: usize,
         line: u64,
-        dirty: bool,
+        thread: u16,
         now: Cycle,
         port: &mut P,
     ) {
-        if let Some(v) = self.l2[cluster].fill(line, dirty) {
-            self.handle_l2_victim(cluster, v.addr, v.dirty, core as u16, now, port);
-        }
         if let Some(v) = self.l1[core].fill(line, false) {
             if v.dirty {
                 if let Some(v2) = self.l2[cluster].fill(v.addr, true) {
-                    self.handle_l2_victim(cluster, v2.addr, v2.dirty, core as u16, now, port);
+                    self.handle_l2_victim(cluster, v2.addr, v2.dirty, thread, now, port);
                 }
             }
         }
@@ -228,7 +264,7 @@ impl Uncore {
         }
         for pf in self.prefetchers[core].on_miss(line) {
             if self.l2[cluster].contains(pf)
-                || self.pending_by_line.contains_key(&Self::line_key(pf))
+                || self.pending_by_line.contains_key(&Directory::key(pf))
             {
                 continue;
             }
@@ -237,31 +273,9 @@ impl Uncore {
                 continue;
             }
             self.dir.read_miss(pf, cluster);
-            let id = self.next_id;
-            self.next_id += 1;
-            self.inflight.insert(
-                id,
-                PendingMem {
-                    line: pf,
-                    cluster,
-                    waiters: Vec::new(),
-                    write_intent: false,
-                },
-            );
-            self.pending_by_line.insert(Self::line_key(pf), id);
             self.prefetched.insert((cluster, pf));
             self.stats.prefetches += 1;
-            self.stats.dram_reads += 1;
-            let req = SubmittedReq {
-                id,
-                addr: pf,
-                is_write: false,
-                thread: core as u16,
-                tenant: self.tenant_of(core as u16),
-            };
-            if !self.backlog.is_empty() || !port.submit(req, now) {
-                self.backlog.push_back(req);
-            }
+            self.fetch(pf, core, None, false, now, port);
         }
     }
 
@@ -278,8 +292,7 @@ impl Uncore {
     ) -> MemOutcome {
         let cfg = self.cfg;
         let line = Self::line_of(addr);
-        let store_done = now + cfg.l1_latency; // posted stores never block
-                                               // L1 hit (single way scan).
+        // L1 hit (single way scan).
         if self.l1[core].probe_hit(line, is_write).is_some() {
             return MemOutcome::ReadyAt(now + cfg.l1_latency);
         }
@@ -295,47 +308,45 @@ impl Uncore {
             let mut latency = cfg.l1_latency + cfg.l2_latency;
             if is_write {
                 // MESI: writing a line we may only share → upgrade.
-                let (action, inv) = self.dir.write_miss(line, cluster);
+                // The data is already local, so only the invalidations
+                // count.
+                let (_, inv) = self.dir.write_miss(line, cluster);
                 if inv != 0 {
                     self.stats.upgrades += 1;
                     latency += cfg.dir_latency + cfg.noc_latency;
                 }
-                let _ = action; // data already local
                 self.apply_invalidations(line, inv);
             }
-            // `fill_hierarchy` specialized for a line we just probed in
-            // this L2: its `l2.fill(line, false)` finds the line present
-            // (the invalidations above touch other clusters only) and
-            // reduces to an LRU retouch of the known way, with no victim.
+            // The L2 fill of a line just probed in this L2 finds it present
+            // (the invalidations above touch other clusters only): an LRU
+            // retouch of the known way, with no victim.
             self.l2[cluster].retouch(way);
-            if let Some(v) = self.l1[core].fill(line, false) {
-                if v.dirty {
-                    if let Some(v2) = self.l2[cluster].fill(v.addr, true) {
-                        self.handle_l2_victim(cluster, v2.addr, v2.dirty, core as u16, now, port);
-                    }
-                }
-            }
+            self.fill_l1(core, cluster, line, core as u16, now, port);
             if is_write {
-                // Keep the L2 copy marked dirty after the refill.
-                self.l2[cluster].access(line, true);
-                self.l2[cluster].hits -= 1; // bookkeeping access, not demand
+                // Make the written line most recent again. It is still
+                // present: an L1 victim is already in the inclusive L2, so
+                // the refill above evicted nothing.
+                self.l2[cluster].fill(line, true);
             }
             return MemOutcome::ReadyAt(now + latency);
         }
         self.l2[cluster].misses += 1;
+        // A store to a line on its way from memory is posted; a load waits
+        // for the line.
+        let missed = if is_write {
+            MemOutcome::ReadyAt(now + cfg.l1_latency)
+        } else {
+            MemOutcome::Pending
+        };
         // Merge into an in-flight fill for the same line+cluster.
-        if let Some(&id) = self.pending_by_line.get(&Self::line_key(line)) {
+        if let Some(&id) = self.pending_by_line.get(&Directory::key(line)) {
             let p = self.inflight.get_mut(&id).expect("pending id");
             if p.cluster == cluster {
                 if !is_write {
                     p.waiters.push((core, seq));
                 }
                 p.write_intent |= is_write;
-                return if is_write {
-                    MemOutcome::ReadyAt(store_done)
-                } else {
-                    MemOutcome::Pending
-                };
+                return missed;
             }
             // Different cluster racing on the same line: rare; let it go
             // through the directory as its own transaction below.
@@ -365,7 +376,10 @@ impl Uncore {
                     // Exclusive ownership migrates away from `owner`.
                     self.drop_from_cluster(owner, line);
                 }
-                self.fill_hierarchy(core, cluster, line, is_write, now, port);
+                if let Some(v) = self.l2[cluster].fill(line, is_write) {
+                    self.handle_l2_victim(cluster, v.addr, v.dirty, core as u16, now, port);
+                }
+                self.fill_l1(core, cluster, line, core as u16, now, port);
                 let latency = cfg.l1_latency
                     + cfg.l2_latency
                     + cfg.dir_latency
@@ -374,45 +388,15 @@ impl Uncore {
                 MemOutcome::ReadyAt(now + if is_write { cfg.l1_latency } else { latency })
             }
             CoherenceAction::FetchFromMemory => {
+                // The core may still hold the line from a fetch whose
+                // `pending_by_line` entry another cluster's fetch replaced.
                 if !self.mshr[core].contains(line) {
-                    self.mshr[core].allocate(line, Some(seq), is_write);
-                } else {
-                    self.mshr[core].merge(line, Some(seq), is_write);
+                    self.mshr[core].allocate(line);
                 }
-                let id = self.next_id;
-                self.next_id += 1;
-                let waiters = if is_write {
-                    Vec::new()
-                } else {
-                    vec![(core, seq)]
-                };
-                self.inflight.insert(
-                    id,
-                    PendingMem {
-                        line,
-                        cluster,
-                        waiters,
-                        write_intent: is_write,
-                    },
-                );
-                self.pending_by_line.insert(Self::line_key(line), id);
-                let req = SubmittedReq {
-                    id,
-                    addr: line,
-                    is_write: false,
-                    thread: core as u16,
-                    tenant: self.tenant_of(core as u16),
-                };
-                self.stats.dram_reads += 1;
-                if !self.backlog.is_empty() || !port.submit(req, now) {
-                    self.backlog.push_back(req);
-                }
+                let load = (!is_write).then_some(seq);
+                self.fetch(line, core, load, is_write, now, port);
                 self.issue_prefetches(core, cluster, line, now, port);
-                if is_write {
-                    MemOutcome::ReadyAt(store_done)
-                } else {
-                    MemOutcome::Pending
-                }
+                missed
             }
         }
     }
@@ -624,23 +608,14 @@ impl<S: InstrSource> CmpSystem<S> {
         let Some(p) = self.uncore.inflight.remove(&id) else {
             return;
         };
-        self.uncore
-            .pending_by_line
-            .remove(&Uncore::line_key(p.line));
+        self.uncore.pending_by_line.remove(&Directory::key(p.line));
         if let Some(v) = self.uncore.l2[p.cluster].fill(p.line, p.write_intent) {
             self.uncore
                 .handle_l2_victim(p.cluster, v.addr, v.dirty, 0, now, port);
         }
         let ready = now + self.cfg.l2_latency;
         for &(core, seq) in &p.waiters {
-            if let Some(v) = self.uncore.l1[core].fill(p.line, false) {
-                if v.dirty {
-                    if let Some(v2) = self.uncore.l2[p.cluster].fill(v.addr, true) {
-                        self.uncore
-                            .handle_l2_victim(p.cluster, v2.addr, v2.dirty, 0, now, port);
-                    }
-                }
-            }
+            self.uncore.fill_l1(core, p.cluster, p.line, 0, now, port);
             self.cores[core].complete_load(seq, ready);
             self.wake_core(core);
         }
@@ -649,7 +624,7 @@ impl<S: InstrSource> CmpSystem<S> {
         // file even when none of its own loads completed, so its wake must
         // be re-evaluated at the next tick.
         for core in self.uncore.cores_of(p.cluster) {
-            if self.uncore.mshr[core].complete(p.line).is_some()
+            if self.uncore.mshr[core].complete(p.line)
                 && self.lanes[core].stall == StallKind::MshrReplay
             {
                 self.wake_core(core);
@@ -698,30 +673,12 @@ impl<S: InstrSource> CmpSystem<S> {
 
     /// Aggregate L1 hit rate across cores.
     pub fn l1_hit_rate(&self) -> f64 {
-        let (h, m) = self
-            .uncore
-            .l1
-            .iter()
-            .fold((0u64, 0u64), |(h, m), c| (h + c.hits, m + c.misses));
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
+        aggregate_hit_rate(&self.uncore.l1)
     }
 
     /// Aggregate L2 hit rate across clusters.
     pub fn l2_hit_rate(&self) -> f64 {
-        let (h, m) = self
-            .uncore
-            .l2
-            .iter()
-            .fold((0u64, 0u64), |(h, m), c| (h + c.hits, m + c.misses));
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
+        aggregate_hit_rate(&self.uncore.l2)
     }
 
     /// Outstanding main-memory requests (diagnostics; bounded by MSHRs).
@@ -737,10 +694,22 @@ impl<S: InstrSource> CmpSystem<S> {
     }
 }
 
+/// Hits over demand accesses, summed across `caches`.
+fn aggregate_hit_rate(caches: &[Cache]) -> f64 {
+    let (h, m) = caches
+        .iter()
+        .fold((0u64, 0u64), |(h, m), c| (h + c.hits, m + c.misses));
+    if h + m == 0 {
+        0.0
+    } else {
+        h as f64 / (h + m) as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::FixedSource;
+    use crate::instr::{FixedSource, Instr};
 
     /// A memory that answers every read after a fixed delay.
     struct TestMemory {
@@ -931,13 +900,233 @@ mod tests {
         for &(cluster, line) in &u.prefetched {
             let inflight = u
                 .pending_by_line
-                .get(&Uncore::line_key(line))
+                .get(&Directory::key(line))
                 .is_some_and(|id| u.inflight[id].cluster == cluster);
             assert!(
                 inflight || u.l2[cluster].contains(line),
                 "cluster {cluster} still counts {line:#x} as prefetched after it left its L2"
             );
         }
+    }
+
+    /// The records of the in-flight misses agree: each core's MSHR file
+    /// holds at most `mshrs_per_core` distinct lines, each in flight for
+    /// the core's cluster; every `pending_by_line` entry names a live
+    /// record of its line; every prefetched line is in its cluster's L2 or
+    /// in flight for that cluster; and the directory keeps MESI.
+    fn check_inflight(u: &Uncore) -> Result<(), String> {
+        let inflight: FxHashSet<(usize, u64)> =
+            u.inflight.values().map(|p| (p.cluster, p.line)).collect();
+        for (core, m) in u.mshr.iter().enumerate() {
+            let lines = m.lines();
+            let cluster = core / u.cfg.cores_per_cluster;
+            if lines.len() > u.cfg.mshrs_per_core {
+                return Err(format!("core {core}: {} MSHR entries", lines.len()));
+            }
+            for (i, &line) in lines.iter().enumerate() {
+                if lines[..i].contains(&line) {
+                    return Err(format!("core {core}: {line:#x} held twice"));
+                }
+                if !inflight.contains(&(cluster, line)) {
+                    return Err(format!(
+                        "core {core}: MSHR holds {line:#x}, not in flight for cluster {cluster}"
+                    ));
+                }
+            }
+        }
+        for (&key, id) in &u.pending_by_line {
+            if u.inflight.get(id).map(|p| Directory::key(p.line)) != Some(key) {
+                return Err(format!("line index {key:#x}: no live record {id}"));
+            }
+        }
+        for &(cluster, line) in &u.prefetched {
+            if !u.l2[cluster].contains(line) && !inflight.contains(&(cluster, line)) {
+                return Err(format!(
+                    "cluster {cluster}: prefetched {line:#x} neither in its L2 nor in flight"
+                ));
+            }
+        }
+        u.dir.check_invariants()
+    }
+
+    /// A memory that answers read 0 after 3000 cycles and read `id` after
+    /// 40–399, rejects every submit in the last 60 cycles of each 500, and
+    /// logs the accepted reads as (cycle, id, addr, thread).
+    #[derive(Default)]
+    struct WindowedMemory {
+        pending: BinaryHeap<Reverse<(Cycle, u64)>>,
+        reads: Vec<(Cycle, u64, u64, u16)>,
+    }
+
+    impl MemPort for WindowedMemory {
+        fn submit(&mut self, req: SubmittedReq, now: Cycle) -> bool {
+            if now % 500 >= 440 {
+                return false;
+            }
+            if !req.is_write {
+                self.reads.push((now, req.id, req.addr, req.thread));
+                let delay = if req.id == 0 {
+                    3000
+                } else {
+                    40 + (req.id * 7919) % 360
+                };
+                self.pending.push(Reverse((now + delay, req.id)));
+            }
+            true
+        }
+    }
+
+    /// Deliver fills in `(at, id)` order, tick, and check the in-flight
+    /// invariants after every cycle.
+    fn drive_checked<S: InstrSource>(sys: &mut CmpSystem<S>, cycles: Cycle) -> WindowedMemory {
+        let mut mem = WindowedMemory::default();
+        for now in 0..cycles {
+            while let Some(&Reverse((at, id))) = mem.pending.peek() {
+                if at > now {
+                    break;
+                }
+                mem.pending.pop();
+                sys.on_fill(id, now, &mut mem);
+            }
+            sys.tick(now, &mut mem);
+            if let Err(e) = check_inflight(&sys.uncore) {
+                panic!("cycle {now}: {e}");
+            }
+        }
+        mem
+    }
+
+    /// Seeded loads and stores (about 30%) in runs over a line pool every
+    /// cluster shares or over the core's private region, line by line.
+    struct Traffic {
+        rng: u64,
+        base: u64,
+        next: u64,
+        run_left: u64,
+        private: bool,
+    }
+
+    impl InstrSource for Traffic {
+        fn next_instr(&mut self) -> Instr {
+            self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut r = self.rng;
+            r = (r ^ (r >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            r = (r ^ (r >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            r ^= r >> 31;
+            if !r.is_multiple_of(3) {
+                return Instr::Compute;
+            }
+            if self.run_left == 0 {
+                self.run_left = 4 + (r >> 40) % 16;
+                self.private = (r >> 56).is_multiple_of(2);
+            }
+            self.run_left -= 1;
+            self.next = (self.next + 1) % 4096;
+            let addr = if self.private {
+                self.base + self.next * 64
+            } else {
+                ((r >> 8) % 96) * 64
+            };
+            Instr::Mem {
+                addr,
+                is_write: (r >> 24) % 10 < 3,
+            }
+        }
+    }
+
+    #[test]
+    fn inflight_records_agree_every_cycle() {
+        for seed in 1..=3u64 {
+            for prefetch_degree in [0, 4] {
+                let cfg = CmpConfig {
+                    l1_bytes: 1024,
+                    l1_assoc: 2,
+                    l2_bytes: 8192,
+                    l2_assoc: 4,
+                    prefetch_degree,
+                    ..CmpConfig::small(16)
+                };
+                let sources = (0..16u64)
+                    .map(|c| Traffic {
+                        rng: seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ c,
+                        base: (1 << 30) + (c << 24),
+                        next: 0,
+                        run_left: 0,
+                        private: false,
+                    })
+                    .collect();
+                let mut sys = CmpSystem::new(cfg, sources);
+                drive_checked(&mut sys, 8000);
+                let s = sys.stats();
+                assert!(s.forwards > 0 && s.upgrades > 0, "{s:?}");
+                assert_eq!(s.prefetches > 0, prefetch_degree > 0, "{s:?}");
+            }
+        }
+    }
+
+    /// A core misses again on a line its MSHR file still holds. Its first
+    /// fetch is held back by the memory; meanwhile another cluster took
+    /// the line and evicted it, and a third fetched it and evicted it, so
+    /// the directory has it uncached and `pending_by_line` no longer names
+    /// the first fetch. The second fetch must not take a second MSHR entry.
+    #[test]
+    fn refetch_of_a_line_the_core_still_holds() {
+        struct Script(std::vec::IntoIter<Instr>);
+        impl InstrSource for Script {
+            fn next_instr(&mut self) -> Instr {
+                self.0.next().unwrap_or(Instr::Compute)
+            }
+        }
+        /// Runs of `pad` compute instructions (two retire per cycle), each
+        /// followed by its accesses.
+        fn script(runs: &[(usize, &[(u64, bool)])]) -> Script {
+            let mut v = Vec::new();
+            for &(pad, accesses) in runs {
+                v.extend(vec![Instr::Compute; pad]);
+                v.extend(
+                    accesses
+                        .iter()
+                        .map(|&(addr, is_write)| Instr::Mem { addr, is_write }),
+                );
+            }
+            Script(v.into_iter())
+        }
+        // Lines 1 KiB apart share a set of the 4 KiB 4-way L2, so a core
+        // that streams six of them after line 0 evicts it.
+        let set_lines = |from: u64| {
+            (from..from + 6)
+                .map(|k| (k * 1024, false))
+                .collect::<Vec<_>>()
+        };
+        let cfg = CmpConfig {
+            l2_bytes: 4096,
+            l2_assoc: 4,
+            ..CmpConfig::small(12)
+        };
+        let mut sources: Vec<Script> = (0..12).map(|_| script(&[])).collect();
+        // Core 0's store opens request 0, which the memory holds for 3000
+        // cycles; the core stores to line 0 again at about cycle 2200.
+        sources[0] = script(&[(0, &[(0, true)]), (4400, &[(0, true)])]);
+        // Core 4 (cluster 1) takes the line by a forward, then evicts it.
+        sources[4] = script(&[(100, &[(0, true)]), (0, &set_lines(1))]);
+        // Core 8 (cluster 2) fetches it at about cycle 750, then evicts it.
+        sources[8] = script(&[(1500, &[(0, false)]), (200, &set_lines(7))]);
+        let mut sys = CmpSystem::new(cfg, sources);
+        let mem = drive_checked(&mut sys, 2800);
+        let reads_of_0: Vec<_> = mem.reads.iter().filter(|r| r.2 == 0).collect();
+        assert_eq!(reads_of_0.len(), 3, "{:?}", mem.reads);
+        assert_eq!(
+            (reads_of_0[0].3, reads_of_0[2].3),
+            (0, 0),
+            "{:?}",
+            mem.reads
+        );
+        let left: Vec<_> = sys.uncore.inflight.keys().collect();
+        assert_eq!(left, [&0], "request 0 is still in flight");
+        assert!(
+            !sys.uncore.mshr[0].contains(0),
+            "the second fill released the entry"
+        );
     }
 
     #[test]
@@ -948,9 +1137,9 @@ mod tests {
         // Make the writer's accesses stores.
         struct W(FixedSource);
         impl InstrSource for W {
-            fn next_instr(&mut self) -> crate::instr::Instr {
+            fn next_instr(&mut self) -> Instr {
                 match self.0.next_instr() {
-                    crate::instr::Instr::Mem { addr, .. } => crate::instr::Instr::Mem {
+                    Instr::Mem { addr, .. } => Instr::Mem {
                         addr,
                         is_write: true,
                     },
