@@ -20,15 +20,15 @@ fn stream_reads(cfg: &MemConfig, n: u64) -> u64 {
         let flat = loc.ubank_flat(cfg);
         loop {
             if ch.open_row_flat(flat) == Some(loc.row) {
-                if ch.can_column_flat(flat, loc.row, false, now) {
+                if ch.earliest_column_flat(flat, false) <= now {
                     last = ch.read_flat(flat, now);
                     break;
                 }
             } else if ch.open_row_flat(flat).is_none() {
-                if ch.can_activate_flat(flat, now) {
+                if ch.earliest_activate_flat(flat) <= now {
                     ch.activate_flat(flat, loc.row, now);
                 }
-            } else if ch.can_precharge_flat(flat, now) {
+            } else if ch.earliest_precharge_flat(flat) <= now {
                 ch.precharge_flat(flat, now);
             }
             now += 1;

@@ -25,11 +25,6 @@ pub struct MicrobankState {
     /// Earliest cycle a PRE may issue (max of tRAS, read-to-precharge, and
     /// write recovery).
     pub next_pre: Cycle,
-    /// Cycle of the most recent ACT (used by policy code to measure row
-    /// open time).
-    pub last_act: Cycle,
-    /// Number of column accesses served by the currently open row.
-    pub row_hits_open: u32,
 }
 
 impl MicrobankState {
@@ -42,28 +37,39 @@ impl MicrobankState {
         self.open_row.is_none()
     }
 
-    /// Can an ACT legally issue at `now`?
-    pub fn can_activate(&self, now: Cycle) -> bool {
-        self.open_row.is_none() && now >= self.next_act
+    /// Earliest cycle an ACT may issue: `next_act`, or `Cycle::MAX` while
+    /// a row is open (a PRE must land first).
+    pub fn activate_at(&self) -> Cycle {
+        if self.open_row.is_some() {
+            return Cycle::MAX;
+        }
+        self.next_act
     }
 
-    /// Can a column command to `row` legally issue at `now`?
-    pub fn can_column(&self, row: u32, now: Cycle) -> bool {
-        self.open_row == Some(row) && now >= self.next_col
+    /// Earliest cycle a column command to the open row may issue:
+    /// `next_col`, or `Cycle::MAX` while precharged. Whether the open row
+    /// is the one a request wants is the caller's question.
+    pub fn column_at(&self) -> Cycle {
+        if self.open_row.is_none() {
+            return Cycle::MAX;
+        }
+        self.next_col
     }
 
-    /// Can a PRE legally issue at `now`? (Precharging an idle bank is a
-    /// no-op the controller never emits; we forbid it here to catch bugs.)
-    pub fn can_precharge(&self, now: Cycle) -> bool {
-        self.open_row.is_some() && now >= self.next_pre
+    /// Earliest cycle a PRE may issue: `next_pre`, or `Cycle::MAX` while
+    /// precharged (precharging an idle bank is a no-op the controller
+    /// never emits; the deadline forbids it to catch bugs).
+    pub fn precharge_at(&self) -> Cycle {
+        if self.open_row.is_none() {
+            return Cycle::MAX;
+        }
+        self.next_pre
     }
 
-    /// Issue an ACT at `now`. Caller must have checked [`Self::can_activate`].
+    /// Issue an ACT at `now`, no earlier than [`Self::activate_at`].
     pub fn activate(&mut self, row: u32, now: Cycle, t: &Timings) {
-        debug_assert!(self.can_activate(now), "illegal ACT at {now}");
+        debug_assert!(self.activate_at() <= now, "illegal ACT at {now}");
         self.open_row = Some(row);
-        self.last_act = now;
-        self.row_hits_open = 0;
         self.next_col = now + t.t_rcd;
         self.next_pre = now + t.t_ras;
         // Guard against ACT while active: next_act only matters after PRE.
@@ -72,30 +78,22 @@ impl MicrobankState {
 
     /// Issue a RD at `now`; returns the cycle the last data beat arrives.
     pub fn read(&mut self, now: Cycle, t: &Timings) -> Cycle {
-        debug_assert!(
-            self.open_row.is_some() && now >= self.next_col,
-            "illegal RD at {now}"
-        );
-        self.row_hits_open += 1;
+        debug_assert!(self.column_at() <= now, "illegal RD at {now}");
         self.next_pre = self.next_pre.max(now + t.t_rtp);
         now + t.t_aa + t.t_burst
     }
 
     /// Issue a WR at `now`; returns the cycle write data is fully latched.
     pub fn write(&mut self, now: Cycle, t: &Timings) -> Cycle {
-        debug_assert!(
-            self.open_row.is_some() && now >= self.next_col,
-            "illegal WR at {now}"
-        );
-        self.row_hits_open += 1;
+        debug_assert!(self.column_at() <= now, "illegal WR at {now}");
         let data_end = now + t.t_cwl + t.t_burst;
         self.next_pre = self.next_pre.max(data_end + t.t_wr);
         data_end
     }
 
-    /// Issue a PRE at `now`. Caller must have checked [`Self::can_precharge`].
+    /// Issue a PRE at `now`, no earlier than [`Self::precharge_at`].
     pub fn precharge(&mut self, now: Cycle, t: &Timings) {
-        debug_assert!(self.can_precharge(now), "illegal PRE at {now}");
+        debug_assert!(self.precharge_at() <= now, "illegal PRE at {now}");
         self.open_row = None;
         self.next_act = now + t.t_rp;
         self.next_col = Cycle::MAX;
@@ -121,9 +119,9 @@ mod tests {
     #[test]
     fn fresh_bank_accepts_act_only() {
         let b = MicrobankState::new();
-        assert!(b.can_activate(0));
-        assert!(!b.can_column(0, 1000));
-        assert!(!b.can_precharge(1000));
+        assert_eq!(b.activate_at(), 0);
+        assert_eq!(b.column_at(), Cycle::MAX);
+        assert_eq!(b.precharge_at(), Cycle::MAX);
     }
 
     #[test]
@@ -131,9 +129,9 @@ mod tests {
         let t = t();
         let mut b = MicrobankState::new();
         b.activate(5, 100, &t);
-        assert!(!b.can_column(5, 100 + t.t_rcd - 1));
-        assert!(b.can_column(5, 100 + t.t_rcd));
-        assert!(!b.can_column(6, 100 + t.t_rcd), "wrong row must miss");
+        assert_eq!(b.column_at(), 100 + t.t_rcd);
+        assert_eq!(b.open_row, Some(5), "only the opened row may hit");
+        assert_eq!(b.activate_at(), Cycle::MAX, "no ACT while a row is open");
     }
 
     #[test]
@@ -141,8 +139,7 @@ mod tests {
         let t = t();
         let mut b = MicrobankState::new();
         b.activate(1, 0, &t);
-        assert!(!b.can_precharge(t.t_ras - 1));
-        assert!(b.can_precharge(t.t_ras));
+        assert_eq!(b.precharge_at(), t.t_ras);
     }
 
     #[test]
@@ -151,8 +148,9 @@ mod tests {
         let mut b = MicrobankState::new();
         b.activate(1, 0, &t);
         b.precharge(t.t_ras, &t);
-        assert!(!b.can_activate(t.t_ras + t.t_rp - 1));
-        assert!(b.can_activate(t.t_ras + t.t_rp));
+        assert_eq!(b.activate_at(), t.t_ras + t.t_rp);
+        assert_eq!(b.column_at(), Cycle::MAX);
+        assert_eq!(b.precharge_at(), Cycle::MAX);
     }
 
     #[test]
@@ -162,8 +160,8 @@ mod tests {
         b.activate(1, 0, &t);
         let rd_at = t.t_ras - 2; // read just before tRAS expires
         let _ = b.read(rd_at, &t);
-        assert!(!b.can_precharge(t.t_ras), "tRTP extends beyond tRAS here");
-        assert!(b.can_precharge(rd_at + t.t_rtp));
+        assert!(rd_at + t.t_rtp > t.t_ras, "tRTP extends beyond tRAS here");
+        assert_eq!(b.precharge_at(), rd_at + t.t_rtp);
     }
 
     #[test]
@@ -174,8 +172,7 @@ mod tests {
         let wr_at = t.t_rcd;
         let data_end = b.write(wr_at, &t);
         assert_eq!(data_end, wr_at + t.t_cwl + t.t_burst);
-        assert!(!b.can_precharge(data_end + t.t_wr - 1));
-        assert!(b.can_precharge(data_end + t.t_wr));
+        assert_eq!(b.precharge_at(), data_end + t.t_wr);
     }
 
     #[test]
@@ -185,9 +182,15 @@ mod tests {
         b.activate(1, 0, &t);
         let _ = b.read(t.t_rcd, &t);
         let _ = b.read(t.t_rcd + t.t_ccd, &t);
-        assert_eq!(b.row_hits_open, 2);
+        assert_eq!(b.open_row, Some(1), "reads keep the row open");
         b.precharge(b.next_pre, &t);
         assert!(b.is_idle());
+    }
+
+    #[test]
+    fn state_is_four_words() {
+        // The open row and three deadlines; a channel holds one per μbank.
+        assert_eq!(std::mem::size_of::<MicrobankState>(), 32);
     }
 
     #[test]
@@ -196,9 +199,8 @@ mod tests {
         let t = t();
         let mut b = MicrobankState::new();
         b.activate(1, 0, &t);
-        let pre_at = (0..).find(|&c| b.can_precharge(c)).unwrap();
+        let pre_at = b.precharge_at();
         b.precharge(pre_at, &t);
-        let act_at = (pre_at..).find(|&c| b.can_activate(c)).unwrap();
-        assert_eq!(act_at, t.t_rc());
+        assert_eq!(b.activate_at(), t.t_rc());
     }
 }

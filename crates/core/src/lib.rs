@@ -41,12 +41,13 @@
 //! let loc = map.decode(0x4000);
 //! let flat = loc.ubank_flat(&cfg);
 //!
-//! // Activate a row, then read a column, respecting DRAM timing.
-//! let t0 = 0;
-//! assert!(ch.can_activate_row_flat(flat, loc.row, t0));
+//! // Activate a row, then read a column, each at its earliest legal
+//! // cycle: a command may issue at `now` iff its deadline is `<= now`.
+//! let t0 = ch.earliest_activate_row_flat(flat, loc.row);
+//! assert_eq!(t0, 0);
 //! ch.activate_flat(flat, loc.row, t0);
-//! let t1 = t0 + cfg.timings().t_rcd;
-//! assert!(ch.can_column_flat(flat, loc.row, false, t1));
+//! let t1 = ch.earliest_column_flat(flat, false);
+//! assert_eq!(t1, t0 + cfg.timings().t_rcd);
 //! let done = ch.read_flat(flat, t1);
 //! assert!(done > t1);
 //! ```

@@ -11,8 +11,8 @@
 //!   ([`DeviceVariant::effective_ubank`]);
 //! * **structural timing constraints** — which sibling-partition states
 //!   block an ACT or a column command inside one physical bank
-//!   ([`VariantRules`], enforced by [`crate::channel::Channel`] with exact
-//!   `earliest_*` duals so the event-driven time-skip core stays sound);
+//!   ([`VariantRules`], enforced by [`crate::channel::Channel`]'s exact
+//!   `earliest_*` deadlines, which the event-driven time-skip core folds);
 //! * **per-activation energy** — dispatched per variant by
 //!   `microbank_energy::EnergyModel`.
 //!

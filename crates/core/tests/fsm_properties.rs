@@ -1,8 +1,8 @@
 //! Property tests: a random command driver that issues whatever the
-//! channel's `can_*` predicates allow must produce a command history that
-//! satisfies every JEDEC-style timing constraint, checked offline against
-//! the raw trace. This verifies the FSMs enforce the protocol rather than
-//! merely claiming to.
+//! channel's `earliest_*` deadlines allow (`earliest <= now`) must produce
+//! a command history that satisfies every JEDEC-style timing constraint,
+//! checked offline against the raw trace. This verifies the FSMs enforce
+//! the protocol rather than merely claiming to.
 
 use microbank_core::address::{AddressMap, Location};
 use microbank_core::channel::Channel;
@@ -39,7 +39,7 @@ fn random_drive(cfg: &MemConfig, seed: u64, steps: usize) -> (Vec<(Cycle, Cmd)>,
         let rank = loc.rank as usize;
         match rng.gen_range(0..4) {
             0 => {
-                if ch.can_activate_flat(flat, now) {
+                if ch.earliest_activate_flat(flat) <= now {
                     ch.activate_flat(flat, loc.row, now);
                     trace.push((
                         now,
@@ -52,23 +52,23 @@ fn random_drive(cfg: &MemConfig, seed: u64, steps: usize) -> (Vec<(Cycle, Cmd)>,
                 }
             }
             1 => {
-                if let Some(row) = ch.open_row_flat(flat) {
-                    if ch.can_column_flat(flat, row, false, now) {
-                        ch.read_flat(flat, now);
-                        trace.push((now, Cmd::Rd { flat, rank }));
-                    }
+                // `Cycle::MAX` while precharged: a column command needs
+                // an open row.
+                if ch.earliest_column_flat(flat, false) <= now {
+                    ch.read_flat(flat, now);
+                    trace.push((now, Cmd::Rd { flat, rank }));
                 }
             }
             2 => {
-                if let Some(row) = ch.open_row_flat(flat) {
-                    if ch.can_column_flat(flat, row, true, now) {
-                        ch.write_flat(flat, now);
-                        trace.push((now, Cmd::Wr { flat, rank }));
-                    }
+                // `Cycle::MAX` while precharged: a column command needs
+                // an open row.
+                if ch.earliest_column_flat(flat, true) <= now {
+                    ch.write_flat(flat, now);
+                    trace.push((now, Cmd::Wr { flat, rank }));
                 }
             }
             _ => {
-                if ch.can_precharge_flat(flat, now) {
+                if ch.earliest_precharge_flat(flat) <= now {
                     ch.precharge_flat(flat, now);
                     trace.push((now, Cmd::Pre { flat }));
                 }

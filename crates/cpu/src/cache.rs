@@ -244,28 +244,21 @@ impl Cache {
     }
 
     /// Hit-or-nothing access: one way scan. On a hit, update LRU and
-    /// dirtiness and count the hit exactly as [`Cache::access`] would,
-    /// returning the hit way's index; on a miss, touch nothing (no
-    /// allocation, no miss count, no LRU update) — exactly as the
-    /// `contains` + `access` pair it replaces, where the miss path never
-    /// called `access`. The caller classifies the miss itself.
+    /// dirtiness and count the hit exactly as [`Cache::access`] would, and
+    /// return `true`; on a miss, touch nothing (no allocation, no miss
+    /// count, no LRU update) — exactly as the `contains` + `access` pair it
+    /// replaces, where the miss path never called `access`. The caller
+    /// classifies the miss itself.
     #[inline]
-    pub fn probe_hit(&mut self, addr: u64, is_write: bool) -> Option<usize> {
+    pub fn probe_hit(&mut self, addr: u64, is_write: bool) -> bool {
         let (set, _, way) = self.find(addr);
-        let way = way?;
+        let Some(way) = way else {
+            return false;
+        };
         self.touch(set, way);
         self.or_dirty(set, way, is_write);
         self.hits += 1;
-        Some(set * self.assoc + way)
-    }
-
-    /// Move a way returned by [`Cache::probe_hit`] to the front of its
-    /// recency list again, with no
-    /// intervening operation on this cache: equivalent to a
-    /// [`Cache::fill`]`(addr, false)` that finds the line present, minus
-    /// the way scan.
-    pub fn retouch(&mut self, way: usize) {
-        self.touch(way / self.assoc, way % self.assoc);
+        true
     }
 
     /// Probe without modifying state.

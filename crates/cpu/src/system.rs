@@ -197,22 +197,13 @@ impl Uncore {
     }
 
     /// Install `line` (clean) in `core`'s L1. A dirty L1 victim is written
-    /// into the cluster's L2, and the L2 victim that makes, if any, is
-    /// handled on behalf of `thread`.
-    fn fill_l1<P: MemPort + ?Sized>(
-        &mut self,
-        core: usize,
-        cluster: usize,
-        line: u64,
-        thread: u16,
-        now: Cycle,
-        port: &mut P,
-    ) {
+    /// into the cluster's L2, which already holds it (the L2 is inclusive
+    /// of its cluster's L1s), so that write evicts nothing.
+    fn fill_l1(&mut self, core: usize, cluster: usize, line: u64) {
         if let Some(v) = self.l1[core].fill(line, false) {
             if v.dirty {
-                if let Some(v2) = self.l2[cluster].fill(v.addr, true) {
-                    self.handle_l2_victim(cluster, v2.addr, v2.dirty, thread, now, port);
-                }
+                let evicted = self.l2[cluster].fill(v.addr, true);
+                debug_assert!(evicted.is_none(), "inclusive L2 lost {:#x}", v.addr);
             }
         }
     }
@@ -293,7 +284,7 @@ impl Uncore {
         let cfg = self.cfg;
         let line = Self::line_of(addr);
         // L1 hit (single way scan).
-        if self.l1[core].probe_hit(line, is_write).is_some() {
+        if self.l1[core].probe_hit(line, is_write) {
             return MemOutcome::ReadyAt(now + cfg.l1_latency);
         }
         self.l1[core].misses += 1; // classified miss (fill path below)
@@ -301,7 +292,7 @@ impl Uncore {
         // L2 hit (single way scan; the LRU/dirty update commutes with the
         // directory calls below, which never touch this cluster's own
         // caches).
-        if let Some(way) = self.l2[cluster].probe_hit(line, is_write) {
+        if self.l2[cluster].probe_hit(line, is_write) {
             if self.prefetched.remove(&(cluster, line)) {
                 self.stats.prefetch_hits += 1;
             }
@@ -317,11 +308,9 @@ impl Uncore {
                 }
                 self.apply_invalidations(line, inv);
             }
-            // The L2 fill of a line just probed in this L2 finds it present
-            // (the invalidations above touch other clusters only): an LRU
-            // retouch of the known way, with no victim.
-            self.l2[cluster].retouch(way);
-            self.fill_l1(core, cluster, line, core as u16, now, port);
+            // The probe left the line most recent in this L2, and the
+            // invalidations above touch other clusters only.
+            self.fill_l1(core, cluster, line);
             if is_write {
                 // Make the written line most recent again. It is still
                 // present: an L1 victim is already in the inclusive L2, so
@@ -379,7 +368,7 @@ impl Uncore {
                 if let Some(v) = self.l2[cluster].fill(line, is_write) {
                     self.handle_l2_victim(cluster, v.addr, v.dirty, core as u16, now, port);
                 }
-                self.fill_l1(core, cluster, line, core as u16, now, port);
+                self.fill_l1(core, cluster, line);
                 let latency = cfg.l1_latency
                     + cfg.l2_latency
                     + cfg.dir_latency
@@ -615,7 +604,7 @@ impl<S: InstrSource> CmpSystem<S> {
         }
         let ready = now + self.cfg.l2_latency;
         for &(core, seq) in &p.waiters {
-            self.uncore.fill_l1(core, p.cluster, p.line, 0, now, port);
+            self.uncore.fill_l1(core, p.cluster, p.line);
             self.cores[core].complete_load(seq, ready);
             self.wake_core(core);
         }

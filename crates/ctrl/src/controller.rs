@@ -347,7 +347,7 @@ impl MemoryController {
                 if !work
                     && self.channel.rank_idle_for(rank, now) >= idle
                     && !self.channel.rank_all_idle(rank)
-                    && self.channel.can_precharge_all(rank, now)
+                    && self.channel.earliest_precharge_all(rank) <= now
                 {
                     self.issue_prea(rank, now);
                 }
@@ -418,7 +418,7 @@ impl MemoryController {
                 return true;
             }
             // Drain with one PREA once every open bank may precharge.
-            if self.channel.can_precharge_all(rank, now) {
+            if self.channel.earliest_precharge_all(rank) <= now {
                 self.issue_prea(rank, now);
                 return true;
             }
@@ -674,7 +674,7 @@ impl MemoryController {
             // The target holds an open row. Close it on this idle slot
             // unless demand traffic still wants it (hits always win).
             if self.queue.row_demand(flat_us, open) == 0
-                && self.channel.can_precharge_flat(flat_us, now)
+                && self.channel.earliest_precharge_flat(flat_us) <= now
             {
                 self.channel.precharge_flat(flat_us, now);
                 self.policy_pre.remove(&flat_us);
@@ -683,7 +683,7 @@ impl MemoryController {
             }
             return false;
         }
-        if !self.channel.can_scrub_flat(flat_us, now) {
+        if self.channel.earliest_scrub_flat(flat_us) > now {
             return false;
         }
         self.channel.scrub_flat(flat_us, now);
@@ -737,7 +737,7 @@ impl MemoryController {
         let Some(flat) = self
             .policy_pre
             .iter()
-            .find(|&(&f, &due)| due <= now && self.channel.can_precharge_flat(f, now))
+            .find(|&(&f, &due)| due.max(self.channel.earliest_precharge_flat(f)) <= now)
             .map(|(&f, _)| f)
         else {
             return;
@@ -761,10 +761,10 @@ impl MemoryController {
     /// accepted enqueue wakes the controller.
     ///
     /// This generalizes the old all-or-nothing `idle_until`: a *busy*
-    /// controller also sleeps, because every `can_*` predicate in the
-    /// channel is a conjunction of monotone `now >= timer` thresholds
-    /// whose exact first-true cycle the `earliest_*` duals report. The
-    /// fold mirrors `tick`'s phases (DESIGN §5f):
+    /// controller also sleeps, because every DRAM timing rule is a
+    /// channel `earliest_*` deadline that `tick` admits a command by
+    /// (`earliest <= now`), so the fold reads the very values `tick`
+    /// compares. The fold mirrors `tick`'s phases (DESIGN §5f):
     ///
     /// - rank power management has its own per-cycle idle/wake state
     ///   machine, so it disables skipping outright;

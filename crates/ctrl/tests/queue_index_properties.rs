@@ -3,7 +3,7 @@
 //!
 //! The request queue keeps one entry mask per physical bank, from which
 //! per-μbank and per-rank occupancy and each μbank's open-row demand are
-//! derived; the channel keeps each rank's dual floors and the set of
+//! derived; the channel keeps each rank's deadline floors and the set of
 //! banks it touched, and the queue every entry's cached next command,
 //! re-derived when its bank is touched. The hot path trusts all of them
 //! instead of rescanning the queue, so any drift silently changes

@@ -184,7 +184,7 @@ impl Oracle {
                     ubank: (rank * per_rank) as u32,
                 };
             }
-            if ch.can_precharge_all(rank, now) {
+            if ch.earliest_precharge_all(rank) <= now {
                 return Issue::PreA;
             }
         }

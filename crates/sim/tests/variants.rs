@@ -10,8 +10,8 @@
 //!
 //! SALP and Sectored have no legacy reference, so their pinned property is
 //! internal consistency: the event-driven time-skip drive must reproduce
-//! the per-cycle reference exactly (the `earliest_*`/`act_blocker` duals
-//! are the proof obligations).
+//! the per-cycle reference exactly (the `earliest_*`/`act_blocker`
+//! deadlines are the proof obligations).
 
 use microbank_core::variant::{DeviceVariant, SalpMode};
 use microbank_ctrl::policy::PolicyKind;
@@ -109,7 +109,7 @@ fn microbank_seam_is_identical_to_legacy_8x8_everywhere() {
 }
 
 /// The structural variants exercise the new legality rules; the time-skip
-/// horizon must stay an exact dual of the per-cycle predicates (a victim
+/// horizon must fold exactly the deadlines the per-cycle ticks admit by (a victim
 /// blocked by variant state folds the victim's precharge, a shared-bitline
 /// wait folds the burst end). Any inexactness shows up as a fingerprint
 /// mismatch between the two drive modes.

@@ -64,7 +64,7 @@ proptest! {
         let loc = map.decode(0x12340);
         let flat = loc.ubank_flat(&cfg);
         prop_assert!(flat < ch.num_ubanks());
-        prop_assert!(ch.can_activate_row_flat(flat, loc.row, 0));
+        prop_assert_eq!(ch.earliest_activate_row_flat(flat, loc.row), 0);
         ch.activate_flat(flat, loc.row, 0);
         prop_assert_eq!(ch.open_row_flat(flat), Some(loc.row));
     }
